@@ -6,7 +6,7 @@ cross-checks.
 
 from .field import QQ, NumberField, Scalar
 from .laurent import (LaurentPolynomial, WeightVector, is_unit_in_R_n0,
-                      log_derivative, weighted_valuation)
+                      log_derivative, twisted_differential, weighted_valuation)
 from .series import LaurentSeries, PrecisionError
 from .tropical import RadiusProfile, TropicalFn, g_of_phi, is_linear_on_octant, \
     sorted_profile_linear

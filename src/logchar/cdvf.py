@@ -20,13 +20,14 @@ reductions of t^{b+1} phi' for a rank-1 twist by phi.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
 from .cycles import ChartStamp, Direction, DivisorLine, LogCycle, ZeroSection, CycleError
-from .field import QQ, Scalar, _poly_divmod, _rational_roots, _is_square_fraction
-from .laurent import LaurentPolynomial
+from .field import QQ, Scalar, _poly_mul, factor_over_Q
+from .laurent import LaurentPolynomial, twisted_differential
 from .series import LaurentSeries, PrecisionError
 
 GAUGE_PARTIAL = "d/dt"
@@ -271,6 +272,10 @@ class RefinedClass:
     residue_poly: Tuple[Fraction, ...]  # monic, descending coefficients
     orbits: Tuple[OrbitClass, ...]
 
+    def describe(self):
+        return (f"residue q(X) = {_poly_str(self.residue_poly)} "
+                f"over cover t^(1/{self.kummer})")
+
     def theta_values(self):
         """Rational roots of the residue polynomial (size-1 orbits)."""
         out = []
@@ -370,17 +375,9 @@ def _verify_factorization(q, factors):
     prod = [Fraction(1)]
     for f, m in factors:
         for _ in range(m):
-            prod = _poly_mul_desc(prod, list(f))
-    if tuple(prod) != tuple(q):
+            prod = _poly_mul(prod, f[::-1])
+    if any(not f or f[0] == 0 for f, _ in factors) or prod[::-1] != list(q):
         raise FactorizationError("supplied factorization does not multiply back to q")
-
-
-def _poly_mul_desc(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
 
 
 def factor_rational(q: Sequence[Fraction]):
@@ -392,97 +389,12 @@ def factor_rational(q: Sequence[Fraction]):
     q = [Fraction(c) for c in q]
     if q[0] != 1:
         raise FactorizationError("polynomial must be monic")
-    factors = {}
-
-    def add(f):
-        factors[tuple(f)] = factors.get(tuple(f), 0) + 1
-
-    rest = list(q)
-    # peel rational roots with multiplicity
-    while len(rest) > 1:
-        asc = list(reversed(rest))
-        roots = _rational_roots(asc)
-        if not roots:
-            break
-        r = roots[0]
-        add([Fraction(1), -r])
-        quot, rem = _poly_divmod(asc, [-r, Fraction(1)])
-        assert not rem
-        rest = list(reversed(quot))
-        rest = [c / rest[0] for c in rest]
-    deg = len(rest) - 1
-    if deg == 0:
-        return sorted(factors.items())
-    if deg == 1:
-        add(rest)
-        return sorted(factors.items())
-    if deg == 2:
-        a, b, c = rest
-        disc = b * b - 4 * a * c
-        root = _is_square_fraction(disc)
-        if root is None:
-            add(rest)
-        else:
-            r1 = (-b + root) / 2
-            r2 = (-b - root) / 2
-            add([Fraction(1), -r1])
-            add([Fraction(1), -r2])
-        return sorted(factors.items())
-    if deg == 3:
-        add(rest)  # no rational root: irreducible
-        return sorted(factors.items())
-    if deg == 4:
-        split = _quartic_into_quadratics(rest)
-        if split is None:
-            add(rest)
-            return sorted(factors.items())
-        for quad in split:
-            for f, m in factor_rational(quad):
-                for _ in range(m):
-                    add(list(f))
-        return sorted(factors.items())
-    raise FactorizationError(
-        f"irreducible factorization beyond degree 4 (degree {deg}) requires "
-        "a user-supplied orbit decomposition")
-
-
-def _quartic_into_quadratics(rest):
-    one, a, b, c, d = rest
-    assert one == 1
-    p = b - 3 * a * a / 4
-    q = c - a * b / 2 + a ** 3 / 8
-    r = d - a * c / 4 + a * a * b / 16 - 3 * a ** 4 / 256
-    res = [-q * q, p * p - 4 * r, 2 * p, Fraction(1)]  # ascending in z = s^2
-    for z in _rational_roots(res):
-        if z < 0:
-            continue
-        s = _is_square_fraction(z)
-        if s is None:
-            continue
-        if s == 0:
-            disc = _is_square_fraction(p * p - 4 * r)
-            if disc is None:
-                continue
-            u = (p + disc) / 2
-            v = (p - disc) / 2
-        else:
-            u = (p + z + q / s) / 2
-            v = (p + z - q / s) / 2
-        # (y^2 + s y + u)(y^2 - s y + v) with y = x + a/4
-        f1 = _compose_shift([Fraction(1), s, u], a / 4)
-        f2 = _compose_shift([Fraction(1), -s, v], a / 4)
-        if _poly_mul_desc(f1, f2) == rest:
-            return f1, f2
-    return None
-
-
-def _compose_shift(desc, shift):
-    """f(x + shift) for descending coefficients, by Horner."""
-    out = [Fraction(desc[0])]
-    for c in desc[1:]:
-        out = _poly_mul_desc(out, [Fraction(1), Fraction(shift)])
-        out[-1] += Fraction(c)
-    return out
+    factors, rest = factor_over_Q(q[::-1])
+    if len(rest) > 1:
+        raise FactorizationError(
+            f"irreducible factorization beyond degree 4 (degree {len(rest) - 1}) requires "
+            "a user-supplied orbit decomposition")
+    return sorted(Counter(tuple(f[::-1]) for f in factors).items())
 
 
 def _orbit_classes(factors, h: int, B: int):
@@ -584,7 +496,6 @@ def cyclic_vector(A, var: str = "t", field=QQ) -> DiffOperator:
     A = [[c if isinstance(c, LaurentSeries) else LaurentSeries.constant(c, var, field)
           for c in row] for row in A]
     zero = LaurentSeries.zero(var, field)
-    one = LaurentSeries.constant(1, var, field)
     for ncand in range(1, d + 1):
         v = [LaurentSeries.monomial(k, 1, var, field) if k < ncand else zero
              for k in range(d)]
@@ -652,11 +563,7 @@ def theta_relation_check(phi: LaurentPolynomial, cdvf_var: int = 0) -> bool:
     b = -m
     tb = [0] * n
     tb[j0] = b
-    tpow = LaurentPolynomial.monomial(phi.vars, tb, 1, phi.field)
-    thetas = []
-    for j in range(n):
-        theta = (tpow * phi.log_partial(j)).restrict_to_zero(j0)
-        thetas.append(theta)
+    thetas = [t.restrict_to_zero(j0) for t in twisted_differential(phi, range(n), tb)]
     theta1 = thetas[j0]
     for j in range(n):
         if j == j0:
@@ -686,11 +593,7 @@ def local_zcar_rank1(phi: LaurentPolynomial, rank: int, chart_vars: Sequence[str
     if b > 0:
         tb = [0] * len(vars)
         tb[j0] = b
-        tpow = LaurentPolynomial.monomial(vars, tb, 1, phi.field)
-        entries = []
-        for j in range(len(vars)):
-            deriv = phi.log_partial(j) if j == j0 else phi.partial(j)
-            entries.append((tpow * deriv).restrict_to_zero(j0))
+        entries = [t.restrict_to_zero(j0) for t in twisted_differential(phi, (j0,), tb)]
         if entries[j0].is_zero:
             raise CycleError("leading refined coefficient vanished for a positive slope")
         parts.append((DivisorLine(name, Direction(entries), 1, (Fraction(b),)),

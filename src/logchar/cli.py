@@ -1,8 +1,9 @@
 """Command-line interface: validate, irr, clean, zcar, chi, newton, oracle.
 
 Exit codes: 0 ok, 2 invalid input, 3 cleanness prerequisite unmet,
-4 internal assertion failure (integrality violations).  Output is
-deterministic; --json switches to machine-readable JSON with sorted keys.
+4 internal assertion failure (integrality violations); ERRORS maps each
+error class to its code.  Output is deterministic; --json switches to
+machine-readable JSON with sorted keys.
 """
 
 from __future__ import annotations
@@ -14,9 +15,8 @@ from fractions import Fraction
 
 from .cdvf import FactorizationError, newton_polygon, orbit_integrality_violations, \
     refined_residue
-from .cycles import IntegralityError as CycleIntegralityError
-from .cycles import hilbert_dim, monomial_char_cycle
-from .euler import Curve, GeometryError, IntegralityError, Surface, \
+from .cycles import IntegralityError, hilbert_dim, monomial_char_cycle
+from .euler import Curve, GeometryError, Surface, WindowError, \
     chi_EP, chi_curve, chi_surface_kato, derham_oracle_curve, kashiwara_dubson
 from .goodmodel import (clean_at_point, irregularity_divisor, nonclean_locus,
                         numerically_clean_at_point, refined_form,
@@ -30,21 +30,24 @@ EXIT_INVALID = 2
 EXIT_NOT_CLEAN = 3
 EXIT_ASSERTION = 4
 
+# (error classes, exit code, message prefix); any other exception propagates
+ERRORS = (
+    ((IntegralityError, CodimensionError), EXIT_ASSERTION, "internal assertion failure"),
+    ((SchemaError, GeometryError, FactorizationError, PrecisionError, WindowError,
+      ValueError), EXIT_INVALID, "invalid input"),
+)
+
 
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SchemaError as exc:
-        _fail(f"invalid input: {exc}")
-        return EXIT_INVALID
-    except (IntegralityError, CycleIntegralityError, CodimensionError) as exc:
-        _fail(f"internal assertion failure: {exc}")
-        return EXIT_ASSERTION
-    except (GeometryError, PrecisionError, FactorizationError, ValueError) as exc:
-        _fail(f"invalid input: {exc}")
-        return EXIT_INVALID
+    except tuple(cls for classes, _, _ in ERRORS for cls in classes) as exc:
+        code, prefix = next((code, prefix) for classes, code, prefix in ERRORS
+                            if isinstance(exc, classes))
+        _fail(f"{prefix}: {exc}")
+        return code
 
 
 def _fail(msg):
@@ -242,11 +245,6 @@ def cmd_zcar(args) -> int:
     return EXIT_OK
 
 
-def _expanded_rows(model):
-    div = irregularity_divisor(model)
-    return [(rank, row) for rank, row in div.rows]
-
-
 def cmd_chi(args) -> int:
     doc = _load_model_doc(args.file)
     if doc.geometry is None:
@@ -258,7 +256,7 @@ def cmd_chi(args) -> int:
     if args.require_clean and not clean:
         _fail("model is not clean on the chart; refusing under --require-clean")
         return EXIT_NOT_CLEAN
-    rows = _expanded_rows(doc.model)
+    rows = irregularity_divisor(doc.model).rows
     if args.formula == "kato":
         if isinstance(geom, Curve):
             value = chi_curve(doc.model.rank, _curve_with_model_divisor(doc.model, geom))
@@ -373,6 +371,7 @@ def cmd_newton(args) -> int:
                  f"{v} (x{m})" for v, m in poly.irregularities),
              f"total irregularity: {poly.total_irregularity}"]
     refined_payload = []
+    status = EXIT_OK
     for v, m in poly.irregularities:
         if v <= 0:
             continue
@@ -381,8 +380,7 @@ def cmd_newton(args) -> int:
         except FactorizationError as exc:
             lines.append(f"slope {v}: residue factorization unavailable ({exc})")
             continue
-        qstr = _poly_repr(ref.residue_poly)
-        lines.append(f"slope {v}: residue q(X) = {qstr} over cover t^(1/{ref.kummer})")
+        lines.append(f"slope {v}: {ref.describe()}")
         for orb in ref.orbits:
             lines.append(f"  {orb.describe()}")
         bad = orbit_integrality_violations(ref)
@@ -394,20 +392,15 @@ def cmd_newton(args) -> int:
                                 "violations": [str(val) for _, val in bad]})
         if bad:
             _fail("orbit integrality violated")
-            _emit(args, {}, lines)
-            return EXIT_ASSERTION
+            status = EXIT_ASSERTION
+            break
     payload = {"command": "newton",
                "vertices": [[i, str(v)] for i, v in poly.vertices],
                "irregularities": [[str(v), m] for v, m in poly.irregularities],
                "total": str(poly.total_irregularity),
                "refined": refined_payload}
     _emit(args, payload, lines)
-    return EXIT_OK
-
-
-def _poly_repr(coeffs):
-    from .cdvf import _poly_str
-    return _poly_str(coeffs)
+    return status
 
 
 def cmd_oracle_chi_curve(args) -> int:

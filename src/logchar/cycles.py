@@ -50,9 +50,6 @@ class ChartStamp:
     def m(self):
         return len(self.log_vars)
 
-    def log_index(self, name: str) -> int:
-        return self.log_vars.index(name)
-
 
 def _as_poly(entry, vars, field=QQ):
     if isinstance(entry, LaurentPolynomial):
@@ -159,9 +156,6 @@ class LowerDim:
 
     def describe(self, mult):
         return f"LowerDim dim={self.dim} mult={mult}"
-
-
-Component = object
 
 
 class LogCycle:
@@ -336,12 +330,6 @@ def pushforward_from_cover(c: LogCycle, orbits: Sequence[Sequence[int]],
 
 # -- structured gr extraction ------------------------------------------------
 
-def _local_length_of_power(b: int) -> int:
-    """Length of k[x]_(x) / (x^b): the standard monomials are 1, x, .., x^{b-1}."""
-    assert b >= 0
-    return sum(1 for e in range(b) if e < b)
-
-
 def gr_extract_structured(chart: ChartStamp, b_vector: Sequence[int],
                           theta: Sequence, rank: int,
                           row: Optional[Sequence[Fraction]] = None) -> LogCycle:
@@ -349,8 +337,8 @@ def gr_extract_structured(chart: ChartStamp, b_vector: Sequence[int],
 
     Here t = prod x_j^{b_j} over the log divisors.  The support is the zero
     section plus, over each divisor with b_j > 0, the line in direction
-    theta; the generic-point length over D_j is the length of a b_j-th power
-    thickening, and every multiplicity is scaled by the rank.
+    theta; the generic-point length over D_j is b_j, the length of
+    k[x]_(x) / (x^{b_j}), and every multiplicity is scaled by the rank.
     """
     if rank < 1:
         raise CycleError("rank must be positive")
@@ -373,8 +361,7 @@ def gr_extract_structured(chart: ChartStamp, b_vector: Sequence[int],
             if red.is_zero:
                 raise CycleError(f"direction coordinate of {name} vanishes along its divisor")
             restricted = Direction([p.restrict_to_zero(j) for p in entries])
-            length = _local_length_of_power(b)
-            parts.append((DivisorLine(name, restricted, 1, row_t), Fraction(rank * length)))
+            parts.append((DivisorLine(name, restricted, 1, row_t), Fraction(rank * b)))
     return LogCycle(chart, parts).finalize()
 
 

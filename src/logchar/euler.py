@@ -13,13 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
-from .cycles import LogCycle
+from .cycles import IntegralityError, LogCycle
 from .field import Scalar
 from .laurent import LaurentPolynomial
-
-
-class IntegralityError(AssertionError):
-    pass
 
 
 class GeometryError(ValueError):
@@ -110,17 +106,23 @@ def chi_surface_kato(rows: Sequence[Tuple[int, Sequence[Fraction]]],
     chi(U) - sum_j b_j chi(D_j^o) + sum_{j,j'} b_j b_j' (D_j . D_j').
 
     rows are (rank, b-vector) pairs; the rank expands a summand into that
-    many identical rows.
+    many identical rows.  With deg c_2 = chi(U) and deg(c_1 . D_j) =
+    -chi(D_j^o) this is the Chern-class evaluation of chi_EP.
     """
+    return _surface_sum(rows, geom, ChernData.from_topology(geom))
+
+
+def _surface_sum(rows, geom: Surface, chern: ChernData) -> int:
+    """Sum over rows of rank * (deg c_2 + deg(c_1 . R) + deg(R^2))."""
     k = len(geom.components)
     total = Fraction(0)
     for rank, row in rows:
         row = [Fraction(b) for b in row]
         if len(row) != k:
             raise GeometryError("row length must match the divisor count")
-        val = Fraction(geom.chi_U)
+        val = Fraction(chern.c2)
         for j, b in enumerate(row):
-            val -= b * geom.components[j][1]
+            val += b * chern.c1_dot_D[j]
         for j in range(k):
             for jp in range(k):
                 val += row[j] * row[jp] * geom.intersections[j][jp]
@@ -145,22 +147,7 @@ def chi_EP(rows: Sequence[Tuple[int, Sequence[Fraction]]], geom,
             total += rank * (c1 + deg_R)
         return integrality_check(-total)
     if geom.n == 2:
-        if chern is None:
-            chern = ChernData.from_topology(geom)
-        k = len(geom.components)
-        total = Fraction(0)
-        for rank, row in rows:
-            row = [Fraction(b) for b in row]
-            if len(row) != k:
-                raise GeometryError("row length must match the divisor count")
-            val = Fraction(chern.c2)
-            for j, b in enumerate(row):
-                val += b * chern.c1_dot_D[j]
-            for j in range(k):
-                for jp in range(k):
-                    val += row[j] * row[jp] * geom.intersections[j][jp]
-            total += rank * val
-        return integrality_check(total)
+        return _surface_sum(rows, geom, chern or ChernData.from_topology(geom))
     raise GeometryError("Chern-class evaluation implemented for n <= 2 only")
 
 

@@ -8,6 +8,7 @@ coefficients; fractions are gcd-normalized by the Fraction type itself.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt, lcm
 from typing import Iterable, Union
 import warnings
 
@@ -56,8 +57,18 @@ def _poly_mul(a, b):
     return _poly_trim(out)
 
 
-def _rational_roots(coeffs):
-    """Rational roots of a polynomial with Fraction coefficients (ascending)."""
+def _poly_sub(a, b):
+    n = max(len(a), len(b))
+    out = [Fraction(0)] * n
+    for i, c in enumerate(a):
+        out[i] += c
+    for i, c in enumerate(b):
+        out[i] -= c
+    return _poly_trim(out)
+
+
+def rational_roots(coeffs):
+    """Rational roots of a polynomial with rational coefficients (ascending)."""
     cs = _poly_trim([Fraction(c) for c in coeffs])
     if len(cs) <= 1:
         return []
@@ -69,9 +80,7 @@ def _rational_roots(coeffs):
         roots.add(Fraction(0))
         cs = cs[k:]
     if len(cs) > 1:
-        den = 1
-        for c in cs:
-            den = den * c.denominator // _gcd(den, c.denominator)
+        den = lcm(*(c.denominator for c in cs))
         ints = [int(c * den) for c in cs]
         a0, an = abs(ints[0]), abs(ints[-1])
         for p in _divisors(a0):
@@ -80,12 +89,6 @@ def _rational_roots(coeffs):
                     if sum(c * cand**i for i, c in enumerate(cs)) == 0:
                         roots.add(cand)
     return sorted(roots)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def _divisors(n):
@@ -103,73 +106,87 @@ def _divisors(n):
     return sorted(out)
 
 
-def _is_square_fraction(x: Fraction):
+def _square_root(x: Fraction):
+    """The nonnegative rational square root of x, or None if x is no square."""
     if x < 0:
         return None
     num, den = x.numerator, x.denominator
-    rn, rd = _isqrt(num), _isqrt(den)
+    rn, rd = isqrt(num), isqrt(den)
     if rn * rn == num and rd * rd == den:
         return Fraction(rn, rd)
     return None
 
 
-def _isqrt(n):
-    if n < 0:
-        return -1
-    x = int(n**0.5)
-    while x * x > n:
-        x -= 1
-    while (x + 1) * (x + 1) <= n:
-        x += 1
-    return x
+def factor_over_Q(coeffs):
+    """Monic factors of a monic polynomial over Q, ascending coefficients.
+
+    Returns (factors, rest).  ``factors`` lists the irreducible factors found,
+    repeated by multiplicity: the linear factors of the rational roots, then
+    either a cofactor of degree 2 or 3 (irreducible, having no rational root)
+    or the two quadratic factors of a quartic cofactor, or that quartic itself
+    when it does not split.  A cofactor of degree >= 5 is not factored: it is
+    returned as ``rest``, which is [1] otherwise.
+    """
+    cs = _poly_trim([Fraction(c) for c in coeffs])
+    factors = []
+    for r in rational_roots(cs):
+        while True:
+            quot, rem = _poly_divmod(cs, [-r, Fraction(1)])
+            if rem:
+                break
+            factors.append([-r, Fraction(1)])
+            cs = quot
+    if len(cs) == 5:
+        split = _quartic_split(cs)
+        factors.extend(split if split is not None else [cs])
+    elif len(cs) > 5:
+        return factors, cs
+    elif len(cs) > 1:
+        factors.append(cs)
+    return factors, [Fraction(1)]
+
+
+def _quartic_split(cs):
+    """Two monic quadratics multiplying to the monic quartic cs, or None.
+
+    With x = y - a/4 the quartic becomes y^4 + p y^2 + q y + r, and
+    (y^2 + s y + u)(y^2 - s y + v) is a factorization iff z = s^2 is a root of
+    the resolvent cubic z^3 + 2p z^2 + (p^2 - 4r) z - q^2, u + v = p + z and
+    s (v - u) = q.
+    """
+    d, c, b, a, _ = cs
+    p = b - 3 * a * a / 8
+    q = c - a * b / 2 + a ** 3 / 8
+    r = d - a * c / 4 + a * a * b / 16 - 3 * a ** 4 / 256
+    for z in rational_roots([-q * q, p * p - 4 * r, 2 * p, 1]):
+        s = _square_root(z)
+        if s is None:
+            continue
+        if s == 0:
+            disc = _square_root(p * p - 4 * r)
+            if disc is None:
+                continue
+            u, v = (p - disc) / 2, (p + disc) / 2
+        else:
+            u, v = (p + z - q / s) / 2, (p + z + q / s) / 2
+        # back to x: y^2 + s y + u at y = x + a/4
+        f1 = [u + s * a / 4 + a * a / 16, s + a / 2, Fraction(1)]
+        f2 = [v - s * a / 4 + a * a / 16, -s + a / 2, Fraction(1)]
+        if _poly_mul(f1, f2) == cs:
+            return f1, f2
+    return None
 
 
 def _irreducible_over_Q(coeffs):
-    """Decide irreducibility over Q for degree <= 4 (monic, Fraction coeffs).
+    """Irreducibility of a monic polynomial over Q.
 
-    Degree 5 and 6 are trusted with a warning; the verdict None means
-    "not verified".
+    The verdict None means "not verified": a modulus of degree 5 or 6 without
+    a rational root is trusted with a warning.
     """
-    cs = _poly_trim(coeffs)
-    deg = len(cs) - 1
-    if deg <= 1:
-        return True
-    if cs[0] == 0:
-        return False
-    if _rational_roots(cs):
-        return False
-    if deg <= 3:
-        return True  # no rational root => irreducible for deg 2, 3
-    if deg == 4:
-        # monic normalization
-        lead = cs[-1]
-        m = [c / lead for c in cs]
-        a, b, c, d = m[3], m[2], m[1], m[0]
-        # depress: x = y - a/4
-        p = b - 3 * a * a / 4
-        q = c - a * b / 2 + a**3 / 8
-        r = d - a * c / 4 + a * a * b / 16 - 3 * a**4 / 256
-        # y^4+py^2+qy+r = (y^2+sy+u)(y^2-sy+v): s^2 root of resolvent
-        # z^3 + 2p z^2 + (p^2-4r) z - q^2 = 0 with z = s^2
-        res = [-q * q, p * p - 4 * r, 2 * p, Fraction(1)]
-        for z in _rational_roots(res):
-            if z < 0:
-                continue
-            s = _is_square_fraction(z)
-            if s is None:
-                continue
-            if s == 0:
-                # (y^2+u)(y^2+v): u+v=p, uv=r
-                disc = _is_square_fraction(p * p - 4 * r)
-                if disc is not None:
-                    return False
-            else:
-                u = (p + z + q / s) / 2
-                v = (p + z - q / s) / 2
-                if u + v == p + z and u * v == r:
-                    return False
-        return True
-    return None
+    factors, rest = factor_over_Q(coeffs)
+    if len(rest) > 1:
+        return False if factors else None
+    return len(factors) == 1
 
 
 class NumberField:
@@ -388,16 +405,6 @@ class Scalar:
             else:
                 parts.append(f"{c}*{a}^{i}" if c != 1 else f"{a}^{i}")
         return " + ".join(parts)
-
-
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    out = [Fraction(0)] * n
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] -= c
-    return _poly_trim(out)
 
 
 def parse_rational(text) -> Fraction:

@@ -21,8 +21,8 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from .cycles import (ChartStamp, CycleError, Direction, DivisorLine,
                      IntegralityError, LogCycle, ZeroSection)
-from .field import QQ, NumberField, Scalar
-from .laurent import LaurentPolynomial, monomial_times_unit
+from .field import QQ, NumberField, Scalar, rational_roots
+from .laurent import LaurentPolynomial, monomial_times_unit, twisted_differential
 from .tropical import RadiusProfile, TropicalFn, sorted_profile_linear
 
 
@@ -175,15 +175,6 @@ class IrregularityDivisor:
     rows: Tuple[Tuple[int, Tuple[Fraction, ...]], ...]  # (rank, b-vector) per summand
     per_divisor: Tuple[Tuple[Fraction, ...], ...]       # sorted descending, per divisor
 
-    def expanded_rows(self):
-        out = []
-        for rank, row in self.rows:
-            out.extend([row] * rank)
-        return tuple(out)
-
-    def display_rows(self):
-        return tuple(sorted(self.expanded_rows(), reverse=True))
-
 
 def irregularity_divisor(model: GoodModel) -> IrregularityDivisor:
     rows = tuple((s.rank, model.base_pole_vector(s)) for s in model.summands)
@@ -210,14 +201,10 @@ class RefinedForm:
     theta: Tuple[LaurentPolynomial, ...]
     twist: Tuple[int, ...]  # cover pole orders per log divisor
 
-    def reduced_at(self, point: Mapping[str, object]):
-        return tuple(t.evaluate(point) for t in self.theta)
-
 
 def refined_form(phi: LaurentPolynomial, chart: Chart) -> RefinedForm:
     if phi.is_zero:
         raise ModelError("refined form of the zero polynomial")
-    log = set(chart.log_indices)
     pole = []
     exp = [0] * chart.n
     for j in chart.log_indices:
@@ -225,12 +212,7 @@ def refined_form(phi: LaurentPolynomial, chart: Chart) -> RefinedForm:
         p = max(0, -(mn if mn is not None else 0))
         pole.append(p)
         exp[j] = p
-    tw = LaurentPolynomial.monomial(chart.vars, exp, 1, phi.field)
-    theta = []
-    for l in range(chart.n):
-        d = phi.log_partial(l) if l in log else phi.partial(l)
-        theta.append(tw * d)
-    return RefinedForm(tuple(theta), tuple(pole))
+    return RefinedForm(twisted_differential(phi, chart.log_indices, exp), tuple(pole))
 
 
 # -- local analysis at a point --------------------------------------------------
@@ -366,16 +348,9 @@ def clean_at_point(model: GoodModel, z: Mapping[str, object]):
         exp = [0] * chart.n
         for j in J:
             exp[j] = pole.get(j, 0)
-        tw = LaurentPolynomial.monomial(chart.vars, exp, 1, s.phi.field)
-        vals = []
-        nonzero = False
-        for l in range(chart.n):
-            d = s.phi.log_partial(l) if l in J else s.phi.partial(l)
-            v = (tw * d).evaluate(pt)
-            vals.append(str(v))
-            nonzero = nonzero or not v.is_zero
-        thetas.append((idx, tuple(vals)))
-        theta_ok = theta_ok and nonzero
+        vals = [t.evaluate(pt) for t in twisted_differential(s.phi, J, exp)]
+        thetas.append((idx, tuple(str(v) for v in vals)))
+        theta_ok = theta_ok and any(not v.is_zero for v in vals)
     clean = ok and theta_ok
     if clean:
         reason = "sharp radius functions linear; reduced twisted differentials nonzero"
@@ -400,7 +375,6 @@ class DivisorLocus:
 class NonCleanLocus:
     per_divisor: Tuple[DivisorLocus, ...]
     bad_strata: Tuple[str, ...]
-    codimension_ok: bool
 
     @property
     def is_empty(self):
@@ -425,11 +399,8 @@ def nonclean_locus(model: GoodModel) -> NonCleanLocus:
                 continue
             exp = [0] * chart.n
             exp[j] = p
-            tw = LaurentPolynomial.monomial(chart.vars, exp, 1, s.phi.field)
-            entries = []
-            for l in range(chart.n):
-                d = s.phi.log_partial(l) if l in chart.log_indices else s.phi.partial(l)
-                entries.append((tw * d).restrict_to_zero(j))
+            entries = [t.restrict_to_zero(j)
+                       for t in twisted_differential(s.phi, chart.log_indices, exp)]
             if all(en.is_zero for en in entries):
                 raise CodimensionError(
                     f"theta vector of a summand vanishes along D({name})")
@@ -437,7 +408,7 @@ def nonclean_locus(model: GoodModel) -> NonCleanLocus:
         points = []
         if chart.n == 2 and gens:
             other = 1 - j
-            points = _common_zeros_on_divisor(gens, other, chart, model.field)
+            points = _common_zeros_on_divisor(gens, other, chart)
         per.append(DivisorLocus(name, tuple(
             ", ".join(str(e) for e in entry) for entry in gens), tuple(points)))
     bad = []
@@ -452,27 +423,29 @@ def nonclean_locus(model: GoodModel) -> NonCleanLocus:
         ok, _ = clean_at_point(model, origin)
         if not ok:
             raise CodimensionError("non-clean point on a curve chart")
-    return NonCleanLocus(tuple(per), tuple(bad), True)
+    return NonCleanLocus(tuple(per), tuple(bad))
 
 
-def _common_zeros_on_divisor(gens, other_index, chart, field):
-    """Rational common zeros of all theta entries of some summand on D_j."""
+def _common_zeros_on_divisor(gens, other_index, chart):
+    """Rational common zeros of all theta entries of some summand on D_j.
+
+    The entries are univariate Laurent polynomials in the other variable;
+    their poles are cleared before the roots are taken.
+    """
     points = []
     for entries in gens:
-        # univariate Laurent polynomials in the other variable; clear poles
-        polys = []
+        roots = None
         for en in entries:
             if en.is_zero:
                 continue
-            shift = max(0, -(en.min_exponent(other_index) or 0))
-            e = [0] * chart.n
-            e[other_index] = shift
-            polys.append(en * LaurentPolynomial.monomial(chart.vars, e, 1, field))
-        if not polys:
-            continue
-        roots = None
-        for p in polys:
-            rs = set(_univariate_rational_roots(p, other_index))
+            if not all(c.is_rational_value() for c in en.terms.values()):
+                roots = set()
+                break
+            low = min(0, en.min_exponent(other_index))
+            coeffs = [0] * (en.max_exponent(other_index) - low + 1)
+            for e, c in en.terms.items():
+                coeffs[e[other_index] - low] = c.rational_value()
+            rs = set(rational_roots(coeffs))
             roots = rs if roots is None else roots & rs
             if not roots:
                 break
@@ -481,17 +454,6 @@ def _common_zeros_on_divisor(gens, other_index, chart, field):
                 continue  # crossing point, handled as a stratum
             points.append(f"{chart.vars[other_index]}={r}")
     return sorted(set(points))
-
-
-def _univariate_rational_roots(p: LaurentPolynomial, j: int):
-    from .field import _rational_roots
-    deg = max(e[j] for e in p.terms)
-    coeffs = [Fraction(0)] * (deg + 1)
-    for e, c in p.terms.items():
-        if not c.is_rational_value():
-            return []
-        coeffs[e[j]] += c.rational_value()
-    return _rational_roots(coeffs)
 
 
 # -- conjectural cycle ----------------------------------------------------------

@@ -283,14 +283,6 @@ class LaurentPolynomial:
                 out[e] = c
         return LaurentPolynomial(self.vars, out, self.field)
 
-    def drop_variable(self, j: int) -> "LaurentPolynomial":
-        """Remove variable j from the chart; all exponents of x_j must be 0."""
-        if any(e[j] != 0 for e in self.terms):
-            raise ValueError("variable still occurs")
-        vs = self.vars[:j] + self.vars[j + 1:]
-        return LaurentPolynomial(vs, {e[:j] + e[j + 1:]: c for e, c in self.terms.items()},
-                                 self.field)
-
     def evaluate(self, point: Mapping[str, object]) -> Scalar:
         """Full evaluation; negative exponents require nonzero coordinates."""
         vals = []
@@ -357,6 +349,19 @@ def log_derivative(phi: LaurentPolynomial, j: int, nlog: int) -> LaurentPolynomi
     if not 0 <= j < len(phi.vars):
         raise IndexError("variable index out of range")
     return phi.log_partial(j) if j < nlog else phi.partial(j)
+
+
+def twisted_differential(phi: LaurentPolynomial, log_indices: Sequence[int],
+                         twist: Sequence[int]) -> Tuple[LaurentPolynomial, ...]:
+    """The coefficients x^twist * D_l(phi) of the twisted differential.
+
+    D_l is x_l d/dx_l for l in ``log_indices`` and d/dx_l otherwise; ``twist``
+    is one exponent per variable.  These are the theta vectors of a rank-1
+    twist before their reduction along a divisor or at a point.
+    """
+    tw = LaurentPolynomial.monomial(phi.vars, twist, 1, phi.field)
+    return tuple(tw * (phi.log_partial(l) if l in log_indices else phi.partial(l))
+                 for l in range(len(phi.vars)))
 
 
 def is_unit_in_R_n0(u: LaurentPolynomial) -> bool:

@@ -211,7 +211,9 @@ def _parse_geometry(spec):
                 c.get("chi_open"), int), "component needs name and integral chi_open")
             comps.append((str(c["name"]), c["chi_open"]))
         inter = spec.get("intersections")
-        _expect(isinstance(inter, list), "surface needs an intersection matrix")
+        _expect(isinstance(inter, list) and all(
+            isinstance(r, list) and all(isinstance(x, int) for x in r) for r in inter),
+            "surface needs an intersection matrix of integers")
         try:
             return Surface(chi_U, tuple(comps), tuple(tuple(r) for r in inter))
         except Exception as exc:

@@ -11,7 +11,6 @@ arithmetic (LaurentPolynomial works, for series over a function field).
 
 from __future__ import annotations
 
-import os
 from typing import Mapping, Optional
 
 from .field import QQ, Scalar
@@ -21,18 +20,6 @@ _DEFAULT_WINDOW = 32
 
 class PrecisionError(ArithmeticError):
     pass
-
-
-def default_precision_window() -> int:
-    env = os.environ.get("LOGCHAR_PRECISION")
-    if env:
-        try:
-            n = int(env)
-            if n >= 4:
-                return n
-        except ValueError:
-            pass
-    return _DEFAULT_WINDOW
 
 
 def _is_zero_coeff(c):
@@ -55,8 +42,6 @@ class LaurentSeries:
             cc = c if isinstance(c, Scalar) or hasattr(c, "is_zero") else field(c)
             if not _is_zero_coeff(cc):
                 clean[e] = cc
-        if prec is not None and clean and min(clean) >= prec:
-            raise ValueError("stored exponents must lie below the precision bound")
         object.__setattr__(self, "var", var)
         object.__setattr__(self, "terms", dict(sorted(clean.items())))
         object.__setattr__(self, "prec", prec)
@@ -106,12 +91,6 @@ class LaurentSeries:
         if self.prec is None:
             return None
         raise PrecisionError(f"valuation unknown: zero up to O({self.var}^{self.prec})")
-
-    def leading_coefficient(self):
-        v = self.valuation()
-        if v is None:
-            raise ZeroDivisionError("leading coefficient of exact zero")
-        return self.terms[v]
 
     def coefficient(self, e: int):
         if self.prec is not None and e >= self.prec:
@@ -230,7 +209,7 @@ class LaurentSeries:
         lead = self.terms[v]
         if not isinstance(lead, Scalar):
             raise PrecisionError("series inversion requires scalar coefficients")
-        w = window if window is not None else default_precision_window()
+        w = window if window is not None else _DEFAULT_WINDOW
         if self.prec is not None:
             w = min(w, self.prec - v)
         inv_lead = lead.inverse()

@@ -178,9 +178,6 @@ class RadiusProfile:
             out.extend([fn(r)] * mult)
         return sorted(out, reverse=True)
 
-    def sorted_values(self, r):
-        return self.value_multiset(r)
-
 
 def sorted_profile_linear(profile: RadiusProfile):
     """Decide linearity of each sorted subsidiary function g_1 >= ... >= g_d.

@@ -1,5 +1,7 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -177,6 +179,40 @@ def test_factor_rational():
     # degree five irreducible: refuse
     with pytest.raises(FactorizationError):
         factor_rational([1, 0, 0, 0, 0, -2])
+    # a 201-digit coefficient: the discriminant test stays in integers
+    assert factor_rational([1, 10**200, 1]) == [((F(1), F(10**200), F(1)), 1)]
+
+
+def test_factor_rational_quartic_with_odd_terms():
+    # (X^2 - X + 2)(X^2 + X + 1): the depressed quartic has a linear term
+    assert factor_rational([1, 0, 2, 1, 2]) == [((F(1), F(-1), F(2)), 1),
+                                                ((F(1), F(1), F(1)), 1)]
+    # (X^2 + X + 1)(X^2 + 2X + 3): a cubic term as well
+    assert factor_rational([1, 3, 6, 5, 3]) == [((F(1), F(1), F(1)), 1),
+                                                ((F(1), F(2), F(3)), 1)]
+
+
+def _mul_desc(f, g):
+    out = [F(0)] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
+
+
+def test_factor_rational_products_of_irreducible_quadratics():
+    rng = random.Random(7)
+    trials = 0
+    while trials < 60:
+        quads = [(F(1), F(rng.randint(-6, 6), rng.randint(1, 3)),
+                  F(rng.randint(-9, 9), rng.randint(1, 3))) for _ in range(2)]
+        # keep the quadratics without a rational root: discriminant not a square
+        if any(_is_rational_square(b * b - 4 * c) for _, b, c in quads):
+            continue
+        trials += 1
+        got = factor_rational(_mul_desc(quads[0], quads[1]))
+        want = sorted(Counter(quads).items())
+        assert got == want
 
 
 def test_user_supplied_factorization_verified():
@@ -356,3 +392,8 @@ def test_radius_oracle_matches_polygon_rank2():
         lo, hi = radius_oracle(companion_matrix(op), s_max=40)
         leading = max(newton_polygon(op).irregularity_multiset())
         assert lo <= leading <= hi
+
+
+def _is_rational_square(x):
+    return x >= 0 and isqrt(x.numerator) ** 2 == x.numerator \
+        and isqrt(x.denominator) ** 2 == x.denominator

@@ -172,6 +172,49 @@ def test_oracle_chi_curve(tmp_path, capsys):
     assert "stable against 18" in out
 
 
+def test_oracle_window_below_bound_exit2(tmp_path, capsys):
+    f = write(tmp_path, "ex3.json", E_X3_CURVE)
+    code, out, err = run(capsys, "oracle", "chi-curve", f, "--window", "3")
+    assert code == 2
+    assert out == ""
+    assert "invalid input: window 3 below the stable bound" in err
+
+
+def test_chi_rejects_non_integer_intersections(tmp_path, capsys):
+    doc = dict(KATO_SURFACE)
+    doc["geometry"] = dict(KATO_SURFACE["geometry"], intersections=[[0, "a"], ["a", 0]])
+    f = write(tmp_path, "bad.json", doc)
+    code, _, err = run(capsys, "chi", f)
+    assert code == 2
+    assert "intersection matrix of integers" in err
+    with pytest.raises(SchemaError):
+        parse_model_document(doc)
+
+
+def test_newton_huge_coefficient(tmp_path, capsys):
+    op = {"schema": 1, "gauge": "d/dt", "order": 2,
+          "coeffs": [[[-2, str(10**200)]], [[-4, "1"]]]}
+    f = write(tmp_path, "op.json", op)
+    code, out, _ = run(capsys, "newton", f, "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["total"] == "2"
+
+
+def test_newton_json_payload_on_integrality_violation(tmp_path, capsys):
+    op = {"schema": 1, "gauge": "d/dt", "order": 2,
+          "coeffs": [[], [[-3, "-20"]]]}
+    f = write(tmp_path, "op.json", op)
+    code, out, err = run(capsys, "newton", f, "--json")
+    assert code == 4
+    assert "orbit integrality violated" in err
+    payload = json.loads(out)
+    assert {"vertices", "irregularities", "total", "refined"} <= set(payload)
+    assert payload["total"] == "1"
+    assert payload["refined"][0]["slope"] == "1/2"
+    assert payload["refined"][0]["violations"] == ["1/2"]
+
+
 def test_newton_command(tmp_path, capsys):
     op = {"schema": 1, "gauge": "d/dt", "order": 2,
           "coeffs": [[], [[-3, "-1"]]]}

@@ -57,11 +57,16 @@ def test_reducible_modulus_rejected():
         NumberField([0, 1, 1])  # root 0
     with pytest.raises(FieldError):
         NumberField([-4, 0, 0, 0, 1])  # x^4 - 4 = (x^2-2)(x^2+2)
+    with pytest.raises(FieldError):
+        NumberField([2, 1, 2, 0, 1])  # (x^2 - x + 2)(x^2 + x + 1)
+    with pytest.raises(FieldError):
+        NumberField([3, 5, 6, 3, 1])  # (x^2 + x + 1)(x^2 + 2x + 3)
 
 
 def test_irreducible_quartic_accepted():
     NumberField([2, 0, 0, 0, 1])  # x^4 + 2, Eisenstein
     NumberField([1, 1, 1, 1, 1])  # 5th cyclotomic
+    NumberField([1, 0, -10, 0, 1])  # minimal polynomial of sqrt(2) + sqrt(3)
 
 
 def test_degree_cap_and_warning():

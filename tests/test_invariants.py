@@ -10,7 +10,6 @@ from logchar.euler import Curve, Surface, chi_curve, chi_surface_kato
 from logchar.goodmodel import (Chart, GoodModel, ModelSummand, clean_at_point,
                                numerically_clean_at_point)
 from logchar.laurent import LaurentPolynomial
-from logchar.series import default_precision_window
 
 L = LaurentPolynomial
 F = Fraction
@@ -43,15 +42,6 @@ def test_chi_additive_over_direct_sums():
         chi_surface_kato(rows_a, geom) + chi_surface_kato(rows_b, geom)
     curve = Curve(1, (("0", ()),))
     assert chi_curve(3, curve) == 3 * chi_curve(1, curve)
-
-
-def test_precision_env_override(monkeypatch):
-    monkeypatch.setenv("LOGCHAR_PRECISION", "48")
-    assert default_precision_window() == 48
-    monkeypatch.setenv("LOGCHAR_PRECISION", "bogus")
-    assert default_precision_window() == 32
-    monkeypatch.delenv("LOGCHAR_PRECISION")
-    assert default_precision_window() == 32
 
 
 def test_console_script_smoke(tmp_path):

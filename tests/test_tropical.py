@@ -174,6 +174,6 @@ def test_full_mode_monotone_in_nonlog_coordinates():
         prof = RadiusProfile([(g_of_phi(p), 1) for p in phis])
         r = tuple(Fraction(rng.randint(0, 5)) for _ in range(3))
         r2 = (r[0], r[1] + rng.randint(0, 4), r[2] + rng.randint(0, 4))
-        v1, v2 = prof.sorted_values(r), prof.sorted_values(r2)
+        v1, v2 = prof.value_multiset(r), prof.value_multiset(r2)
         for i in range(1, len(v1) + 1):
             assert sum(v1[:i]) >= sum(v2[:i])
