@@ -5,8 +5,7 @@ cross-checks.
 """
 
 from .field import QQ, NumberField, Scalar
-from .laurent import (LaurentPolynomial, WeightVector, is_unit_in_R_n0,
-                      log_derivative, twisted_differential, weighted_valuation)
+from .laurent import LaurentPolynomial, is_unit_in_R_n0, twisted_differential
 from .series import LaurentSeries, PrecisionError
 from .tropical import RadiusProfile, TropicalFn, g_of_phi, is_linear_on_octant, \
     sorted_profile_linear

@@ -379,6 +379,7 @@ def cmd_newton(args) -> int:
             ref = refined_residue(op, v)
         except FactorizationError as exc:
             lines.append(f"slope {v}: residue factorization unavailable ({exc})")
+            refined_payload.append({"slope": str(v), "error": str(exc)})
             continue
         lines.append(f"slope {v}: {ref.describe()}")
         for orb in ref.orbits:

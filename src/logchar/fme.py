@@ -1,9 +1,13 @@
 """Exact Fourier-Motzkin elimination over Q for small systems.
 
 A constraint is (coeffs, strict) and reads  <coeffs, r> >= 0  (or > 0 when
-strict).  All systems here are homogeneous; variable counts stay <= 6 so the
-doubly exponential blowup never bites.  Feasibility returns a rational
-witness point constructed by back-substitution.
+strict).  All systems here are homogeneous.  The only caller,
+``tropical.sorted_profile_linear``, passes one system per vertex ray: n - 1
+walls as pairs of opposite rows, one strict row (the free coordinates sum to
+more than 0) and the sharp-mode pins r_j = 0, in as many variables as the
+chart has coordinates.  Nothing bounds that count; elimination can grow
+doubly exponentially in it.  Feasibility returns a rational witness point
+constructed by back-substitution.
 """
 
 from __future__ import annotations

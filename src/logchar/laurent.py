@@ -1,4 +1,4 @@
-"""Exact multivariate Laurent polynomials and weighted (Gauss-norm) valuations.
+"""Exact multivariate Laurent polynomials and the twisted differential.
 
 A LaurentPolynomial is a finite support map from integer exponent vectors to
 nonzero Scalars over a fixed ordered variable list.  Values are immutable;
@@ -9,50 +9,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
-from typing import Mapping, Optional, Sequence, Tuple
+from typing import Mapping, Sequence, Tuple
 
 from .field import QQ, NumberField, Scalar
 
 
 class DimensionMismatch(ValueError):
     pass
-
-
-class WeightVector:
-    """Nonnegative rational weights, one per variable.
-
-    mode "full" leaves all coordinates free; mode "sharp" pins the non-log
-    coordinates (those past ``nlog``) to zero.
-    """
-
-    __slots__ = ("r", "mode", "nlog")
-
-    def __init__(self, r: Sequence, mode: str = "full", nlog: Optional[int] = None):
-        rr = tuple(Fraction(x) for x in r)
-        if any(x < 0 for x in rr):
-            raise ValueError("weights must be nonnegative")
-        if mode not in ("full", "sharp"):
-            raise ValueError("mode must be 'full' or 'sharp'")
-        if mode == "sharp":
-            if nlog is None:
-                raise ValueError("sharp mode needs the number of log coordinates")
-            if any(x != 0 for x in rr[nlog:]):
-                raise ValueError("sharp mode pins non-log coordinates to 0")
-        object.__setattr__(self, "r", rr)
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "nlog", nlog)
-
-    def __setattr__(self, *a):
-        raise AttributeError("WeightVector is immutable")
-
-    def __len__(self):
-        return len(self.r)
-
-    def __iter__(self):
-        return iter(self.r)
-
-    def __repr__(self):
-        return f"WeightVector({self.r}, {self.mode})"
 
 
 class LaurentPolynomial:
@@ -326,30 +289,6 @@ class LaurentPolynomial:
 
 
 # -- module operations -----------------------------------------------------
-
-def weighted_valuation(phi: LaurentPolynomial, r: WeightVector):
-    """min over the support of <a, r>; +infinity (None) iff phi = 0.
-
-    This is the valuation -log |phi|_r of the Gauss norm weighting x_j by
-    e^{-r_j}.
-    """
-    if len(r) != len(phi.vars):
-        raise DimensionMismatch("weight vector length differs from variable count")
-    if phi.is_zero:
-        return None
-    return min(sum(Fraction(a) * w for a, w in zip(e, r.r)) for e in phi.terms)
-
-
-def log_derivative(phi: LaurentPolynomial, j: int, nlog: int) -> LaurentPolynomial:
-    """x_j d/dx_j for log coordinates (j < nlog), plain d/dx_j after them.
-
-    Coordinates are 0-based; the first ``nlog`` variables carry the log
-    structure.
-    """
-    if not 0 <= j < len(phi.vars):
-        raise IndexError("variable index out of range")
-    return phi.log_partial(j) if j < nlog else phi.partial(j)
-
 
 def twisted_differential(phi: LaurentPolynomial, log_indices: Sequence[int],
                          twist: Sequence[int]) -> Tuple[LaurentPolynomial, ...]:

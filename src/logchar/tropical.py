@@ -6,14 +6,16 @@ nonnegative).  "full" mode lets every coordinate range over [0, oo); "sharp"
 mode pins coordinates past the log block to 0.
 
 Linearity on the octant is decided exactly: a max of linear forms is linear
-iff one form dominates the others coordinatewise on the free coordinates.
-Witnesses for failures, and the order-statistic analysis behind sorted
-profiles, are produced by exact Fourier-Motzkin feasibility, never floats.
+iff one form dominates the others coordinatewise on the free coordinates,
+and a failure is witnessed by two unit points.  Sorted profiles are checked
+at the vertex rays of the arrangement of their forms; each ray point is an
+exact Fourier-Motzkin feasibility witness, never a float.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
@@ -114,34 +116,17 @@ def is_linear_on_octant(f: TropicalFn):
     for cand in f.forms:
         if all(_dominates(cand, other, coords) for other in f.forms):
             return True, LinearityWitness(True, dominating_form=cand)
-    # pick two maximal incomparable forms and exhibit the strict crossing
+    # two maximal forms are incomparable, so each exceeds the other on an axis
     maximal = [g for g in f.forms
                if not any(h != g and _dominates(h, g, coords) for h in f.forms)]
-    for a, b in itertools.combinations(maximal, 2):
-        pt_a = _strictly_larger_point(a, b, f)
-        pt_b = _strictly_larger_point(b, a, f)
-        if pt_a is not None and pt_b is not None:
-            return False, LinearityWitness(False, crossing_forms=(a, b),
-                                           crossing_points=(pt_a, pt_b))
-    raise AssertionError("no dominating form but no crossing found")
+    a, b = maximal[:2]
+    return False, LinearityWitness(False, crossing_forms=(a, b),
+                                   crossing_points=(_axis_point(a, b, f), _axis_point(b, a, f)))
 
 
-def _strictly_larger_point(a: Form, b: Form, f: TropicalFn):
-    """Rational octant point where <a,r> > <b,r>, via Fourier-Motzkin."""
-    coords = list(f.free_coords)
-    diff = [a[j] - b[j] if j in coords else Fraction(0) for j in range(f.nvars)]
-    # prefer a coordinate axis witness when one exists
-    for j in coords:
-        if diff[j] > 0:
-            unit = [Fraction(0)] * f.nvars
-            unit[j] = Fraction(1)
-            return tuple(unit)
-    pt = feasible_point([(tuple(diff), True)], f.nvars)
-    if pt is None:
-        return None
-    if f.mode == "sharp":
-        pt = tuple(x if j in coords else Fraction(0) for j, x in enumerate(pt))
-    return pt
+def _axis_point(a: Form, b: Form, f: TropicalFn):
+    """Unit point of the first free coordinate where <a,r> > <b,r>."""
+    return _unit(f.nvars, next(j for j in f.free_coords if a[j] > b[j]))
 
 
 class RadiusProfile:
@@ -183,13 +168,16 @@ def sorted_profile_linear(profile: RadiusProfile):
     """Decide linearity of each sorted subsidiary function g_1 >= ... >= g_d.
 
     Fast path: every constituent linear and their dominating forms totally
-    ordered coordinatewise.  Otherwise each order statistic is decided
-    exactly through Fourier-Motzkin feasibility of strict-crossing systems.
+    ordered coordinatewise.  Otherwise g_i is checked at the vertex rays of
+    the arrangement cut out of the octant by the coordinate hyperplanes and
+    the walls f = g of incomparable forms.  On each cell of that arrangement
+    the order of all forms is fixed, so g_i is one form there; each cell is
+    the cone over its vertex rays, hence g_i is linear iff it agrees at every
+    vertex ray with c_i(r) = sum_j g_i(e_j) r_j.
     Returns (all_linear, per_index_verdicts).
     """
     fns = profile.entries
     rank = profile.rank
-    verdicts = [False] * rank
 
     linear_forms = []
     all_linear = True
@@ -208,73 +196,42 @@ def sorted_profile_linear(profile: RadiusProfile):
         if chains_ok:
             return True, tuple([True] * rank)
 
-    for i in range(1, rank + 1):
-        verdicts[i - 1] = _order_statistic_linear(profile, i)
+    f0 = fns[0][0]
+    coords = list(f0.free_coords)
+    units = [profile.value_multiset(_unit(f0.nvars, j)) for j in coords]
+    verdicts = [True] * rank
+    # the free coordinates sum to more than 0: one point per ray, never the apex
+    base = _mode_pins(f0) + [(tuple(Fraction(int(j in coords)) for j in range(f0.nvars)), True)]
+    for subset in itertools.combinations(_walls(profile, coords), len(coords) - 1):
+        rows = base + [(w, False) for w in subset] + [(tuple(-x for x in w), False) for w in subset]
+        pt = feasible_point(rows, f0.nvars)
+        if pt is None:
+            continue
+        values = profile.value_multiset(pt)
+        for i in range(rank):
+            if values[i] != sum(u[i] * pt[j] for u, j in zip(units, coords)):
+                verdicts[i] = False
+        if not any(verdicts):
+            break
     return all(verdicts), tuple(verdicts)
 
 
-def _order_statistic_linear(profile: RadiusProfile, i: int) -> bool:
-    """Is the i-th largest value of the profile a single linear form?"""
-    candidates = set()
-    for fn, _ in profile.entries:
-        candidates.update(fn.forms)
-    for cand in sorted(candidates):
-        if _is_ith_everywhere(profile, i, cand):
-            return True
-    return False
+def _walls(profile: RadiusProfile, coords):
+    """Coordinate hyperplanes and primitive walls f - g of incomparable forms."""
+    walls = [_unit(profile.entries[0][0].nvars, j) for j in coords]
+    forms = sorted({f for fn, _ in profile.entries for f in fn.forms})
+    for f, g in itertools.combinations(forms, 2):
+        if not (_dominates(f, g, coords) or _dominates(g, f, coords)):
+            diff = [a - b for a, b in zip(f, g)]
+            den = math.lcm(*(x.denominator for x in diff))
+            ints = [int(x * den) for x in diff]
+            scale = math.gcd(*ints) * (1 if next(x for x in ints if x) > 0 else -1)
+            walls.append(tuple(Fraction(x // scale) for x in ints))
+    return list(dict.fromkeys(walls))
 
 
-def _is_ith_everywhere(profile: RadiusProfile, i: int, cand: Form) -> bool:
-    f0 = profile.entries[0][0]
-    nvars = f0.nvars
-    rank = profile.rank
-
-    # (a) nowhere do i constituents strictly exceed cand
-    if _exists_point_with_k_strictly_above(profile, i, cand, nvars):
-        return False
-    # (b) nowhere do rank - i + 1 constituents fall strictly below cand
-    if _exists_point_with_k_strictly_below(profile, rank - i + 1, cand, nvars):
-        return False
-    # (a)+(b) force: at least i values >= cand and at least rank-i+1 values
-    # <= cand everywhere, so the i-th sorted value equals cand everywhere.
-    return True
-
-
-def _expand(profile):
-    out = []
-    for fn, mult in profile.entries:
-        out.extend([fn] * mult)
-    return out
-
-
-def _exists_point_with_k_strictly_above(profile, k, cand, nvars):
-    fns = _expand(profile)
-    for subset in itertools.combinations(range(len(fns)), k):
-        # g_alpha(r) > cand(r): max of forms > cand <=> some form > cand
-        for choice in itertools.product(*[fns[a].forms for a in subset]):
-            constraints = []
-            for form in choice:
-                diff = tuple(form[j] - cand[j] for j in range(nvars))
-                constraints.append((diff, True))
-            constraints.extend(_mode_pins(fns[0]))
-            if feasible_point(constraints, nvars) is not None:
-                return True
-    return False
-
-
-def _exists_point_with_k_strictly_below(profile, k, cand, nvars):
-    fns = _expand(profile)
-    for subset in itertools.combinations(range(len(fns)), k):
-        constraints = []
-        for a in subset:
-            # g_alpha(r) < cand(r): every form of alpha stays strictly below
-            for form in fns[a].forms:
-                diff = tuple(cand[j] - form[j] for j in range(nvars))
-                constraints.append((diff, True))
-        constraints.extend(_mode_pins(fns[0]))
-        if feasible_point(constraints, nvars) is not None:
-            return True
-    return False
+def _unit(nvars: int, j: int) -> Tuple[Fraction, ...]:
+    return tuple(Fraction(int(k == j)) for k in range(nvars))
 
 
 def _mode_pins(fn: TropicalFn):

@@ -215,6 +215,18 @@ def test_newton_json_payload_on_integrality_violation(tmp_path, capsys):
     assert payload["refined"][0]["violations"] == ["1/2"]
 
 
+def test_newton_json_keeps_slope_without_factorization(tmp_path, capsys):
+    # d^5 - t^-6: slope 1/5 on a degree-5 cover, whose orbits are not grouped
+    op = {"schema": 1, "gauge": "d/dt", "order": 5,
+          "coeffs": [[], [], [], [], [[-6, "-1"]]]}
+    f = write(tmp_path, "op.json", op)
+    code, out, _ = run(capsys, "newton", f, "--json")
+    assert code == 0
+    (entry,) = json.loads(out)["refined"]
+    assert entry["slope"] == "1/5"
+    assert "cover degree 5" in entry["error"]
+
+
 def test_newton_command(tmp_path, capsys):
     op = {"schema": 1, "gauge": "d/dt", "order": 2,
           "coeffs": [[], [[-3, "-1"]]]}

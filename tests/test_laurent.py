@@ -4,13 +4,9 @@ from fractions import Fraction
 import pytest
 
 from logchar.laurent import (
-    DimensionMismatch,
     LaurentPolynomial,
-    WeightVector,
     is_unit_in_R_n0,
-    log_derivative,
     monomial_times_unit,
-    weighted_valuation,
 )
 
 L = LaurentPolynomial
@@ -18,46 +14,6 @@ L = LaurentPolynomial
 
 def P(vars, d):
     return L(vars, d)
-
-
-def test_weighted_valuation_examples():
-    # x*y^-2 at (1,1) -> -1
-    phi = P(("x", "y"), {(1, -2): 1})
-    assert weighted_valuation(phi, WeightVector((1, 1))) == -1
-    # x^-1 + y^-1 at (2,3) -> -3
-    phi = P(("x", "y"), {(-1, 0): 1, (0, -1): 1})
-    assert weighted_valuation(phi, WeightVector((2, 3))) == -3
-    # x/y^2 at symbolic (r1, r2): check r1 - 2 r2 on a rational sample
-    phi = P(("x", "y"), {(1, -2): 1})
-    for r1, r2 in [(1, 0), (0, 1), (Fraction(1, 2), Fraction(1, 3))]:
-        assert weighted_valuation(phi, WeightVector((r1, r2))) == r1 - 2 * r2
-    assert weighted_valuation(L.zero(("x",)), WeightVector((1,))) is None
-
-
-def test_weighted_valuation_dimension_mismatch():
-    phi = P(("x",), {(1,): 1})
-    with pytest.raises(DimensionMismatch):
-        weighted_valuation(phi, WeightVector((1, 2)))
-
-
-def test_weighted_valuation_multiplicative():
-    rng = random.Random(3)
-    vars = ("x", "y")
-    for _ in range(60):
-        a = _random_poly(rng, vars)
-        b = _random_poly(rng, vars)
-        if a.is_zero or b.is_zero:
-            continue
-        r = WeightVector((Fraction(rng.randint(0, 5), rng.randint(1, 3)),
-                          Fraction(rng.randint(0, 5), rng.randint(1, 3))))
-        va, vb, vab = (weighted_valuation(p, r) for p in (a, b, a * b))
-        assert vab == va + vb
-        s = a + b
-        if not s.is_zero:
-            vs = weighted_valuation(s, r)
-            assert vs >= min(va, vb)
-            if va != vb:
-                assert vs == min(va, vb)
 
 
 def _random_poly(rng, vars):
@@ -71,25 +27,25 @@ def _random_poly(rng, vars):
 def test_log_derivative_examples():
     # x^-2, log in x -> -2 x^-2
     phi = P(("x",), {(-2,): 1})
-    assert log_derivative(phi, 0, 1) == P(("x",), {(-2,): -2})
-    # x/y^2 with m=1 (y is ordinary): d/dy -> -2 x y^-3
+    assert phi.log_partial(0) == P(("x",), {(-2,): -2})
+    # x/y^2, y ordinary: d/dy -> -2 x y^-3
     phi = P(("x", "y"), {(1, -2): 1})
-    assert log_derivative(phi, 1, 1) == P(("x", "y"), {(1, -3): -2})
+    assert phi.partial(1) == P(("x", "y"), {(1, -3): -2})
     # 3 + x^-1 y^-1, log in y -> -x^-1 y^-1
     phi = P(("x", "y"), {(0, 0): 3, (-1, -1): 1})
-    assert log_derivative(phi, 1, 2) == P(("x", "y"), {(-1, -1): -1})
+    assert phi.log_partial(1) == P(("x", "y"), {(-1, -1): -1})
 
 
 def test_log_derivatives_commute():
+    # x, y log and z ordinary: x d/dx, y d/dy and d/dz commute pairwise
     rng = random.Random(7)
     vars = ("x", "y", "z")
+    ops = (lambda p: p.log_partial(0), lambda p: p.log_partial(1), lambda p: p.partial(2))
     for _ in range(40):
         phi = _random_poly(rng, vars)
-        for i in range(3):
-            for j in range(3):
-                a = log_derivative(log_derivative(phi, i, 2), j, 2)
-                b = log_derivative(log_derivative(phi, j, 2), i, 2)
-                assert a == b
+        for di in ops:
+            for dj in ops:
+                assert di(dj(phi)) == dj(di(phi))
 
 
 def test_unit_detection():
@@ -132,12 +88,3 @@ def test_evaluate():
 def test_scale_exponents():
     phi = P(("x", "y"), {(-2, 1): 5})
     assert phi.scale_exponents((3, 1)) == P(("x", "y"), {(-6, 1): 5})
-
-
-def test_sharp_weight_vector():
-    with pytest.raises(ValueError):
-        WeightVector((1, 1), mode="sharp", nlog=1)
-    w = WeightVector((1, 0), mode="sharp", nlog=1)
-    assert w.r == (1, 0)
-    with pytest.raises(ValueError):
-        WeightVector((-1, 0))

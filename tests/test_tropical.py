@@ -1,8 +1,11 @@
+import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
+from logchar.fme import feasible_point
 from logchar.laurent import LaurentPolynomial
 from logchar.tropical import (
     ModeMismatch,
@@ -104,6 +107,82 @@ def test_sorted_profile_order_statistic_fallback():
     g2 = TropicalFn(2, [(1, 0), (0, 1)])
     ok, verdicts = sorted_profile_linear(RadiusProfile([(g1, 1), (g2, 1)]))
     assert not ok and verdicts == (True, False)
+
+
+# -- reference oracle: the order-statistic enumeration --------------------------
+# An independent decision of sorted linearity, exponential in the rank: the
+# i-th sorted value is the form c everywhere iff nowhere do i constituents lie
+# strictly above c and nowhere do rank - i + 1 lie strictly below it.  Each
+# choice of constituents and forms is one exact Fourier-Motzkin system.
+
+
+def _reference_verdicts(profile):
+    fns = [fn for fn, mult in profile.entries for _ in range(mult)]
+    f0 = fns[0]
+    pins = []
+    for j in range(f0.nvars):
+        if j not in f0.free_coords:
+            pins.append((tuple(Fraction(-int(k == j)) for k in range(f0.nvars)), False))
+    candidates = sorted({f for fn in fns for f in fn.forms})
+    return tuple(any(not _some_above(fns, i, c, pins) and
+                     not _some_below(fns, len(fns) - i + 1, c, pins)
+                     for c in candidates)
+                 for i in range(1, len(fns) + 1))
+
+
+def _some_above(fns, k, cand, pins):
+    for subset in itertools.combinations(fns, k):
+        # a max of forms exceeds cand iff some form does
+        for choice in itertools.product(*[fn.forms for fn in subset]):
+            rows = [(tuple(a - b for a, b in zip(form, cand)), True) for form in choice]
+            if feasible_point(rows + pins, len(cand)) is not None:
+                return True
+    return False
+
+
+def _some_below(fns, k, cand, pins):
+    for subset in itertools.combinations(fns, k):
+        rows = [(tuple(b - a for a, b in zip(form, cand)), True)
+                for fn in subset for form in fn.forms]
+        if feasible_point(rows + pins, len(cand)) is not None:
+            return True
+    return False
+
+
+def _random_profile(rng):
+    n = rng.randint(1, 3)
+    mode = rng.choice(("full", "sharp"))
+    nlog = rng.randint(1, n) if mode == "sharp" else None
+    entries = []
+    for _ in range(rng.randint(1, 3)):
+        forms = [tuple(Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3)))
+                       for _ in range(n)) for _ in range(rng.randint(1, 2))]
+        entries.append((TropicalFn(n, forms, mode=mode, nlog=nlog), rng.choice((1, 1, 2))))
+    return RadiusProfile(entries)
+
+
+def test_sorted_profile_agrees_with_reference():
+    rng = random.Random(41)
+    off_fast_path = 0
+    for _ in range(80):
+        prof = _random_profile(rng)
+        ok, verdicts = sorted_profile_linear(prof)
+        assert verdicts == _reference_verdicts(prof), prof.entries
+        assert ok == all(verdicts)
+        off_fast_path += not ok
+    assert off_fast_path >= 20
+
+
+def test_sorted_profile_rank10_middle_block():
+    # A = max(0, 3x - y) x3, B = max(0, 3y - x) x3, C = x + y x4: at most one of
+    # A, B lies above C and at most one below, so g_4 .. g_7 are C everywhere
+    prof = RadiusProfile([(TropicalFn(2, [(3, -1)]), 3), (TropicalFn(2, [(-1, 3)]), 3),
+                          (TropicalFn(2, [(1, 1)]), 4)])
+    start = time.perf_counter()
+    ok, verdicts = sorted_profile_linear(prof)
+    assert time.perf_counter() - start < 5.0
+    assert not ok
+    assert verdicts == (False,) * 3 + (True,) * 4 + (False,) * 3
 
 
 def test_profile_mode_mismatch():
