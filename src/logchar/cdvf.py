@@ -19,7 +19,6 @@ reductions of t^{b+1} phi' for a rank-1 twist by phi.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -465,34 +464,45 @@ def _apply_derivation(A, v):
     return [vi.derivative() + wi for vi, wi in zip(v, _mat_vec(A, v))]
 
 
-def _det(mat):
-    n = len(mat)
-    zero = LaurentSeries.zero(mat[0][0].var, mat[0][0].field)
-    total = zero
-    for perm in itertools.permutations(range(n)):
-        sign = 1
-        seen = list(perm)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if seen[i] > seen[j]:
-                    sign = -sign
-        term = LaurentSeries.constant(sign, mat[0][0].var, mat[0][0].field)
-        for i in range(n):
-            term = term * mat[i][perm[i]]
-        total = total + term
-    return total
+def _maximal_minors(M):
+    """Maximal minors of a d x (d+1) matrix of series, by Laplace expansion
+    along the rows: the minors on the first k rows are built once, keyed by
+    their column set, from those on the first k - 1 rows.  Division-free,
+    fewer than (d+1) * 2^d products.  Entry m of the result is the minor
+    without column m.
+    """
+    d = len(M)
+    var, field = M[0][0].var, M[0][0].field
+    minors = {0: LaurentSeries.constant(1, var, field)}
+    for k, row in enumerate(M):
+        nxt = {}
+        for cols, minor in minors.items():
+            for j, entry in enumerate(row):
+                if cols >> j & 1 or entry.is_exactly_zero:
+                    continue
+                # row k is the last row of the new minor; column j sits at
+                # position popcount(cols below j) among its columns
+                term = entry * minor
+                if (k + bin(cols & ((1 << j) - 1)).count("1")) % 2:
+                    term = -term
+                key = cols | 1 << j
+                nxt[key] = term if key not in nxt else nxt[key] + term
+        minors = nxt
+    full = (1 << (d + 1)) - 1
+    zero = LaurentSeries.zero(var, field)
+    return [minors.get(full ^ 1 << m, zero) for m in range(d + 1)]
 
 
 def cyclic_vector(A, var: str = "t", field=QQ) -> DiffOperator:
     """Monic annihilator of a cyclic vector of the connection matrix A.
 
-    A is the matrix of the derivation d/dt on a chosen basis (d <= 4).  The
-    deterministic candidates are e_1, e_1 + t e_2, e_1 + t e_2 + t^2 e_3, ...,
-    accepted when the derivative matrix has a certified unit determinant.
+    A is the matrix of the derivation d/dt on a chosen basis, of any rank d.
+    The deterministic candidates are e_1, e_1 + t e_2, e_1 + t e_2 + t^2 e_3,
+    ..., accepted when the derivative matrix W = [v, v', .., v^(d-1)] has a
+    certified unit determinant.  The determinant and the Cramer numerators
+    for W u = v^(d) are the maximal minors of [W | v^(d)].
     """
     d = len(A)
-    if d > 4:
-        raise OperatorError("cyclic vectors implemented for rank <= 4")
     A = [[c if isinstance(c, LaurentSeries) else LaurentSeries.constant(c, var, field)
           for c in row] for row in A]
     zero = LaurentSeries.zero(var, field)
@@ -502,23 +512,22 @@ def cyclic_vector(A, var: str = "t", field=QQ) -> DiffOperator:
         iterates = [v]
         for _ in range(d):
             iterates.append(_apply_derivation(A, iterates[-1]))
-        W = [[iterates[j][i] for j in range(d)] for i in range(d)]
-        det = _det(W)
+        minors = _maximal_minors([[iterates[j][i] for j in range(d + 1)]
+                                  for i in range(d)])
+        det = minors[d]
         try:
             det.valuation()
         except PrecisionError:
             continue
         if det.is_exactly_zero:
             continue
-        # Cramer: solve W u = iterates[d]
-        rhs = iterates[d]
+        # Cramer: u_j = det(W with column j replaced by v^(d)) / det, and
+        # moving v^(d) there from the last column takes d - 1 - j
+        # transpositions; the annihilator partial^d - sum_j u_j partial^j
+        # has coefficient -u_j at partial^j
         det_inv = det.inverse()
-        coeffs = []
-        for j in range(d):
-            Wj = [[W[i][k] if k != j else rhs[i] for k in range(d)] for i in range(d)]
-            coeffs.append(_det(Wj) * det_inv)
-        # annihilator: partial^d - sum_j u_j partial^j
-        cs = [-coeffs[d - 1 - i] for i in range(d)]
+        cs = [(minors[j] if (d - j) % 2 == 0 else -minors[j]) * det_inv
+              for j in reversed(range(d))]
         return DiffOperator(GAUGE_PARTIAL, cs, var, field)
     raise OperatorError("no deterministic candidate is cyclic at the working precision")
 

@@ -411,6 +411,9 @@ def cmd_oracle_chi_curve(args) -> int:
     if doc.chart.n != 1 or len(doc.model.summands) != 1 \
             or doc.model.summands[0].rank != 1:
         raise SchemaError("the oracle handles one-variable rank-1 twists")
+    if any(h != 1 for h in doc.model.kummer):
+        raise SchemaError(f"the oracle works on the line itself, not on a Kummer cover "
+                          f"(cover degree {doc.model.kummer[0]})")
     phi = doc.model.summands[0].phi
     cert = derham_oracle_curve(phi, args.window)
     lines = [f"oracle = {cert.chi}",

@@ -200,8 +200,11 @@ class LaurentSeries:
     def inverse(self, window: Optional[int] = None) -> "LaurentSeries":
         """Multiplicative inverse up to a finite window of terms.
 
-        Requires a certified valuation and an invertible leading coefficient;
-        the result has finite precision even for exact input.
+        Requires a certified valuation v and an invertible leading coefficient;
+        the result has finite precision w - v even for exact input, with w the
+        window (default 32), capped at prec - v.  Writing self = t^v sum a_k t^k,
+        the coefficients of t^v / self come from the triangular recurrence
+        b_0 = 1/a_0, b_n = -(1/a_0) sum_{k=1..n} a_k b_{n-k}, for n < w.
         """
         v = self.valuation()
         if v is None:
@@ -213,16 +216,19 @@ class LaurentSeries:
         if self.prec is not None:
             w = min(w, self.prec - v)
         inv_lead = lead.inverse()
-        # u = 1 - (self * t^{-v} / lead), valuation >= 1; invert geometrically
-        norm = self.shift(-v) * inv_lead
-        u = LaurentSeries.constant(1, self.var, self.field) - norm
-        acc = LaurentSeries.constant(1, self.var, self.field).truncate(w)
-        power = u.truncate(w)
-        while not power.is_exactly_zero and power.terms:
-            acc = (acc + power).truncate(w)
-            power = (power * u).truncate(w)
-        out = (acc * inv_lead).shift(-v)
-        return out.truncate(w - v)
+        tail = [(e - v, c) for e, c in self.terms.items() if 0 < e - v < w]
+        b = [inv_lead]
+        for n in range(1, w):
+            acc = None
+            for k, a in tail:
+                if k > n:
+                    break
+                if b[n - k] is not None:
+                    term = a * b[n - k]
+                    acc = term if acc is None else acc + term
+            b.append(None if acc is None else -(acc * inv_lead))
+        return LaurentSeries(self.var, {n - v: c for n, c in enumerate(b) if c is not None},
+                             w - v, self.field)
 
     def __truediv__(self, other):
         o = self._coerce(other)

@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -22,6 +23,7 @@ from logchar.cdvf import (
     refined_residue,
     theta_relation_check,
 )
+from logchar.cdvf import _apply_derivation, _maximal_minors
 from logchar.laurent import LaurentPolynomial
 from logchar.series import LaurentSeries, PrecisionError
 
@@ -325,6 +327,154 @@ def test_cyclic_vector_random_conjugation_invariance():
          [ginv * base[1][0], base[1][1] + ginv * g.derivative()]]
     q = cyclic_vector(A)
     assert newton_polygon(q).irregularity_multiset() == (F(1, 2), F(1, 2))
+
+
+def _unitriangular_conjugate(A, rng):
+    """G^-1 A G for a constant upper unitriangular integer gauge G: the same
+    connection on another basis (G' = 0)."""
+    d = len(A)
+    g = [[F(int(i == j)) if j <= i else F(rng.randint(-2, 2)) for j in range(d)]
+         for i in range(d)]
+    ginv = [[F(int(i == j)) for j in range(d)] for i in range(d)]
+    for j in range(d):
+        for i in range(j - 1, -1, -1):
+            ginv[i][j] = -sum(g[i][k] * ginv[k][j] for k in range(i + 1, j + 1))
+
+    def mul(X, Y):
+        return [[sum((X[i][k] * Y[k][j] for k in range(d)), S.zero()) for j in range(d)]
+                for i in range(d)]
+
+    def const(M):
+        return [[S.constant(x) for x in row] for row in M]
+
+    return mul(const(ginv), mul(A, const(g)))
+
+
+@pytest.mark.parametrize("op", [
+    op_partial({}, {}, {}, {}, {-6: -1}),                             # d^5 - t^-6
+    op_partial({-1: 1}, {-3: 2}, {}, {-5: 1, -4: 1}, {-7: -1}),
+    op_partial({}, {-3: 1}, {}, {}, {-2: 1}, {-8: 2}),
+    op_partial({-2: 1}, {}, {-4: -1, -3: 1}, {}, {-6: 1}, {-9: 3}),
+])
+def test_cyclic_vector_rank5_and_6_round_trip(op):
+    A = _unitriangular_conjugate(companion_matrix(op), random.Random(op.order))
+    q = cyclic_vector(A)
+    assert q.order == op.order
+    assert newton_polygon(q).irregularities == newton_polygon(op).irregularities
+
+
+# -- the permutation-expansion determinant and Cramer solve that the shared
+# maximal minors replaced, kept as a reference
+
+
+def _reference_det(mat):
+    n = len(mat)
+    var, field = mat[0][0].var, mat[0][0].field
+    total = S.zero(var, field)
+    for perm in itertools.permutations(range(n)):
+        sign = 1
+        for i in range(n):
+            for j in range(i + 1, n):
+                if perm[i] > perm[j]:
+                    sign = -sign
+        term = S.constant(sign, var, field)
+        for i in range(n):
+            term = term * mat[i][perm[i]]
+        total = total + term
+    return total
+
+
+def _reference_cyclic_vector(A):
+    d = len(A)
+    zero = S.zero()
+    for ncand in range(1, d + 1):
+        v = [S.monomial(k, 1) if k < ncand else zero for k in range(d)]
+        iterates = [v]
+        for _ in range(d):
+            iterates.append(_apply_derivation(A, iterates[-1]))
+        W = [[iterates[j][i] for j in range(d)] for i in range(d)]
+        det = _reference_det(W)
+        try:
+            det.valuation()
+        except PrecisionError:
+            continue
+        if det.is_exactly_zero:
+            continue
+        rhs = iterates[d]
+        det_inv = det.inverse()
+        coeffs = []
+        for j in range(d):
+            Wj = [[W[i][k] if k != j else rhs[i] for k in range(d)] for i in range(d)]
+            coeffs.append(_reference_det(Wj) * det_inv)
+        return DiffOperator(GAUGE_PARTIAL, [-coeffs[d - 1 - i] for i in range(d)])
+    raise OperatorError("no deterministic candidate is cyclic at the working precision")
+
+
+def _random_matrix(rng, d, exact):
+    def entry():
+        if rng.random() < 0.35:
+            return S.zero()
+        v = rng.randint(-3, 1)
+        terms = {v + k: F(rng.randint(-3, 3), rng.randint(1, 2))
+                 for k in range(rng.randint(1, 3))}
+        return S("t", terms, None if exact else max(terms) + rng.randint(1, 8))
+    return [[entry() for _ in range(d)] for _ in range(d)]
+
+
+def test_maximal_minors_agree_with_reference_det():
+    rng = random.Random(8)
+    for _ in range(40):
+        d = rng.randint(1, 4)
+        M = [row + [_random_matrix(rng, 1, exact=True)[0][0]]
+             for row in _random_matrix(rng, d, exact=True)]
+        minors = _maximal_minors(M)
+        for m in range(d + 1):
+            sub = [[x for j, x in enumerate(row) if j != m] for row in M]
+            assert minors[m] == _reference_det(sub)
+
+
+def _cyclic_or_error(A, solve):
+    try:
+        return solve(A)
+    except OperatorError as exc:
+        return exc
+
+
+def test_cyclic_vector_agrees_with_reference_exact():
+    rng = random.Random(12)
+    for _ in range(40):
+        A = _random_matrix(rng, rng.randint(1, 3), exact=True)
+        got = _cyclic_or_error(A, cyclic_vector)
+        want = _cyclic_or_error(A, _reference_cyclic_vector)
+        if isinstance(want, OperatorError):
+            assert isinstance(got, OperatorError)
+        else:
+            assert got.coeffs == want.coeffs
+    for op in [op_partial({-1: 1}, {-3: 2}, {-2: -1, 0: 1}, {-5: 1}),
+               op_partial({}, {-2: 3}, {}, {-4: -2, -3: 1})]:
+        A = _unitriangular_conjugate(companion_matrix(op), rng)
+        assert cyclic_vector(A).coeffs == _reference_cyclic_vector(A).coeffs
+
+
+def test_cyclic_vector_agrees_with_reference_finite_precision():
+    # the shared minors evaluate in another order, so the precision may
+    # differ; every coefficient must agree on the jointly known range, and
+    # where the reference certifies no candidate the new one may
+    rng = random.Random(13)
+    compared = 0
+    for _ in range(60):
+        A = _random_matrix(rng, rng.randint(1, 3), exact=False)
+        got = _cyclic_or_error(A, cyclic_vector)
+        want = _cyclic_or_error(A, _reference_cyclic_vector)
+        if isinstance(want, OperatorError):
+            continue
+        assert not isinstance(got, OperatorError)
+        for g, w in zip(got.coeffs, want.coeffs):
+            assert g.agrees_with(w)
+            # never less precise than the reference (None is exact)
+            assert g.prec is None or w.prec is not None and g.prec >= w.prec
+        compared += 1
+    assert compared >= 40
 
 
 def test_theta_relation_examples():

@@ -180,6 +180,18 @@ def test_oracle_window_below_bound_exit2(tmp_path, capsys):
     assert "invalid input: window 3 below the stable bound" in err
 
 
+def test_oracle_refuses_kummer_cover(tmp_path, capsys):
+    # x^(-3/2) lives on the cover s^2 = x; the oracle must not run on s^-3
+    frac = dict(E_X3_CURVE, **monomial_model(("x",), ("x",), {("-3/2",): 1}))
+    cover = dict(E_X3_CURVE, kummer=[3])
+    for name, doc, degree in (("frac.json", frac, 2), ("cover.json", cover, 3)):
+        f = write(tmp_path, name, doc)
+        code, out, err = run(capsys, "oracle", "chi-curve", f, "--window", "15")
+        assert code == 2
+        assert out == ""
+        assert f"cover degree {degree}" in err
+
+
 def test_chi_rejects_non_integer_intersections(tmp_path, capsys):
     doc = dict(KATO_SURFACE)
     doc["geometry"] = dict(KATO_SURFACE["geometry"], intersections=[[0, "a"], ["a", 0]])

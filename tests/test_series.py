@@ -1,7 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+from logchar.field import QQ, NumberField
 from logchar.series import LaurentSeries, PrecisionError
 
 S = LaurentSeries
@@ -74,3 +76,51 @@ def test_never_reports_more_precision_than_inputs():
     g = S("t", {0: 1}, prec=7)
     assert (f * g).prec <= 5
     assert (f + g).prec <= 5
+
+
+# -- the inversion by truncated geometric powers that the recurrence replaced,
+# kept as a reference
+
+
+def _reference_inverse(s, window=None):
+    v = s.valuation()
+    lead = s.terms[v]
+    w = window if window is not None else 32
+    if s.prec is not None:
+        w = min(w, s.prec - v)
+    inv_lead = lead.inverse()
+    norm = s.shift(-v) * inv_lead
+    u = S.constant(1, s.var, s.field) - norm
+    acc = S.constant(1, s.var, s.field).truncate(w)
+    power = u.truncate(w)
+    while not power.is_exactly_zero and power.terms:
+        acc = (acc + power).truncate(w)
+        power = (power * u).truncate(w)
+    return (acc * inv_lead).shift(-v).truncate(w - v)
+
+
+def _random_series(rng, field, coeff):
+    v = rng.randint(-4, 4)
+    terms = {v: coeff()}
+    for _ in range(rng.randint(0, 5)):
+        terms[v + rng.randint(1, 12)] = coeff()
+    prec = None if rng.random() < 0.5 else v + rng.randint(1, 20)
+    return S("t", terms, prec, field)
+
+
+def test_inverse_agrees_with_reference():
+    rng = random.Random(17)
+    K = NumberField([-2, 0, 1])  # Q(sqrt 2)
+    a = K.gen()
+    rational = lambda: QQ(Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 4)))
+    quadratic = lambda: rng.randint(-3, 3) + rng.choice((-1, 1)) * rng.randint(1, 2) * a
+    for field, coeff in ((QQ, rational), (K, quadratic)):
+        for _ in range(100):
+            s = _random_series(rng, field, coeff)
+            window = rng.choice((None, rng.randint(1, 40)))
+            got = s.inverse(window)
+            want = _reference_inverse(s, window)
+            assert (got.terms, got.prec) == (want.terms, want.prec), (s, window)
+            product = s * got
+            assert product.prec >= 1  # the constant term is known
+            assert product.agrees_with(S.constant(1, field=field))
