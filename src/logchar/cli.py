@@ -18,6 +18,7 @@ from .cdvf import FactorizationError, newton_polygon, orbit_integrality_violatio
 from .cycles import IntegralityError, hilbert_dim, monomial_char_cycle
 from .euler import Curve, GeometryError, Surface, WindowError, \
     chi_EP, chi_curve, chi_surface_kato, derham_oracle_curve, kashiwara_dubson
+from .field import parse_rational
 from .goodmodel import (clean_at_point, irregularity_divisor, nonclean_locus,
                         numerically_clean_at_point, refined_form,
                         validate_good_decomposition, zcar_prime, CodimensionError)
@@ -171,7 +172,7 @@ def _parse_point_arg(text, chart):
         name = name.strip()
         if name not in chart.vars:
             raise SchemaError(f"unknown coordinate {name!r}")
-        pt[name] = Fraction(val.strip())
+        pt[name] = parse_rational(val)
     for name in chart.vars:
         if name not in pt:
             raise SchemaError(f"point misses coordinate {name}")

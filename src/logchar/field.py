@@ -252,7 +252,12 @@ QQ = NumberField()
 
 
 class Scalar:
-    """Element of a NumberField, reduced mod the defining polynomial."""
+    """Element of a NumberField, reduced mod the defining polynomial.
+
+    Over Q the representative is () or one nonzero Fraction.  When both
+    operands are rational, ``+``, ``-``, ``*`` and negation act on that
+    Fraction directly and skip the polynomial code of the number-field path.
+    """
 
     __slots__ = ("field", "coeffs")
 
@@ -264,6 +269,27 @@ class Scalar:
             raise FieldError("rational scalar with nonconstant representative")
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "coeffs", tuple(_poly_trim(cs)))
+
+    @classmethod
+    def _rational(cls, field: NumberField, value: Rat) -> "Scalar":
+        """Trusted constructor of the rational scalar ``value`` over ``field``."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "field", field)
+        object.__setattr__(out, "coeffs", (value if type(value) is Fraction
+                                           else Fraction(value),) if value else ())
+        return out
+
+    def _rational_operands(self, other):
+        """The values of self and other when both are rational, else None."""
+        if self.field.modulus is not None:
+            return None
+        if type(other) is Scalar:
+            if other.field.modulus is not None:
+                return None
+            other = other.coeffs[0] if other.coeffs else 0
+        elif not isinstance(other, (int, Fraction)):
+            return None
+        return (self.coeffs[0] if self.coeffs else 0), other
 
     def __setattr__(self, *a):
         raise AttributeError("Scalar is immutable")
@@ -297,6 +323,9 @@ class Scalar:
         raise FieldError("scalar is not rational")
 
     def __add__(self, other):
+        xy = self._rational_operands(other)
+        if xy is not None:
+            return Scalar._rational(self.field, xy[0] + xy[1])
         pair = self._pair(other)
         if pair is None:
             return NotImplemented
@@ -312,9 +341,14 @@ class Scalar:
     __radd__ = __add__
 
     def __neg__(self):
+        if self.field.modulus is None:
+            return Scalar._rational(self.field, -self.coeffs[0] if self.coeffs else 0)
         return Scalar(self.field, tuple(-c for c in self.coeffs))
 
     def __sub__(self, other):
+        xy = self._rational_operands(other)
+        if xy is not None:
+            return Scalar._rational(self.field, xy[0] - xy[1])
         pair = self._pair(other)
         if pair is None:
             return NotImplemented
@@ -325,6 +359,9 @@ class Scalar:
         return (-self) + other
 
     def __mul__(self, other):
+        xy = self._rational_operands(other)
+        if xy is not None:
+            return Scalar._rational(self.field, xy[0] * xy[1])
         pair = self._pair(other)
         if pair is None:
             return NotImplemented
@@ -337,7 +374,7 @@ class Scalar:
         if self.is_zero:
             raise ZeroDivisionError("scalar inverse of zero")
         if self.field.modulus is None:
-            return Scalar(self.field, (Fraction(1) / self.coeffs[0],))
+            return Scalar._rational(self.field, 1 / self.coeffs[0])
         # extended Euclid in Q[alpha]
         r0, r1 = list(self.field.modulus), list(self.coeffs)
         t0, t1 = [], [Fraction(1)]
@@ -414,5 +451,8 @@ def parse_rational(text) -> Fraction:
     if isinstance(text, Fraction):
         return text
     if isinstance(text, str):
-        return Fraction(text.strip())
+        try:
+            return Fraction(text.strip())
+        except ZeroDivisionError:
+            raise FieldError(f"zero denominator in rational {text!r}") from None
     raise FieldError(f"cannot parse rational from {text!r}")

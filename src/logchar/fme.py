@@ -1,45 +1,55 @@
-"""Exact Fourier-Motzkin elimination over Q for small systems.
+"""Exact Fourier-Motzkin elimination for small homogeneous systems.
 
 A constraint is (coeffs, strict) and reads  <coeffs, r> >= 0  (or > 0 when
-strict).  All systems here are homogeneous.  The only caller,
-``tropical.sorted_profile_linear``, passes one system per vertex ray: n - 1
-walls as pairs of opposite rows, one strict row (the free coordinates sum to
-more than 0) and the sharp-mode pins r_j = 0, in as many variables as the
-chart has coordinates.  Nothing bounds that count; elimination can grow
-doubly exponentially in it.  Feasibility returns a rational witness point
-constructed by back-substitution.
+strict).  All systems here are homogeneous, so a row may be scaled by any
+positive number: each input row (int or Fraction entries) is brought to a
+primitive integer vector, and each combination formed during elimination is
+divided by the gcd of its entries.  Rows that are positive multiples of each
+other therefore coincide and are merged before the next stage.  The only
+caller, ``tropical.sorted_profile_linear``, passes one system per vertex ray:
+n - 1 walls as pairs of opposite rows, one strict row (the free coordinates
+sum to more than 0) and the sharp-mode pins r_j = 0, in as many variables as
+the chart has coordinates.  Nothing bounds that count; elimination can grow
+doubly exponentially in it.  Feasibility returns a witness point built by
+back-substitution, the only step that uses ``Fraction`` (each bound is
+rhs / a).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from math import gcd, lcm
+from typing import List, Optional, Sequence, Tuple, Union
 
-Constraint = Tuple[Tuple[Fraction, ...], bool]
+Constraint = Tuple[Tuple[Union[int, Fraction], ...], bool]
+Row = Tuple[int, ...]
 
 
-def _normalize(coeffs) -> Tuple[Fraction, ...]:
-    return tuple(Fraction(c) for c in coeffs)
+def _primitive(coeffs) -> Row:
+    """The positive multiple of a rational row with coprime integer entries."""
+    den = lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (den // c.denominator) for c in coeffs]
+    g = gcd(*ints)
+    return tuple(x // g for x in ints) if g > 1 else tuple(ints)
 
 
 def feasible_point(constraints: Sequence[Constraint], nvars: int,
                    nonnegative: bool = True) -> Optional[Tuple[Fraction, ...]]:
     """A rational point satisfying all constraints, or None if infeasible.
 
-    With ``nonnegative`` the constraints r_j >= 0 are added implicitly.
+    Rows may hold ints or Fractions.  With ``nonnegative`` the constraints
+    r_j >= 0 are added implicitly.
     """
-    system: List[Constraint] = [(_normalize(c), bool(s)) for c, s in constraints]
+    system: List[Tuple[Row, bool]] = [(_primitive(c), bool(s)) for c, s in constraints]
     for c, _ in system:
         if len(c) != nvars:
             raise ValueError("constraint arity mismatch")
     if nonnegative:
         for j in range(nvars):
-            unit = [Fraction(0)] * nvars
-            unit[j] = Fraction(1)
-            system.append((tuple(unit), False))
+            system.append((tuple(int(k == j) for k in range(nvars)), False))
 
     stages = []  # per eliminated variable: constraints mentioning it
-    current = system
+    current = _dedupe(system)
     for var in range(nvars - 1, -1, -1):
         mentioning = [c for c in current if c[0][var] != 0]
         rest = [c for c in current if c[0][var] == 0]
@@ -51,8 +61,10 @@ def feasible_point(constraints: Sequence[Constraint], nvars: int,
                 # eliminate: pc scaled by -nc[var], nc scaled by pc[var]
                 a = -nc[var]
                 b = pc[var]
-                combo = tuple(a * x + b * y for x, y in zip(pc, nc))
-                rest.append((combo, ps or ns))
+                combo = [a * x + b * y for x, y in zip(pc, nc)]
+                g = gcd(*combo)
+                rest.append((tuple(x // g for x in combo) if g > 1 else tuple(combo),
+                             ps or ns))
         current = _dedupe(rest)
 
     for c, strict in current:
@@ -60,15 +72,16 @@ def feasible_point(constraints: Sequence[Constraint], nvars: int,
         if strict:
             return None
 
-    # back-substitute from the innermost stage outwards
-    values = [Fraction(0)] * nvars
+    # back-substitute from the innermost stage outwards; a row of stage var
+    # mentions only the variables 0..var
+    values: List[Fraction] = []
     for var, mentioning in reversed(stages):
         lo, lo_strict = None, False
         hi, hi_strict = None, False
         for coeffs, strict in mentioning:
-            rhs = -sum(coeffs[j] * values[j] for j in range(nvars) if j != var)
+            rhs = -sum(c * v for c, v in zip(coeffs, values) if c)
             a = coeffs[var]
-            bound = rhs / a
+            bound = Fraction(rhs, a)
             if a > 0:  # var >= bound
                 if lo is None or bound > lo:
                     lo, lo_strict = bound, strict
@@ -82,7 +95,7 @@ def feasible_point(constraints: Sequence[Constraint], nvars: int,
         v = _pick(lo, lo_strict, hi, hi_strict)
         if v is None:
             return None
-        values[var] = v
+        values.append(v)
     return tuple(values)
 
 
@@ -105,7 +118,7 @@ def _pick(lo, lo_strict, hi, hi_strict):
 def _dedupe(constraints):
     seen = {}
     for c, s in constraints:
-        if all(x == 0 for x in c) and not s:
+        if not s and not any(c):
             continue
         seen[c] = seen.get(c, False) or s
     return [(c, s) for c, s in seen.items()]

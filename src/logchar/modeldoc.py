@@ -119,7 +119,7 @@ def _parse_model(spec, kummer_spec, chart: Chart, field) -> GoodModel:
             exp = t["exp"]
             _expect(isinstance(exp, list) and len(exp) == n,
                     f"summand {k}: exponent arity must be {n}")
-            fexp = [Fraction(str(e)) for e in exp]
+            fexp = [parse_rational(str(e)) for e in exp]
             for j, e in enumerate(fexp):
                 if e.denominator > 1:
                     _expect(j in chart.log_indices,
@@ -199,7 +199,7 @@ def _parse_geometry(spec):
         punctures = []
         for p in spec.get("punctures", []):
             _expect(isinstance(p, dict) and "name" in p, "puncture needs a name")
-            irrs = tuple(Fraction(str(v)) for v in p.get("irregularities", []))
+            irrs = tuple(parse_rational(str(v)) for v in p.get("irregularities", []))
             punctures.append((str(p["name"]), irrs))
         return Curve(genus, tuple(punctures))
     if kind == "surface":

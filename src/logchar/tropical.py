@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
-from .fme import feasible_point
+from .fme import _primitive, feasible_point
 from .laurent import LaurentPolynomial
 
 Form = Tuple[Fraction, ...]
@@ -174,6 +174,11 @@ def sorted_profile_linear(profile: RadiusProfile):
     the order of all forms is fixed, so g_i is one form there; each cell is
     the cone over its vertex rays, hence g_i is linear iff it agrees at every
     vertex ray with c_i(r) = sum_j g_i(e_j) r_j.
+    That check runs on integers.  Every form is multiplied by the lcm L of
+    the denominators in the profile and each ray point by a positive number
+    that makes it a primitive integer vector.  g_i and c_i are positively
+    homogeneous in the point and both scale by L with the forms, so
+    g_i(p) = c_i(p) holds after the scaling exactly when it held before.
     Returns (all_linear, per_index_verdicts).
     """
     fns = profile.entries
@@ -197,36 +202,49 @@ def sorted_profile_linear(profile: RadiusProfile):
             return True, tuple([True] * rank)
 
     f0 = fns[0][0]
+    nvars = f0.nvars
     coords = list(f0.free_coords)
-    units = [profile.value_multiset(_unit(f0.nvars, j)) for j in coords]
+    den = math.lcm(*(x.denominator for fn, _ in fns for f in fn.forms for x in f))
+    entries = [([tuple(x.numerator * (den // x.denominator) for x in f) for f in fn.forms], mult)
+               for fn, mult in fns]
+    eye = [tuple(int(k == j) for k in range(nvars)) for j in coords]
+    units = [_int_values(entries, e) for e in eye]
     verdicts = [True] * rank
     # the free coordinates sum to more than 0: one point per ray, never the apex
-    base = _mode_pins(f0) + [(tuple(Fraction(int(j in coords)) for j in range(f0.nvars)), True)]
-    for subset in itertools.combinations(_walls(profile, coords), len(coords) - 1):
+    base = _mode_pins(f0) + [(tuple(int(j in coords) for j in range(nvars)), True)]
+    for subset in itertools.combinations(_walls(entries, coords, eye), len(coords) - 1):
         rows = base + [(w, False) for w in subset] + [(tuple(-x for x in w), False) for w in subset]
-        pt = feasible_point(rows, f0.nvars)
+        pt = feasible_point(rows, nvars)
         if pt is None:
             continue
-        values = profile.value_multiset(pt)
+        pt = _primitive(pt)
+        values = _int_values(entries, pt)
         for i in range(rank):
-            if values[i] != sum(u[i] * pt[j] for u, j in zip(units, coords)):
+            if verdicts[i] and values[i] != sum(u[i] * pt[j] for u, j in zip(units, coords)):
                 verdicts[i] = False
         if not any(verdicts):
             break
     return all(verdicts), tuple(verdicts)
 
 
-def _walls(profile: RadiusProfile, coords):
-    """Coordinate hyperplanes and primitive walls f - g of incomparable forms."""
-    walls = [_unit(profile.entries[0][0].nvars, j) for j in coords]
-    forms = sorted({f for fn, _ in profile.entries for f in fn.forms})
+def _int_values(entries, r):
+    """value_multiset at r of a profile with integer forms and an integer point."""
+    out = []
+    for forms, mult in entries:
+        out.extend([max(sum(b * x for b, x in zip(f, r)) for f in forms)] * mult)
+    return sorted(out, reverse=True)
+
+
+def _walls(entries, coords, eye):
+    """Coordinate hyperplanes (the unit rows ``eye``) and primitive walls f - g
+    of incomparable integer forms."""
+    walls = list(eye)
+    forms = sorted({f for fs, _ in entries for f in fs})
     for f, g in itertools.combinations(forms, 2):
         if not (_dominates(f, g, coords) or _dominates(g, f, coords)):
             diff = [a - b for a, b in zip(f, g)]
-            den = math.lcm(*(x.denominator for x in diff))
-            ints = [int(x * den) for x in diff]
-            scale = math.gcd(*ints) * (1 if next(x for x in ints if x) > 0 else -1)
-            walls.append(tuple(Fraction(x // scale) for x in ints))
+            scale = math.gcd(*diff) * (1 if next(x for x in diff if x) > 0 else -1)
+            walls.append(tuple(x // scale for x in diff))
     return list(dict.fromkeys(walls))
 
 
@@ -240,7 +258,6 @@ def _mode_pins(fn: TropicalFn):
     free = set(fn.free_coords)
     for j in range(fn.nvars):
         if j not in free:
-            row = [Fraction(0)] * fn.nvars
-            row[j] = Fraction(-1)
-            pins.append((tuple(row), False))  # -r_j >= 0, with r_j >= 0 implicit
+            # -r_j >= 0, with r_j >= 0 implicit
+            pins.append((tuple(-int(k == j) for k in range(fn.nvars)), False))
     return pins

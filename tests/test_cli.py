@@ -348,3 +348,25 @@ def test_irr_command(tmp_path, capsys):
     code, out, _ = run(capsys, "irr", f, "--json")
     payload = json.loads(out)
     assert payload["rows"] == [{"rank": 1, "b": ["2", "3"]}]
+
+
+def _zero_denominator_cases():
+    bad_coeff = monomial_model(("x", "y"), ("y",), {(1, -2): "1/0"})
+    bad_exp = dict(XY2_MODEL, model=[{"phi": [{"coeff": "1", "exp": ["1/0", -2]}]}])
+    bad_irr = dict(E_X3_CURVE, geometry=dict(
+        E_X3_CURVE["geometry"], punctures=[{"name": "x", "irregularities": ["1/0"]},
+                                           {"name": "inf", "irregularities": ["0"]}]))
+    bad_op = {"schema": 1, "gauge": "d/dt", "order": 2, "coeffs": [[], [[-3, "1/0"]]]}
+    return [("coeff", bad_coeff, ("irr",)), ("exponent", bad_exp, ("validate",)),
+            ("irregularity", bad_irr, ("chi",)), ("operator", bad_op, ("newton",)),
+            ("point", XY2_MODEL, ("clean", "--point", "x=1/0,y=0"))]
+
+
+@pytest.mark.parametrize("case", _zero_denominator_cases(), ids=lambda c: c[0])
+def test_zero_denominator_is_invalid_input(tmp_path, capsys, case):
+    _, doc, (command, *rest) = case
+    f = write(tmp_path, "doc.json", doc)
+    code, out, err = run(capsys, command, f, *rest)
+    assert code == 2
+    assert out == ""
+    assert "zero denominator" in err

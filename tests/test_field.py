@@ -80,3 +80,42 @@ def test_parse_rational():
     assert parse_rational("3/4") == Fraction(3, 4)
     assert parse_rational("-7") == -7
     assert parse_rational(5) == 5
+    with pytest.raises(FieldError, match="zero denominator"):
+        parse_rational(" 1/0 ")
+
+
+def test_rational_path_agrees_with_generic_path():
+    # Over QQ the arithmetic works on the stored Fraction; the degree-1 field
+    # Q[a]/(a - c) is Q again, but its scalars go through the polynomial code.
+    rng = random.Random(53)
+    ops = [
+        ("add", lambda x, y: x + y), ("sub", lambda x, y: x - y),
+        ("mul", lambda x, y: x * y), ("div", lambda x, y: x / y),
+        ("radd", lambda x, y: y + x), ("rsub", lambda x, y: y - x),
+        ("rmul", lambda x, y: y * x), ("rdiv", lambda x, y: y / x),
+    ]
+    for _ in range(300):
+        c = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        K = NumberField([-c, 1])
+        xv, yv = (rng.choice([0, rng.randint(-9, 9),
+                              Fraction(rng.randint(-20, 20), rng.randint(1, 12))])
+                  for _ in range(2))
+        xq, xk = QQ(xv), K(xv)
+        assert xk.field.modulus is not None and xq.coeffs == xk.coeffs
+        assert (-xq).coeffs == (-xk).coeffs
+        assert hash(xq) == hash(xk)
+        for n in (-2, 0, 1, 3):
+            if n >= 0 or xv:
+                assert (xq ** n).coeffs == (xk ** n).coeffs
+        for yq, yk in ((QQ(yv), K(yv)), (yv, yv)):
+            assert (xq == yq) == (xk == yk)
+            for name, op in ops:
+                try:
+                    expected = op(xk, yk).coeffs
+                except ZeroDivisionError:
+                    with pytest.raises(ZeroDivisionError):
+                        op(xq, yq)
+                    continue
+                got = op(xq, yq)
+                assert got.field == QQ and got.coeffs == expected, (name, xv, yv)
+                assert all(type(v) is Fraction for v in got.coeffs)

@@ -4,6 +4,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from logchar.fme import feasible_point
 from logchar.laurent import LaurentPolynomial
@@ -173,6 +174,27 @@ def test_sorted_profile_agrees_with_reference():
     assert off_fast_path >= 20
 
 
+@st.composite
+def _profiles(draw):
+    n = draw(st.integers(1, 3))
+    mode = draw(st.sampled_from(("full", "sharp")))
+    nlog = draw(st.integers(1, n)) if mode == "sharp" else None
+    coeff = st.builds(Fraction, st.integers(-4, 4), st.sampled_from((1, 2, 3)))
+    form = st.tuples(*[coeff] * n)
+    entries = draw(st.lists(st.tuples(st.lists(form, min_size=1, max_size=2),
+                                      st.integers(1, 2)), min_size=1, max_size=3))
+    return RadiusProfile([(TropicalFn(n, forms, mode=mode, nlog=nlog), mult)
+                          for forms, mult in entries])
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(_profiles())
+def test_sorted_profile_agrees_with_reference_property(prof):
+    ok, verdicts = sorted_profile_linear(prof)
+    assert verdicts == _reference_verdicts(prof)
+    assert ok == all(verdicts)
+
+
 def test_sorted_profile_rank10_middle_block():
     # A = max(0, 3x - y) x3, B = max(0, 3y - x) x3, C = x + y x4: at most one of
     # A, B lies above C and at most one below, so g_4 .. g_7 are C everywhere
@@ -256,3 +278,56 @@ def test_full_mode_monotone_in_nonlog_coordinates():
         v1, v2 = prof.value_multiset(r), prof.value_multiset(r2)
         for i in range(1, len(v1) + 1):
             assert sum(v1[:i]) >= sum(v2[:i])
+
+
+# -- Fourier-Motzkin feasibility -------------------------------------------------
+
+
+def _satisfies(rows, pt):
+    for coeffs, strict in rows:
+        value = sum(Fraction(c) * x for c, x in zip(coeffs, pt))
+        if value < 0 or (strict and value == 0):
+            return False
+    return all(x >= 0 for x in pt)
+
+
+def test_feasible_point_integer_rows_and_positive_multiples():
+    rng = random.Random(61)
+    feasible = 0
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        rows = [(tuple(rng.randint(-3, 3) for _ in range(n)), rng.random() < 0.4)
+                for _ in range(rng.randint(1, 5))]
+        pt = feasible_point(rows, n)
+        # the same system with Fraction rows, each scaled by a positive number
+        scales = [Fraction(rng.randint(1, 6), rng.randint(1, 6)) for _ in rows]
+        scaled = [(tuple(Fraction(c) * k for c in coeffs), s)
+                  for (coeffs, s), k in zip(rows, scales)]
+        assert feasible_point(scaled, n) == pt
+        # and with every row repeated as a positive multiple
+        repeated = rows + [(tuple(k * c for c in coeffs), s)
+                           for (coeffs, s), k in zip(rows, scales)]
+        rng.shuffle(repeated)
+        assert feasible_point(repeated, n) == pt
+        if pt is not None:
+            feasible += 1
+            assert all(type(x) is Fraction for x in pt)
+            assert _satisfies(rows, pt)
+    assert feasible >= 100
+
+
+def test_feasible_point_infeasible_strict_systems():
+    rng = random.Random(67)
+    for _ in range(100):
+        n = rng.randint(1, 4)
+        w = tuple(rng.randint(-3, 3) for _ in range(n))
+        if not any(w):
+            continue
+        # <w, r> > 0 and <-w, r> >= 0 contradict each other
+        rows = [(w, True), (tuple(Fraction(-c, 2) for c in w), False)]
+        rows += [(tuple(rng.randint(-3, 3) for _ in range(n)), rng.random() < 0.5)
+                 for _ in range(rng.randint(0, 3))]
+        assert feasible_point(rows, n) is None
+    # the free coordinates sum to more than 0 while both are pinned to 0
+    assert feasible_point([((1, 1), True), ((-1, 0), False), ((0, -1), False)], 2) is None
+    assert feasible_point([((0, 0), True)], 2) is None
