@@ -13,9 +13,9 @@ from .cycles import (ChartStamp, Direction, DivisorLine, LogCycle, LowerDim,
                      MonomialLogModule, ZeroSection, cycle_equal,
                      gr_extract_structured, hilbert_dim, kummer_pullback,
                      monomial_char_cycle, pushforward_from_cover)
-from .cdvf import (DiffOperator, NewtonPolygon, RefinedClass, companion_matrix,
-                   cyclic_vector, local_zcar_rank1, newton_polygon, radius_oracle,
-                   rank1_operator, refined_residue, theta_relation_check)
+from .cdvf import (DiffOperator, NewtonPolygon, RefinedClass, cyclic_vector,
+                   local_zcar_rank1, newton_polygon, radius_oracle, rank1_operator,
+                   refined_residue, theta_relation_check)
 from .goodmodel import (Chart, GoodModel, ModelSummand, clean_at_point,
                         irregularity_divisor, kedlaya_criterion,
                         model_kummer_pullback, nonclean_locus,

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
@@ -79,6 +80,9 @@ class DiffOperator:
         return self.coeffs[self.order - 1 - k]
 
     def to_log_gauge(self) -> "DiffOperator":
+        """The same operator in the log gauge; accepts either gauge and
+        returns a log-gauge operator as it is, so callers convert once and
+        pass the result on."""
         if self.gauge == GAUGE_LOG:
             return self
         d = self.order
@@ -96,22 +100,6 @@ class DiffOperator:
         # acc[d] = t^d * t^{-d} = 1 exactly
         coeffs = [acc[d - i] for i in range(1, d + 1)]
         return DiffOperator(GAUGE_LOG, coeffs, self.var, self.field)
-
-    def to_partial_gauge(self) -> "DiffOperator":
-        if self.gauge == GAUGE_PARTIAL:
-            return self
-        d = self.order
-        stir2 = _stirling_second(d)
-        acc = [LaurentSeries.zero(self.var, self.field) for _ in range(d + 1)]
-        for i in range(d + 1):
-            c_i = self.coefficient_of_power(d - i)
-            k = d - i
-            for j in range(k + 1):
-                s = stir2[k][j]
-                if s:
-                    acc[j] = acc[j] + (c_i * s).shift(j)
-        coeffs = [acc[d - i].shift(-d) for i in range(1, d + 1)]
-        return DiffOperator(GAUGE_PARTIAL, coeffs, self.var, self.field)
 
     def kummer(self, h: int) -> "DiffOperator":
         """Substitute t -> t^h in log gauge: coefficients pull back and the
@@ -132,26 +120,16 @@ class DiffOperator:
                             self.field)
 
 
+@cache
 def _signed_stirling_first(n):
-    """table[k][j]: coefficient of D^j in D(D-1)...(D-k+1)."""
-    table = [[Fraction(0)] * (n + 1) for _ in range(n + 1)]
-    table[0][0] = Fraction(1)
+    """table[k][j]: coefficient of D^j in D(D-1)...(D-k+1), as ints; one
+    immutable table per order n."""
+    rows = [(1,) + (0,) * n]
     for k in range(1, n + 1):
-        for j in range(n + 1):
-            table[k][j] = (table[k - 1][j - 1] if j else Fraction(0)) \
-                - (k - 1) * table[k - 1][j]
-    return table
-
-
-def _stirling_second(n):
-    """table[k][j]: coefficient of t^j (d/dt)^j in D^k."""
-    table = [[Fraction(0)] * (n + 1) for _ in range(n + 1)]
-    table[0][0] = Fraction(1)
-    for k in range(1, n + 1):
-        for j in range(n + 1):
-            table[k][j] = (table[k - 1][j - 1] if j else Fraction(0)) \
-                + j * table[k - 1][j]
-    return table
+        prev = rows[-1]
+        rows.append(tuple((prev[j - 1] if j else 0) - (k - 1) * prev[j]
+                          for j in range(n + 1)))
+    return tuple(rows)
 
 
 # -- Newton polygon ----------------------------------------------------------
@@ -314,13 +292,15 @@ def refined_residue(op: DiffOperator, b: Fraction,
                     ) -> RefinedClass:
     """Residue polynomial along the irregularity-b face, with orbit data.
 
-    The operator is moved to the log gauge and, for fractional b, pulled back
-    along t -> t^h with h the denominator of b.  The face polynomial of the
-    monic annihilator has the leading twisted eigenvalues as roots.
+    Accepts either gauge and converts once: the log-gauge operator is used
+    for the polygon and, for fractional b, pulled back along t -> t^h with h
+    the denominator of b.  The face polynomial of the monic annihilator has
+    the leading twisted eigenvalues as roots.
     """
     b = Fraction(b)
     if b <= 0:
         raise OperatorError("refined residues require a positive slope")
+    op = op.to_log_gauge()
     poly = newton_polygon(op)
     if not any(v == b and m > 0 for v, m in poly.irregularities):
         raise OperatorError(f"{b} is not an irregularity slope of the operator")
@@ -530,21 +510,6 @@ def cyclic_vector(A, var: str = "t", field=QQ) -> DiffOperator:
               for j in reversed(range(d))]
         return DiffOperator(GAUGE_PARTIAL, cs, var, field)
     raise OperatorError("no deterministic candidate is cyclic at the working precision")
-
-
-def companion_matrix(op: DiffOperator):
-    """Matrix of d/dt on the basis v, v', .., v^{(d-1)} of the cyclic module."""
-    p = op.to_partial_gauge()
-    d = p.order
-    var, field = p.var, p.field
-    zero = LaurentSeries.zero(var, field)
-    one = LaurentSeries.constant(1, var, field)
-    A = [[zero for _ in range(d)] for _ in range(d)]
-    for j in range(d - 1):
-        A[j + 1][j] = one
-    for i in range(d):
-        A[i][d - 1] = -p.coeffs[d - 1 - i]
-    return A
 
 
 # -- rank-1 local data -------------------------------------------------------

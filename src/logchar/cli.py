@@ -362,7 +362,7 @@ def _surface_for_chart(model, geom: Surface) -> Surface:
 
 
 def cmd_newton(args) -> int:
-    op = parse_operator_document(load_json(args.file))
+    op = parse_operator_document(load_json(args.file)).to_log_gauge()
     poly = newton_polygon(op)
     lines = [f"order: {poly.order}",
              "vertices: " + " ".join(f"({i},{v})" for i, v in poly.vertices),

@@ -8,7 +8,7 @@ coefficients; fractions are gcd-normalized by the Fraction type itself.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from typing import Iterable, Union
 import warnings
 
@@ -68,7 +68,15 @@ def _poly_sub(a, b):
 
 
 def rational_roots(coeffs):
-    """Rational roots of a polynomial with rational coefficients (ascending)."""
+    """Rational roots of a polynomial with rational coefficients (ascending).
+
+    With denominators cleared to integers a_0..a_n and the root 0 split off
+    (so a_0 != 0), a root p/q in lowest terms has p | a_0 and q | a_n.  Each
+    such candidate is tested on integers: p/q is a root iff
+    sum_i a_i p^i q^(n-i) = 0, evaluated by Horner.  The divisors still come
+    from trial division, O(sqrt|a_0| + sqrt|a_n|) steps, which is the cost
+    that remains for a large constant term.
+    """
     cs = _poly_trim([Fraction(c) for c in coeffs])
     if len(cs) <= 1:
         return []
@@ -82,12 +90,18 @@ def rational_roots(coeffs):
     if len(cs) > 1:
         den = lcm(*(c.denominator for c in cs))
         ints = [int(c * den) for c in cs]
-        a0, an = abs(ints[0]), abs(ints[-1])
-        for p in _divisors(a0):
-            for q in _divisors(an):
-                for cand in (Fraction(p, q), Fraction(-p, q)):
-                    if sum(c * cand**i for i, c in enumerate(cs)) == 0:
-                        roots.add(cand)
+        lower = ints[-2::-1]
+        for p in _divisors(ints[0]):
+            for q in _divisors(ints[-1]):
+                if gcd(p, q) != 1:
+                    continue
+                for s in (p, -p):
+                    acc, qk = ints[-1], 1
+                    for a in lower:
+                        qk *= q
+                        acc = acc * s + a * qk
+                    if acc == 0:
+                        roots.add(Fraction(s, q))
     return sorted(roots)
 
 

@@ -143,8 +143,19 @@ class LaurentSeries:
     def __rsub__(self, other):
         return (-self) + other
 
-    def __mul__(self, other):
-        o = self._coerce(other)
+    def __mul__(self, o):
+        """Product of series, or of a series and a scalar.
+
+        A scalar c scales each term and keeps ``prec``, which is what the
+        product with the exact constant series c gives; c = 0 gives the exact
+        zero series, whatever the precision of self.
+        """
+        if not isinstance(o, LaurentSeries):
+            c = o if isinstance(o, Scalar) or hasattr(o, "is_zero") else self.field(o)
+            if _is_zero_coeff(c):
+                return LaurentSeries.zero(self.var, self.field)
+            return LaurentSeries(self.var, {e: t * c for e, t in self.terms.items()},
+                                 self.prec, self.field)
         self._check(o)
         v1, v2 = self.low_bound(), o.low_bound()
         if (self.is_exactly_zero and o.prec is None) or (o.is_exactly_zero and self.prec is None):

@@ -12,10 +12,9 @@ from fractions import Fraction
 
 import pytest
 
-from logchar.cdvf import (DiffOperator, GAUGE_PARTIAL, companion_matrix,
-                          local_zcar_rank1, newton_polygon,
-                          orbit_integrality_violations, radius_oracle,
-                          rank1_operator, refined_residue)
+from logchar.cdvf import (DiffOperator, GAUGE_PARTIAL, local_zcar_rank1,
+                          newton_polygon, orbit_integrality_violations,
+                          radius_oracle, rank1_operator, refined_residue)
 from logchar.cli import main as cli_main
 from logchar.cycles import (ChartStamp, Direction, LogCycle,
                             MonomialLogModule, ZeroSection, cycle_equal,
@@ -30,6 +29,8 @@ from logchar.goodmodel import (Chart, GoodModel, ModelSummand, clean_at_point,
                                validate_good_decomposition, zcar_prime)
 from logchar.laurent import LaurentPolynomial
 from logchar.series import LaurentSeries
+
+from test_cdvf import companion_matrix
 
 L = LaurentPolynomial
 S = LaurentSeries

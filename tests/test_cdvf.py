@@ -1,4 +1,6 @@
+import glob
 import itertools
+import os
 import random
 from collections import Counter
 from fractions import Fraction
@@ -11,8 +13,9 @@ from logchar.cdvf import (
     GAUGE_PARTIAL,
     DiffOperator,
     FactorizationError,
+    NewtonPolygon,
     OperatorError,
-    companion_matrix,
+    RefinedClass,
     cyclic_vector,
     factor_rational,
     local_zcar_rank1,
@@ -23,8 +26,9 @@ from logchar.cdvf import (
     refined_residue,
     theta_relation_check,
 )
-from logchar.cdvf import _apply_derivation, _maximal_minors
+from logchar.cdvf import _apply_derivation, _maximal_minors, _signed_stirling_first
 from logchar.laurent import LaurentPolynomial
+from logchar.modeldoc import load_json, parse_operator_document
 from logchar.series import LaurentSeries, PrecisionError
 
 S = LaurentSeries
@@ -43,6 +47,53 @@ def E_phi(exp, coeff=1):
 
 def irr(op):
     return newton_polygon(op).irregularity_multiset()
+
+
+# -- the d/dt gauge: reference inverse of DiffOperator.to_log_gauge ----------
+
+
+def _stirling_second(n):
+    """table[k][j]: coefficient of t^j (d/dt)^j in D^k."""
+    table = [[Fraction(0)] * (n + 1) for _ in range(n + 1)]
+    table[0][0] = Fraction(1)
+    for k in range(1, n + 1):
+        for j in range(n + 1):
+            table[k][j] = (table[k - 1][j - 1] if j else Fraction(0)) \
+                + j * table[k - 1][j]
+    return table
+
+
+def to_partial_gauge(op):
+    """The operator in the d/dt gauge, from D^k = sum_j S(k, j) t^j (d/dt)^j."""
+    if op.gauge == GAUGE_PARTIAL:
+        return op
+    d = op.order
+    stir2 = _stirling_second(d)
+    acc = [S.zero(op.var, op.field) for _ in range(d + 1)]
+    for i in range(d + 1):
+        c_i = op.coefficient_of_power(d - i)
+        k = d - i
+        for j in range(k + 1):
+            s = stir2[k][j]
+            if s:
+                acc[j] = acc[j] + (c_i * s).shift(j)
+    coeffs = [acc[d - i].shift(-d) for i in range(1, d + 1)]
+    return DiffOperator(GAUGE_PARTIAL, coeffs, op.var, op.field)
+
+
+def companion_matrix(op):
+    """Matrix of d/dt on the basis v, v', .., v^{(d-1)} of the cyclic module."""
+    p = to_partial_gauge(op)
+    d = p.order
+    var, field = p.var, p.field
+    zero = S.zero(var, field)
+    one = S.constant(1, var, field)
+    A = [[zero for _ in range(d)] for _ in range(d)]
+    for j in range(d - 1):
+        A[j + 1][j] = one
+    for i in range(d):
+        A[i][d - 1] = -p.coeffs[d - 1 - i]
+    return A
 
 
 def test_polygon_euler_operator_regular():
@@ -69,10 +120,61 @@ def test_polygon_half_slope():
 
 def test_polygon_gauge_conversion_round_trip():
     p = op_partial({-3: 2, 0: 1}, {-1: 5})
-    q = p.to_log_gauge().to_partial_gauge()
+    q = to_partial_gauge(p.to_log_gauge())
     for a, b in zip(p.coeffs, q.coeffs):
         assert a.agrees_with(b)
     assert irr(p) == irr(p.to_log_gauge())
+
+
+def test_signed_stirling_rows_are_falling_factorials():
+    for n in range(11):
+        table = _signed_stirling_first(n)
+        assert table is _signed_stirling_first(n)
+        with pytest.raises(TypeError):
+            table[n][0] = 0
+        falling = [1]  # ascending coefficients of D(D-1)...(D-k+1)
+        for k in range(n + 1):
+            assert table[k] == tuple(falling) + (0,) * (n + 1 - len(falling))
+            assert all(type(x) is int for x in table[k])
+            falling = [a - k * b for a, b in zip([0] + falling, falling + [0])]
+
+
+def _polygon_and_refined(op):
+    """The polygon and every refined residue, an error standing for its value."""
+    def attempt(f, *args):
+        try:
+            return f(*args)
+        except (OperatorError, FactorizationError, PrecisionError) as exc:
+            return type(exc), str(exc)
+    poly = attempt(newton_polygon, op)
+    if not isinstance(poly, NewtonPolygon):
+        return [poly]
+    return [poly] + [attempt(refined_residue, op, v) for v, _ in poly.irregularities if v > 0]
+
+
+GOLDEN_OPS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "golden", "op_*.json")))
+
+
+@pytest.mark.parametrize("path", GOLDEN_OPS, ids=os.path.basename)
+def test_polygon_and_refined_residue_same_in_either_gauge_golden(path):
+    op = parse_operator_document(load_json(path))
+    logop = op.to_log_gauge()
+    assert logop.gauge == GAUGE_LOG and logop.to_log_gauge() is logop
+    assert _polygon_and_refined(op) == _polygon_and_refined(logop)
+
+
+def test_polygon_and_refined_residue_same_in_either_gauge_random():
+    rng = random.Random(31)
+    refined = 0
+    for _ in range(80):
+        coeffs = [{e: F(rng.randint(-4, 4), rng.randint(1, 3))
+                   for e in range(-6, 2) if rng.random() < 0.3}
+                  for _ in range(rng.randint(1, 4))]
+        op = op_partial(*coeffs)
+        want = _polygon_and_refined(op)
+        assert _polygon_and_refined(op.to_log_gauge()) == want
+        refined += sum(isinstance(r, RefinedClass) for r in want)
+    assert refined >= 20
 
 
 def test_polygon_gauge_invariance_rescale():
@@ -236,7 +338,7 @@ def _compose(p, q):
             out[op.order - i] = c
         return out
 
-    a, b = coeffs_of(p.to_partial_gauge()), coeffs_of(q.to_partial_gauge())
+    a, b = coeffs_of(to_partial_gauge(p)), coeffs_of(to_partial_gauge(q))
     prod = {}
     for k, ak in a.items():
         # d^k . (b_l d^l): push d through coefficients by Leibniz

@@ -1,6 +1,9 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from logchar.cli import main
 from logchar.modeldoc import parse_model_document, SchemaError
@@ -370,3 +373,35 @@ def test_zero_denominator_is_invalid_input(tmp_path, capsys, case):
     assert code == 2
     assert out == ""
     assert "zero denominator" in err
+
+
+@st.composite
+def _operator_documents(draw):
+    """Operator documents of order 1-4 in either gauge, each coefficient a
+    sparse sum of rational multiples of powers of t."""
+    order = draw(st.integers(1, 4))
+    # a rare zero denominator takes the invalid-input path
+    value = st.builds(lambda p, q: f"{p}/{q}", st.integers(-9, 9),
+                      st.sampled_from((1, 2, 3, 4, 5, 6, 0)))
+    term = st.tuples(st.integers(-8, 3), value).map(list)
+    return {"schema": 1, "gauge": draw(st.sampled_from(("d/dt", "t*d/dt"))),
+            "order": order,
+            "coeffs": [draw(st.lists(term, max_size=3)) for _ in range(order)]}
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(_operator_documents())
+def test_newton_fuzz_exit_codes_and_json(tmp_path_factory, doc):
+    # main returns rather than raises: an exception here is a traceback
+    path = tmp_path_factory.getbasetemp() / "newton_fuzz.json"
+    path.write_text(json.dumps(doc))
+    for extra in ((), ("--json",)):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["newton", str(path), *extra])
+        assert code in (0, 2, 3, 4), (doc, err.getvalue())
+        if code in (2, 3):
+            assert out.getvalue() == "" and err.getvalue().count("\n") == 1, doc
+        elif extra:
+            lines = out.getvalue().splitlines()
+            assert len(lines) == 1 and isinstance(json.loads(lines[0]), dict), doc

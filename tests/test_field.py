@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
-from logchar.field import QQ, FieldError, NumberField, Scalar, parse_rational
+from logchar.field import (QQ, FieldError, NumberField, Scalar, _divisors, _poly_mul,
+                           parse_rational, rational_roots)
 
 
 def test_rational_basics():
@@ -119,3 +121,62 @@ def test_rational_path_agrees_with_generic_path():
                 got = op(xq, yq)
                 assert got.field == QQ and got.coeffs == expected, (name, xv, yv)
                 assert all(type(v) is Fraction for v in got.coeffs)
+
+
+def _reference_rational_roots(coeffs):
+    """Every candidate +-p/q with p | a_0 and q | a_n, p and q not necessarily
+    coprime, evaluated as a sum of Fraction powers."""
+    cs = [Fraction(c) for c in coeffs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    if len(cs) <= 1:
+        return []
+    roots = set()
+    k = 0
+    while cs[k] == 0:
+        k += 1
+    if k > 0:
+        roots.add(Fraction(0))
+        cs = cs[k:]
+    if len(cs) > 1:
+        den = lcm(*(c.denominator for c in cs))
+        ints = [int(c * den) for c in cs]
+        for p in _divisors(ints[0]):
+            for q in _divisors(ints[-1]):
+                for cand in (Fraction(p, q), Fraction(-p, q)):
+                    if sum(c * cand**i for i, c in enumerate(cs)) == 0:
+                        roots.add(cand)
+    return sorted(roots)
+
+
+def test_rational_roots_agree_with_reference():
+    # degree 1-6: rational linear factors, some repeated, times X^k (a zero
+    # constant term) and a factor without rational roots, scaled by a
+    # rational leading coefficient
+    rng = random.Random(71)
+    for _ in range(320):
+        degree = rng.randint(1, 6)
+        poly, roots = [Fraction(rng.choice((-3, -1, 1, 2, 5)), rng.randint(1, 4))], []
+        while len(poly) - 1 < degree:
+            room = degree - (len(poly) - 1)
+            kind = rng.random()
+            if kind < 0.15:
+                factor = [Fraction(0), Fraction(1)]
+                root = Fraction(0)
+            elif kind < 0.75 or room < 2:
+                root = (roots[-1] if roots and rng.random() < 0.3
+                        else Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+                m = rng.randint(1, 2)
+                factor = [-root * m, Fraction(m)]
+            else:  # X^2 + bX + c with b^2 <= 4 < 4c: no rational root
+                factor, root = [Fraction(rng.randint(2, 5)), Fraction(rng.randint(-2, 2)),
+                                Fraction(1)], None
+            poly = _poly_mul(poly, factor)
+            if root is not None:
+                roots.append(root)
+        got = rational_roots(poly)
+        assert got == _reference_rational_roots(poly), poly
+        assert set(got) == set(roots), poly
+        assert all(type(r) is Fraction for r in got)
+    assert rational_roots([0, 0, 3]) == [0]
+    assert rational_roots([5]) == [] and rational_roots([]) == []

@@ -124,3 +124,35 @@ def test_inverse_agrees_with_reference():
             product = s * got
             assert product.prec >= 1  # the constant term is known
             assert product.agrees_with(S.constant(1, field=field))
+
+
+def _coeff_data(s):
+    return [(e, c.field, c.coeffs) for e, c in s.terms.items()]
+
+
+def test_scalar_product_agrees_with_constant_series_product():
+    # scaling each term must give the product with the exact constant series
+    rng = random.Random(29)
+    K = NumberField([-2, 0, 1])  # Q(sqrt 2)
+    a = K.gen()
+    rational = lambda: QQ(Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 4)))
+    quadratic = lambda: rng.randint(-3, 3) + rng.choice((-1, 1)) * rng.randint(1, 2) * a
+    scalars = (lambda: rng.randint(-5, 5),
+               lambda: Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+               rational, quadratic, lambda: 0, lambda: Fraction(0), QQ.zero, K.zero)
+    zeros = 0
+    for field, coeff in ((QQ, rational), (K, quadratic)):
+        for _ in range(150):
+            if rng.random() < 0.1:
+                s = S("t", {}, rng.choice((None, rng.randint(-3, 5))), field)
+            else:
+                s = _random_series(rng, field, coeff)
+            c = rng.choice(scalars)()
+            want = s * S.constant(c, s.var, s.field)
+            for got in (s * c, c * s):
+                assert (_coeff_data(got), got.prec) == (_coeff_data(want), want.prec), (s, c)
+                assert got.field == s.field
+            if c == 0:
+                zeros += 1
+                assert (s * c).is_exactly_zero
+    assert zeros >= 20
