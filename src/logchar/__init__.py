@@ -10,15 +10,12 @@ from .series import LaurentSeries, PrecisionError
 from .tropical import RadiusProfile, TropicalFn, g_of_phi, is_linear_on_octant, \
     sorted_profile_linear
 from .cycles import (ChartStamp, Direction, DivisorLine, LogCycle, LowerDim,
-                     MonomialLogModule, ZeroSection, cycle_equal,
-                     gr_extract_structured, hilbert_dim, kummer_pullback,
-                     monomial_char_cycle, pushforward_from_cover)
+                     MonomialLogModule, ZeroSection, cycle_equal, hilbert_dim,
+                     monomial_char_cycle)
 from .cdvf import (DiffOperator, NewtonPolygon, RefinedClass, cyclic_vector,
-                   local_zcar_rank1, newton_polygon, radius_oracle, rank1_operator,
-                   refined_residue, theta_relation_check)
+                   newton_polygon, refined_residue)
 from .goodmodel import (Chart, GoodModel, ModelSummand, clean_at_point,
-                        irregularity_divisor, kedlaya_criterion,
-                        model_kummer_pullback, nonclean_locus,
+                        irregularity_divisor, nonclean_locus,
                         numerically_clean_at_point, refined_form,
                         validate_good_decomposition, zcar_prime)
 from .euler import (ChernData, Curve, Surface, chi_EP, chi_curve,

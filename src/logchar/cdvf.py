@@ -20,14 +20,12 @@ reductions of t^{b+1} phi' for a rank-1 twist by phi.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
-from .cycles import ChartStamp, Direction, DivisorLine, LogCycle, ZeroSection, CycleError
 from .field import QQ, Scalar, _poly_mul, factor_over_Q
-from .laurent import LaurentPolynomial, twisted_differential
+from .record import Record
 from .series import LaurentSeries, PrecisionError
 
 GAUGE_PARTIAL = "d/dt"
@@ -135,8 +133,7 @@ def _signed_stirling_first(n):
 # -- Newton polygon ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NewtonPolygon:
+class NewtonPolygon(Record):
     vertices: Tuple[Tuple[int, Fraction], ...]
     slopes: Tuple[Tuple[Fraction, int], ...]          # (slope, width), +inf tail omitted
     irregularities: Tuple[Tuple[Fraction, int], ...]  # (value, multiplicity), sorted desc
@@ -230,8 +227,7 @@ def _hull_height(hull, i, d):
 # -- refined residues --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OrbitClass:
+class OrbitClass(Record):
     factors: Tuple[Tuple[Fraction, ...], ...]  # monic irreducibles, descending coeffs
     multiplicity: int                          # multiplicity of each factor inside q
     residue_degree: int                        # Galois orbit size in the residue field
@@ -242,8 +238,7 @@ class OrbitClass:
                 f"factors={[_poly_str(f) for f in self.factors]}")
 
 
-@dataclass(frozen=True)
-class RefinedClass:
+class RefinedClass(Record):
     slope: Fraction
     kummer: int
     residue_poly: Tuple[Fraction, ...]  # monic, descending coefficients
@@ -307,7 +302,8 @@ def refined_residue(op: DiffOperator, b: Fraction,
     h = b.denominator
     logop = op.kummer(h)
     B = int(b * h)
-    cover_poly = newton_polygon(logop)
+    # on an integral slope the cover is the base itself: op.kummer(1) is op
+    cover_poly = poly if h == 1 else newton_polygon(logop)
     hull = cover_poly.vertices
     target = Fraction(-B)
     face = None
@@ -510,101 +506,3 @@ def cyclic_vector(A, var: str = "t", field=QQ) -> DiffOperator:
               for j in reversed(range(d))]
         return DiffOperator(GAUGE_PARTIAL, cs, var, field)
     raise OperatorError("no deterministic candidate is cyclic at the working precision")
-
-
-# -- rank-1 local data -------------------------------------------------------
-
-
-def rank1_operator(phi_series: LaurentSeries) -> DiffOperator:
-    """Annihilator d/dt - phi' of the rank-1 twist attached to phi."""
-    return DiffOperator(GAUGE_PARTIAL, [-phi_series.derivative()], phi_series.var,
-                        phi_series.field)
-
-
-def theta_relation_check(phi: LaurentPolynomial, cdvf_var: int = 0) -> bool:
-    """Compatibility of the refined coefficients of a rank-1 class d(phi).
-
-    With b the pole order along the distinguished variable and theta_j the
-    reduction of t^b x_j d_j(phi) in the all-log basis, checks
-    b * theta_j = -x_j d_j(theta_1) for every j distinct from the
-    distinguished one.
-    """
-    n = len(phi.vars)
-    j0 = cdvf_var
-    m = phi.min_exponent(j0)
-    if m is None or m >= 0:
-        raise OperatorError("phi must have a pole along the distinguished variable")
-    b = -m
-    tb = [0] * n
-    tb[j0] = b
-    thetas = [t.restrict_to_zero(j0) for t in twisted_differential(phi, range(n), tb)]
-    theta1 = thetas[j0]
-    for j in range(n):
-        if j == j0:
-            continue
-        if thetas[j] * b != -theta1.log_partial(j):
-            return False
-    return True
-
-
-def local_zcar_rank1(phi: LaurentPolynomial, rank: int, chart_vars: Sequence[str],
-                     cdvf_var_name: Optional[str] = None) -> LogCycle:
-    """Cycle of a rank-1 twist with regular padding over a one-divisor chart.
-
-    The distinguished variable is the only log direction; basis
-    dt/t, dx_2, .., dx_n.  Yields rank * [X] plus, for a pole of order b > 0,
-    the line with direction (theta_1, .., theta_n) and multiplicity rank * b.
-    """
-    vars = tuple(chart_vars)
-    name = cdvf_var_name if cdvf_var_name is not None else vars[0]
-    j0 = vars.index(name)
-    chart = ChartStamp(vars, (name,))
-    if rank < 1:
-        raise OperatorError("rank must be positive")
-    m = phi.min_exponent(j0)
-    b = -(m if m is not None else 0)
-    parts = [(ZeroSection(), Fraction(rank))]
-    if b > 0:
-        tb = [0] * len(vars)
-        tb[j0] = b
-        entries = [t.restrict_to_zero(j0) for t in twisted_differential(phi, (j0,), tb)]
-        if entries[j0].is_zero:
-            raise CycleError("leading refined coefficient vanished for a positive slope")
-        parts.append((DivisorLine(name, Direction(entries), 1, (Fraction(b),)),
-                      Fraction(rank * b)))
-    return LogCycle(chart, parts).finalize()
-
-
-# -- brute-force radius oracle -----------------------------------------------
-
-
-def radius_oracle(A, s_max: int = 40, var: str = "t", field=QQ):
-    """Interval bracketing the largest irregularity, by iterating d/dt.
-
-    Exact iteration of the derivation on a basis; the growth rate of the
-    pole order of the s-th iterate approaches (largest irregularity) + 1.
-    Only meant as an independent test oracle (rank <= 2).
-    """
-    d = len(A)
-    if d > 2:
-        raise OperatorError("radius oracle implemented for rank <= 2")
-    if s_max < 10:
-        raise OperatorError("s_max must be at least 10")
-    A = [[c if isinstance(c, LaurentSeries) else LaurentSeries.constant(c, var, field)
-          for c in row] for row in A]
-    if any(not c.is_exact for row in A for c in row):
-        raise PrecisionError("oracle needs exact matrix entries")
-    M = [[LaurentSeries.constant(1 if i == j else 0, var, field) for j in range(d)]
-         for i in range(d)]
-    samples = []
-    for s in range(1, s_max + 1):
-        M = [[M[i][j].derivative() + sum((A[i][k] * M[k][j] for k in range(d)),
-                                         LaurentSeries.zero(var, field))
-              for j in range(d)] for i in range(d)]
-        vals = [c.valuation() for row in M for c in row if not c.is_exactly_zero]
-        # the derivation on the base field alone already grows like t^{-s}
-        pole = max(-min(vals), s) if vals else s
-        if s >= s_max - 8:
-            samples.append(Fraction(pole, s) - 1)
-    slack = Fraction(3, s_max)
-    return (min(samples) - slack, max(samples) + slack)

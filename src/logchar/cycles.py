@@ -14,12 +14,12 @@ for Euler-characteristic evaluation and is ignored by cycle equality.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
 
 from .field import QQ
 from .laurent import LaurentPolynomial
+from .record import Record
 
 
 class CycleError(ValueError):
@@ -30,8 +30,7 @@ class IntegralityError(AssertionError):
     pass
 
 
-@dataclass(frozen=True)
-class ChartStamp:
+class ChartStamp(Record):
     """Ambient chart marker: variable names and which ones carry the log pole."""
     vars: Tuple[str, ...]
     log_vars: Tuple[str, ...]
@@ -121,8 +120,7 @@ class Direction:
         return "[" + " : ".join(str(p) for p in self.entries) + "]"
 
 
-@dataclass(frozen=True)
-class ZeroSection:
+class ZeroSection(Record):
     def sort_key(self):
         return (0,)
 
@@ -130,8 +128,7 @@ class ZeroSection:
         return f"ZeroSection mult={mult}"
 
 
-@dataclass(frozen=True)
-class DivisorLine:
+class DivisorLine(Record):
     divisor: str                      # log variable name
     direction: Direction
     cover_degree: int = 1             # residue-field degree of the cover of D_j
@@ -146,8 +143,7 @@ class DivisorLine:
         return f"Line D({self.divisor}) dir=[{dirs}]{extra} mult={mult}"
 
 
-@dataclass(frozen=True)
-class LowerDim:
+class LowerDim(Record):
     support: str
     dim: int
 
@@ -268,107 +264,9 @@ def _lines_match(a: LogCycle, b: LogCycle) -> bool:
     return True
 
 
-def kummer_pullback(c: LogCycle, h: Dict[str, int]) -> LogCycle:
-    """Pull a cycle back along x_j -> x_j^{h_j} on the log divisors.
-
-    The zero section is unchanged.  A line over D_j gains multiplicity h_j;
-    its direction entries, functions on the divisor, pull back through the
-    substitution x_l -> x_l^{h_l}, and the log coordinate l picks up the
-    factor h_l (the log basis rescales as dx_l/x_l -> h_l dx'_l/x'_l).
-    Irregularity rows scale coordinatewise.
-    """
-    chart = c.chart
-    for name, hj in h.items():
-        if name not in chart.log_vars:
-            raise CycleError(f"{name} is not a log variable")
-        if hj < 1:
-            raise CycleError("cover exponents must be positive integers")
-    factors = {chart.vars.index(name): hj for name, hj in h.items()}
-    exp_factors = [factors.get(j, 1) for j in range(chart.n)]
-    parts = []
-    for comp, m in c.parts:
-        if isinstance(comp, ZeroSection):
-            parts.append((comp, m))
-        elif isinstance(comp, DivisorLine):
-            hj = h.get(comp.divisor, 1)
-            direction = comp.direction.pull_back_cover(exp_factors) \
-                                      .scale_log_coordinates(factors)
-            row = comp.row
-            if row is not None:
-                row = tuple(r * h.get(name, 1)
-                            for r, name in zip(row, chart.log_vars))
-            parts.append((DivisorLine(comp.divisor, direction, comp.cover_degree, row),
-                          m * hj))
-        else:
-            parts.append((comp, m))
-    return LogCycle(chart, parts)
-
-
-def pushforward_from_cover(c: LogCycle, orbits: Sequence[Sequence[int]],
-                           residue_degrees: Optional[Sequence[int]] = None) -> LogCycle:
-    """Merge Galois-conjugate divisor lines of a cover cycle.
-
-    ``orbits`` partitions the line components (by index into c.lines()); each
-    orbit becomes one line carrying the summed multiplicity and the orbit's
-    residue degree as cover degree.  Non-line components pass through, and
-    the result must be integral.
-    """
-    lines = c.lines()
-    seen = sorted(i for orbit in orbits for i in orbit)
-    if seen != list(range(len(lines))):
-        raise CycleError("orbits must partition the line components")
-    parts = [(comp, m) for comp, m in c.parts if not isinstance(comp, DivisorLine)]
-    for k, orbit in enumerate(orbits):
-        total = sum(lines[i][1] for i in orbit)
-        rep, _ = lines[orbit[0]]
-        if any(lines[i][0].divisor != rep.divisor for i in orbit):
-            raise CycleError("an orbit must stay over one divisor")
-        deg = residue_degrees[k] if residue_degrees is not None else 1
-        parts.append((DivisorLine(rep.divisor, rep.direction, deg, rep.row), total))
-    return LogCycle(c.chart, parts).finalize()
-
-
-# -- structured gr extraction ------------------------------------------------
-
-def gr_extract_structured(chart: ChartStamp, b_vector: Sequence[int],
-                          theta: Sequence, rank: int,
-                          row: Optional[Sequence[Fraction]] = None) -> LogCycle:
-    """Cycle of the graded module with relations (t xi_1, theta_1 xi_j - theta_j xi_1).
-
-    Here t = prod x_j^{b_j} over the log divisors.  The support is the zero
-    section plus, over each divisor with b_j > 0, the line in direction
-    theta; the generic-point length over D_j is b_j, the length of
-    k[x]_(x) / (x^{b_j}), and every multiplicity is scaled by the rank.
-    """
-    if rank < 1:
-        raise CycleError("rank must be positive")
-    bs = [int(b) for b in b_vector]
-    if len(bs) != chart.m:
-        raise CycleError("one pole order per log divisor required")
-    if any(b < 0 for b in bs):
-        raise CycleError("pole orders must be nonnegative")
-    parts = [(ZeroSection(), Fraction(rank))]
-    if any(bs):
-        entries = [_as_poly(e, chart.vars) for e in theta]
-        if len(entries) != chart.n:
-            raise CycleError("one direction coordinate per chart variable required")
-        row_t = tuple(Fraction(x) for x in (row if row is not None else bs))
-        for name, b in zip(chart.log_vars, bs):
-            if b == 0:
-                continue
-            j = chart.vars.index(name)
-            red = entries[j].restrict_to_zero(j)
-            if red.is_zero:
-                raise CycleError(f"direction coordinate of {name} vanishes along its divisor")
-            restricted = Direction([p.restrict_to_zero(j) for p in entries])
-            parts.append((DivisorLine(name, restricted, 1, row_t), Fraction(rank * b)))
-    return LogCycle(chart, parts).finalize()
-
-
 # -- monomial log modules -----------------------------------------------------
 
-@dataclass(frozen=True)
-class MonomialLogModule:
+class MonomialLogModule(Record):
     """Graded module over k[x, xi] presented by monomial relations.
 
     Generators carry integer filtration degrees; each relation kills a

@@ -9,13 +9,13 @@ deg c_n = (-1)^n chi(U) and deg(c_1 . D_j) = -chi(D_j^o).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
 from .cycles import IntegralityError, LogCycle
 from .field import Scalar
 from .laurent import LaurentPolynomial
+from .record import Record
 
 
 class GeometryError(ValueError):
@@ -34,8 +34,7 @@ def integrality_check(value) -> int:
     return q.numerator
 
 
-@dataclass(frozen=True)
-class Curve:
+class Curve(Record):
     genus: int
     punctures: Tuple[Tuple[str, Tuple[Fraction, ...]], ...]  # (name, irregularities)
 
@@ -48,8 +47,7 @@ class Curve:
         return 1
 
 
-@dataclass(frozen=True)
-class Surface:
+class Surface(Record):
     chi_U: int
     components: Tuple[Tuple[str, int], ...]         # (name, chi of the open part)
     intersections: Tuple[Tuple[int, ...], ...]      # symmetric, with self-intersections
@@ -74,8 +72,7 @@ class Surface:
         raise GeometryError(f"unknown divisor component {name}")
 
 
-@dataclass(frozen=True)
-class ChernData:
+class ChernData(Record):
     """Surface Chern numbers of the log cotangent bundle."""
     c2: Fraction
     c1_dot_D: Tuple[Fraction, ...]
@@ -187,8 +184,7 @@ def kashiwara_dubson(cycle: LogCycle, geom, chern: Optional[ChernData] = None) -
 # -- brute-force de Rham oracle on the punctured line --------------------------
 
 
-@dataclass(frozen=True)
-class OracleCertificate:
+class OracleCertificate(Record):
     chi: int
     kernel_dim: int
     cokernel_dim: int

@@ -15,7 +15,6 @@ function in all local coordinates.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
@@ -23,6 +22,7 @@ from .cycles import (ChartStamp, CycleError, Direction, DivisorLine,
                      IntegralityError, LogCycle, ZeroSection)
 from .field import QQ, NumberField, Scalar, rational_roots
 from .laurent import LaurentPolynomial, monomial_times_unit, twisted_differential
+from .record import Record
 from .tropical import RadiusProfile, TropicalFn, sorted_profile_linear
 
 
@@ -38,8 +38,7 @@ class CodimensionError(AssertionError):
     pass
 
 
-@dataclass(frozen=True)
-class Chart:
+class Chart(Record):
     vars: Tuple[str, ...]
     log_vars: Tuple[str, ...]
 
@@ -67,8 +66,7 @@ class Chart:
         return ChartStamp(self.vars, self.log_vars)
 
 
-@dataclass(frozen=True)
-class ModelSummand:
+class ModelSummand(Record):
     phi: LaurentPolynomial
     rank: int = 1
 
@@ -129,8 +127,7 @@ class GoodModel:
 # -- validation ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GoodDecompositionReport:
+class GoodDecompositionReport(Record):
     summand_ok: Tuple[bool, ...]
     pair_ok: Tuple[Tuple[int, int, bool], ...]
     is_good: bool
@@ -169,8 +166,7 @@ def validate_good_decomposition(model: GoodModel) -> GoodDecompositionReport:
 # -- irregularity divisors ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IrregularityDivisor:
+class IrregularityDivisor(Record):
     log_vars: Tuple[str, ...]
     rows: Tuple[Tuple[int, Tuple[Fraction, ...]], ...]  # (rank, b-vector) per summand
     per_divisor: Tuple[Tuple[Fraction, ...], ...]       # sorted descending, per divisor
@@ -190,8 +186,7 @@ def irregularity_divisor(model: GoodModel) -> IrregularityDivisor:
 # -- refined forms -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RefinedForm:
+class RefinedForm(Record):
     """Coefficients of the twisted differential in the log basis.
 
     theta_l is t * (x_l d_l phi) for log variables and t * (d_l phi)
@@ -310,8 +305,7 @@ def _local_tropical(model: GoodModel, s: ModelSummand, z, mode: str):
     return TropicalFn(n, forms, mode=mode, nlog=nlog)
 
 
-@dataclass(frozen=True)
-class CleanCertificate:
+class CleanCertificate(Record):
     clean: bool
     sharp_linear: Tuple[bool, ...]
     theta_reductions: Tuple[Tuple[int, Tuple[str, ...]], ...]
@@ -364,15 +358,13 @@ def clean_at_point(model: GoodModel, z: Mapping[str, object]):
 # -- non-clean locus ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DivisorLocus:
+class DivisorLocus(Record):
     divisor: str
     generators: Tuple[str, ...]
     points: Tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class NonCleanLocus:
+class NonCleanLocus(Record):
     per_divisor: Tuple[DivisorLocus, ...]
     bad_strata: Tuple[str, ...]
 
@@ -489,42 +481,3 @@ def zcar_prime(model: GoodModel) -> LogCycle:
                     "rank does not clear the orbit normalization")
             parts.append((DivisorLine(name, Direction(entries), 1, row), mult))
     return LogCycle(stamp, parts).finalize()
-
-
-def model_kummer_pullback(model: GoodModel, h: Mapping[str, int]) -> GoodModel:
-    """Pull the model back along x_j -> x_j^{h_j} on the log variables."""
-    chart = model.chart
-    factors = [1] * chart.n
-    for name, hj in h.items():
-        if name not in chart.log_vars:
-            raise ModelError(f"{name} is not a log variable")
-        factors[chart.vars.index(name)] = int(hj)
-    summands = [ModelSummand(s.phi.scale_exponents(factors), s.rank)
-                for s in model.summands]
-    return GoodModel(chart, summands, model.kummer, model.field)
-
-
-def kedlaya_criterion(model: GoodModel):
-    """Good-formal-structure test via linearity of the model and its twists.
-
-    The endomorphism model of a direct sum of rank-1 twists is again such a
-    sum, over the pairwise differences phi_a - phi_b; the criterion reduces
-    to sorted linearity of both full-mode profiles.
-    """
-    from .tropical import g_of_phi
-    kv = model.kummer_for_var()
-    own = RadiusProfile([
-        (g_of_phi(s.phi, kummer=kv), s.rank) if not s.phi.is_zero
-        else (TropicalFn(model.chart.n, []), s.rank)
-        for s in model.summands])
-    ok_m, _ = sorted_profile_linear(own)
-    entries = []
-    for a, b in itertools.product(model.summands, repeat=2):
-        diff = a.phi - b.phi
-        mult = a.rank * b.rank
-        if diff.is_zero:
-            entries.append((TropicalFn(model.chart.n, []), mult))
-        else:
-            entries.append((g_of_phi(diff, kummer=kv), mult))
-    ok_end, _ = sorted_profile_linear(RadiusProfile(entries))
-    return ok_m and ok_end, (ok_m, ok_end)

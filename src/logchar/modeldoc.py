@@ -8,7 +8,6 @@ Kummer cover denominators of the log variables.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Optional, Tuple
@@ -19,6 +18,7 @@ from .euler import ChernData, Curve, Surface
 from .field import QQ, NumberField, parse_rational
 from .goodmodel import Chart, GoodModel, ModelSummand
 from .laurent import LaurentPolynomial
+from .record import Record
 from .series import LaurentSeries
 
 SCHEMA_VERSION = 1
@@ -28,8 +28,7 @@ class SchemaError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class ModelDocument:
+class ModelDocument(Record):
     field: NumberField
     chart: Chart
     model: Optional[GoodModel]

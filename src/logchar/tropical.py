@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
 from .fme import _primitive, feasible_point
 from .laurent import LaurentPolynomial
+from .record import Record
 
 Form = Tuple[Fraction, ...]
 
@@ -77,8 +77,7 @@ class TropicalFn:
         return f"TropicalFn(max of {[tuple(map(str, f)) for f in self.forms]}, {self.mode})"
 
 
-@dataclass(frozen=True)
-class LinearityWitness:
+class LinearityWitness(Record):
     linear: bool
     dominating_form: Optional[Form] = None
     crossing_forms: Optional[Tuple[Form, Form]] = None

@@ -12,25 +12,24 @@ from fractions import Fraction
 
 import pytest
 
-from logchar.cdvf import (DiffOperator, GAUGE_PARTIAL, local_zcar_rank1,
-                          newton_polygon, orbit_integrality_violations,
-                          radius_oracle, rank1_operator, refined_residue)
+from logchar.cdvf import (DiffOperator, GAUGE_PARTIAL, newton_polygon,
+                          orbit_integrality_violations, refined_residue)
 from logchar.cli import main as cli_main
 from logchar.cycles import (ChartStamp, Direction, LogCycle,
                             MonomialLogModule, ZeroSection, cycle_equal,
-                            gr_extract_structured, hilbert_dim, kummer_pullback,
-                            monomial_char_cycle)
+                            hilbert_dim, monomial_char_cycle)
 from logchar.euler import (Curve, IntegralityError, Surface, chi_EP, chi_curve,
                            chi_surface_kato, derham_oracle_curve,
                            integrality_check)
 from logchar.goodmodel import (Chart, GoodModel, ModelSummand, clean_at_point,
-                               model_kummer_pullback,
                                numerically_clean_at_point, refined_form,
                                validate_good_decomposition, zcar_prime)
 from logchar.laurent import LaurentPolynomial
 from logchar.series import LaurentSeries
 
-from test_cdvf import companion_matrix
+from test_cdvf import companion_matrix, local_zcar_rank1, radius_oracle, rank1_operator
+from test_cycles import gr_extract_structured, kummer_pullback
+from test_goodmodel import model_kummer_pullback
 
 L = LaurentPolynomial
 S = LaurentSeries

@@ -18,16 +18,14 @@ from logchar.cdvf import (
     RefinedClass,
     cyclic_vector,
     factor_rational,
-    local_zcar_rank1,
     newton_polygon,
     orbit_integrality_violations,
-    radius_oracle,
-    rank1_operator,
     refined_residue,
-    theta_relation_check,
 )
 from logchar.cdvf import _apply_derivation, _maximal_minors, _signed_stirling_first
-from logchar.laurent import LaurentPolynomial
+from logchar.cycles import ChartStamp, CycleError, Direction, DivisorLine, LogCycle, ZeroSection
+from logchar.field import QQ
+from logchar.laurent import LaurentPolynomial, twisted_differential
 from logchar.modeldoc import load_json, parse_operator_document
 from logchar.series import LaurentSeries, PrecisionError
 
@@ -94,6 +92,103 @@ def companion_matrix(op):
     for i in range(d):
         A[i][d - 1] = -p.coeffs[d - 1 - i]
     return A
+
+
+# -- rank-1 local data -------------------------------------------------------
+
+
+def rank1_operator(phi_series):
+    """Annihilator d/dt - phi' of the rank-1 twist attached to phi."""
+    return DiffOperator(GAUGE_PARTIAL, [-phi_series.derivative()], phi_series.var,
+                        phi_series.field)
+
+
+def theta_relation_check(phi, cdvf_var=0):
+    """Compatibility of the refined coefficients of a rank-1 class d(phi).
+
+    With b the pole order along the distinguished variable and theta_j the
+    reduction of t^b x_j d_j(phi) in the all-log basis, checks
+    b * theta_j = -x_j d_j(theta_1) for every j distinct from the
+    distinguished one.
+    """
+    n = len(phi.vars)
+    j0 = cdvf_var
+    m = phi.min_exponent(j0)
+    if m is None or m >= 0:
+        raise OperatorError("phi must have a pole along the distinguished variable")
+    b = -m
+    tb = [0] * n
+    tb[j0] = b
+    thetas = [t.restrict_to_zero(j0) for t in twisted_differential(phi, range(n), tb)]
+    theta1 = thetas[j0]
+    for j in range(n):
+        if j == j0:
+            continue
+        if thetas[j] * b != -theta1.log_partial(j):
+            return False
+    return True
+
+
+def local_zcar_rank1(phi, rank, chart_vars, cdvf_var_name=None):
+    """Cycle of a rank-1 twist with regular padding over a one-divisor chart.
+
+    The distinguished variable is the only log direction; basis
+    dt/t, dx_2, .., dx_n.  Yields rank * [X] plus, for a pole of order b > 0,
+    the line with direction (theta_1, .., theta_n) and multiplicity rank * b.
+    """
+    vars = tuple(chart_vars)
+    name = cdvf_var_name if cdvf_var_name is not None else vars[0]
+    j0 = vars.index(name)
+    chart = ChartStamp(vars, (name,))
+    if rank < 1:
+        raise OperatorError("rank must be positive")
+    m = phi.min_exponent(j0)
+    b = -(m if m is not None else 0)
+    parts = [(ZeroSection(), Fraction(rank))]
+    if b > 0:
+        tb = [0] * len(vars)
+        tb[j0] = b
+        entries = [t.restrict_to_zero(j0) for t in twisted_differential(phi, (j0,), tb)]
+        if entries[j0].is_zero:
+            raise CycleError("leading refined coefficient vanished for a positive slope")
+        parts.append((DivisorLine(name, Direction(entries), 1, (Fraction(b),)),
+                      Fraction(rank * b)))
+    return LogCycle(chart, parts).finalize()
+
+
+# -- brute-force radius oracle -----------------------------------------------
+
+
+def radius_oracle(A, s_max=40, var="t", field=QQ):
+    """Interval bracketing the largest irregularity, by iterating d/dt.
+
+    Exact iteration of the derivation on a basis; the growth rate of the
+    pole order of the s-th iterate approaches (largest irregularity) + 1.
+    Only meant as an independent test oracle (rank <= 2).
+    """
+    d = len(A)
+    if d > 2:
+        raise OperatorError("radius oracle implemented for rank <= 2")
+    if s_max < 10:
+        raise OperatorError("s_max must be at least 10")
+    A = [[c if isinstance(c, LaurentSeries) else LaurentSeries.constant(c, var, field)
+          for c in row] for row in A]
+    if any(not c.is_exact for row in A for c in row):
+        raise PrecisionError("oracle needs exact matrix entries")
+    M = [[LaurentSeries.constant(1 if i == j else 0, var, field) for j in range(d)]
+         for i in range(d)]
+    samples = []
+    for s in range(1, s_max + 1):
+        M = [[M[i][j].derivative() + sum((A[i][k] * M[k][j] for k in range(d)),
+                                         LaurentSeries.zero(var, field))
+              for j in range(d)] for i in range(d)]
+        vals = [c.valuation() for row in M for c in row if not c.is_exactly_zero]
+        # the derivation on the base field alone already grows like t^{-s}
+        pole = max(-min(vals), s) if vals else s
+        if s >= s_max - 8:
+            samples.append(Fraction(pole, s) - 1)
+    slack = Fraction(3, s_max)
+    return (min(samples) - slack, max(samples) + slack)
 
 
 def test_polygon_euler_operator_regular():
@@ -251,6 +346,27 @@ def test_refined_residue_kummer():
     assert len(ref.orbits) == 1
     assert ref.orbits[0].dimension == 2
     assert not orbit_integrality_violations(ref)
+
+
+def test_refined_residue_polygon_count(monkeypatch):
+    # on an integral slope the cover is the operator itself: one polygon;
+    # a fractional slope adds the polygon of the cover operator
+    import logchar.cdvf as cdvf
+    calls = []
+
+    def counting(op):
+        calls.append(op)
+        return newton_polygon(op)
+
+    monkeypatch.setattr(cdvf, "newton_polygon", counting)
+    for op, b, expected in [(E_phi(-2), F(2), 1),
+                            (_compose(E_phi(-1), E_phi(-3, 2)), F(3), 1),
+                            (op_partial({}, {-3: -1}), F(1, 2), 2),
+                            (op_partial({}, {-5: 1}), F(3, 2), 2)]:
+        calls.clear()
+        ref = refined_residue(op, b)
+        assert len(calls) == expected
+        assert ref == refined_residue(op.to_log_gauge(), b)
 
 
 def test_refined_residue_irrational_orbit():

@@ -12,12 +12,10 @@ from logchar.cycles import (
     LowerDim,
     MonomialLogModule,
     ZeroSection,
+    _as_poly,
     cycle_equal,
-    gr_extract_structured,
     hilbert_dim,
-    kummer_pullback,
     monomial_char_cycle,
-    pushforward_from_cover,
 )
 from logchar.laurent import LaurentPolynomial
 
@@ -30,6 +28,101 @@ A2 = ChartStamp(("x", "y"), ("x", "y"))
 def line(chart, div, theta, mult, row=None, cover=1):
     entries = [L.constant(chart.vars, t) for t in theta]
     return (DivisorLine(div, Direction(entries), cover, row), Fraction(mult))
+
+
+# -- reference operations on cycles ------------------------------------------
+
+
+def kummer_pullback(c, h):
+    """Pull a cycle back along x_j -> x_j^{h_j} on the log divisors.
+
+    The zero section is unchanged.  A line over D_j gains multiplicity h_j;
+    its direction entries, functions on the divisor, pull back through the
+    substitution x_l -> x_l^{h_l}, and the log coordinate l picks up the
+    factor h_l (the log basis rescales as dx_l/x_l -> h_l dx'_l/x'_l).
+    Irregularity rows scale coordinatewise.
+    """
+    chart = c.chart
+    for name, hj in h.items():
+        if name not in chart.log_vars:
+            raise CycleError(f"{name} is not a log variable")
+        if hj < 1:
+            raise CycleError("cover exponents must be positive integers")
+    factors = {chart.vars.index(name): hj for name, hj in h.items()}
+    exp_factors = [factors.get(j, 1) for j in range(chart.n)]
+    parts = []
+    for comp, m in c.parts:
+        if isinstance(comp, ZeroSection):
+            parts.append((comp, m))
+        elif isinstance(comp, DivisorLine):
+            hj = h.get(comp.divisor, 1)
+            direction = comp.direction.pull_back_cover(exp_factors) \
+                                      .scale_log_coordinates(factors)
+            row = comp.row
+            if row is not None:
+                row = tuple(r * h.get(name, 1)
+                            for r, name in zip(row, chart.log_vars))
+            parts.append((DivisorLine(comp.divisor, direction, comp.cover_degree, row),
+                          m * hj))
+        else:
+            parts.append((comp, m))
+    return LogCycle(chart, parts)
+
+
+def pushforward_from_cover(c, orbits, residue_degrees=None):
+    """Merge Galois-conjugate divisor lines of a cover cycle.
+
+    ``orbits`` partitions the line components (by index into c.lines()); each
+    orbit becomes one line carrying the summed multiplicity and the orbit's
+    residue degree as cover degree.  Non-line components pass through, and
+    the result must be integral.
+    """
+    lines = c.lines()
+    seen = sorted(i for orbit in orbits for i in orbit)
+    if seen != list(range(len(lines))):
+        raise CycleError("orbits must partition the line components")
+    parts = [(comp, m) for comp, m in c.parts if not isinstance(comp, DivisorLine)]
+    for k, orbit in enumerate(orbits):
+        total = sum(lines[i][1] for i in orbit)
+        rep, _ = lines[orbit[0]]
+        if any(lines[i][0].divisor != rep.divisor for i in orbit):
+            raise CycleError("an orbit must stay over one divisor")
+        deg = residue_degrees[k] if residue_degrees is not None else 1
+        parts.append((DivisorLine(rep.divisor, rep.direction, deg, rep.row), total))
+    return LogCycle(c.chart, parts).finalize()
+
+
+def gr_extract_structured(chart, b_vector, theta, rank, row=None):
+    """Cycle of the graded module with relations (t xi_1, theta_1 xi_j - theta_j xi_1).
+
+    Here t = prod x_j^{b_j} over the log divisors.  The support is the zero
+    section plus, over each divisor with b_j > 0, the line in direction
+    theta; the generic-point length over D_j is b_j, the length of
+    k[x]_(x) / (x^{b_j}), and every multiplicity is scaled by the rank.
+    """
+    if rank < 1:
+        raise CycleError("rank must be positive")
+    bs = [int(b) for b in b_vector]
+    if len(bs) != chart.m:
+        raise CycleError("one pole order per log divisor required")
+    if any(b < 0 for b in bs):
+        raise CycleError("pole orders must be nonnegative")
+    parts = [(ZeroSection(), Fraction(rank))]
+    if any(bs):
+        entries = [_as_poly(e, chart.vars) for e in theta]
+        if len(entries) != chart.n:
+            raise CycleError("one direction coordinate per chart variable required")
+        row_t = tuple(Fraction(x) for x in (row if row is not None else bs))
+        for name, b in zip(chart.log_vars, bs):
+            if b == 0:
+                continue
+            j = chart.vars.index(name)
+            red = entries[j].restrict_to_zero(j)
+            if red.is_zero:
+                raise CycleError(f"direction coordinate of {name} vanishes along its divisor")
+            restricted = Direction([p.restrict_to_zero(j) for p in entries])
+            parts.append((DivisorLine(name, restricted, 1, row_t), Fraction(rank * b)))
+    return LogCycle(chart, parts).finalize()
 
 
 def test_cycle_equal_basics():

@@ -1,10 +1,10 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from logchar.cycles import IntegralityError, cycle_equal, gr_extract_structured, \
-    kummer_pullback
+from logchar.cycles import IntegralityError, cycle_equal
 from logchar.goodmodel import (
     Chart,
     GoodModel,
@@ -13,8 +13,6 @@ from logchar.goodmodel import (
     PointError,
     clean_at_point,
     irregularity_divisor,
-    kedlaya_criterion,
-    model_kummer_pullback,
     nonclean_locus,
     numerically_clean_at_point,
     refined_form,
@@ -22,6 +20,9 @@ from logchar.goodmodel import (
     zcar_prime,
 )
 from logchar.laurent import LaurentPolynomial
+from logchar.tropical import RadiusProfile, TropicalFn, g_of_phi, sorted_profile_linear
+
+from test_cycles import gr_extract_structured, kummer_pullback
 
 L = LaurentPolynomial
 F = Fraction
@@ -37,6 +38,44 @@ def model(chart, *phi_terms, ranks=None, kummer=None):
         rank = 1 if ranks is None else ranks[i]
         summands.append(ModelSummand(L(chart.vars, terms), rank))
     return GoodModel(chart, summands, kummer)
+
+
+def model_kummer_pullback(model, h):
+    """Pull the model back along x_j -> x_j^{h_j} on the log variables."""
+    chart = model.chart
+    factors = [1] * chart.n
+    for name, hj in h.items():
+        if name not in chart.log_vars:
+            raise ModelError(f"{name} is not a log variable")
+        factors[chart.vars.index(name)] = int(hj)
+    summands = [ModelSummand(s.phi.scale_exponents(factors), s.rank)
+                for s in model.summands]
+    return GoodModel(chart, summands, model.kummer, model.field)
+
+
+def kedlaya_criterion(model):
+    """Good-formal-structure test via linearity of the model and its twists.
+
+    The endomorphism model of a direct sum of rank-1 twists is again such a
+    sum, over the pairwise differences phi_a - phi_b; the criterion reduces
+    to sorted linearity of both full-mode profiles.
+    """
+    kv = model.kummer_for_var()
+    own = RadiusProfile([
+        (g_of_phi(s.phi, kummer=kv), s.rank) if not s.phi.is_zero
+        else (TropicalFn(model.chart.n, []), s.rank)
+        for s in model.summands])
+    ok_m, _ = sorted_profile_linear(own)
+    entries = []
+    for a, b in itertools.product(model.summands, repeat=2):
+        diff = a.phi - b.phi
+        mult = a.rank * b.rank
+        if diff.is_zero:
+            entries.append((TropicalFn(model.chart.n, []), mult))
+        else:
+            entries.append((g_of_phi(diff, kummer=kv), mult))
+    ok_end, _ = sorted_profile_linear(RadiusProfile(entries))
+    return ok_m and ok_end, (ok_m, ok_end)
 
 
 def test_validate_examples():

@@ -8,7 +8,7 @@ match the cycle directions.
 import random
 from fractions import Fraction
 
-from logchar.cdvf import rank1_operator, refined_residue
+from logchar.cdvf import refined_residue
 from logchar.cycles import cycle_equal
 from logchar.euler import Curve, Surface, chi_EP, chi_curve, chi_surface_kato, \
     derham_oracle_curve, kashiwara_dubson
@@ -16,6 +16,8 @@ from logchar.goodmodel import Chart, GoodModel, ModelSummand, irregularity_divis
     nonclean_locus, zcar_prime
 from logchar.laurent import LaurentPolynomial
 from logchar.series import LaurentSeries
+
+from test_cdvf import rank1_operator
 
 L = LaurentPolynomial
 F = Fraction
