@@ -7,11 +7,9 @@ cross-checks.
 from .field import QQ, NumberField, Scalar
 from .laurent import LaurentPolynomial, is_unit_in_R_n0, twisted_differential
 from .series import LaurentSeries, PrecisionError
-from .tropical import RadiusProfile, TropicalFn, g_of_phi, is_linear_on_octant, \
-    sorted_profile_linear
+from .tropical import RadiusProfile, TropicalFn, is_linear_on_octant, sorted_profile_linear
 from .cycles import (ChartStamp, Direction, DivisorLine, LogCycle, LowerDim,
-                     MonomialLogModule, ZeroSection, cycle_equal, hilbert_dim,
-                     monomial_char_cycle)
+                     MonomialLogModule, ZeroSection, hilbert_dim, monomial_char_cycle)
 from .cdvf import (DiffOperator, NewtonPolygon, RefinedClass, cyclic_vector,
                    newton_polygon, refined_residue)
 from .goodmodel import (Chart, GoodModel, ModelSummand, clean_at_point,

@@ -24,7 +24,7 @@ from functools import cache
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
-from .field import QQ, Scalar, _poly_mul, factor_over_Q
+from .field import QQ, _poly_mul, factor_over_Q
 from .record import Record
 from .series import LaurentSeries, PrecisionError
 
@@ -341,9 +341,7 @@ def _series_coeff(c: LaurentSeries, e: int) -> Fraction:
         s = c.coefficient(e)
     except PrecisionError:
         raise PrecisionError(f"face coefficient at t^{e} beyond known precision")
-    if isinstance(s, Scalar):
-        return s.rational_value()
-    return Fraction(s)
+    return s.rational_value()
 
 
 def _verify_factorization(q, factors):

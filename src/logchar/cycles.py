@@ -216,54 +216,6 @@ def _same_component(a, b) -> bool:
     raise CycleError(f"unknown component {a!r}")
 
 
-def cycle_equal(a: LogCycle, b: LogCycle) -> bool:
-    """Exact cycle equality: directions projectively, rows ignored."""
-    if a.chart != b.chart:
-        raise CycleError("cycles live on different charts")
-    return _aggregate(a) == _aggregate(b) and _lines_match(a, b)
-
-
-def _aggregate(c: LogCycle):
-    zero = c.zero_section_multiplicity()
-    lower = sorted((comp.support, comp.dim, m) for comp, m in c.parts
-                   if isinstance(comp, LowerDim))
-    per_divisor = {}
-    for comp, m in c.lines():
-        per_divisor[comp.divisor] = per_divisor.get(comp.divisor, 0) + m
-    return zero, tuple(lower), tuple(sorted(per_divisor.items()))
-
-
-def _lines_match(a: LogCycle, b: LogCycle) -> bool:
-    """Row-blind matching of divisor lines: group by projective direction."""
-    def grouped(c):
-        groups = []
-        for comp, m in c.lines():
-            for g in groups:
-                rep = g[0]
-                if rep.divisor == comp.divisor and rep.cover_degree == comp.cover_degree \
-                        and rep.direction.proportional_to(comp.direction):
-                    g[1] += m
-                    break
-            else:
-                groups.append([comp, m])
-        return groups
-    ga, gb = grouped(a), grouped(b)
-    if len(ga) != len(gb):
-        return False
-    used = [False] * len(gb)
-    for comp, m in ga:
-        for i, (comp2, m2) in enumerate(gb):
-            if used[i]:
-                continue
-            if comp2.divisor == comp.divisor and comp2.cover_degree == comp.cover_degree \
-                    and m == m2 and comp.direction.proportional_to(comp2.direction):
-                used[i] = True
-                break
-        else:
-            return False
-    return True
-
-
 # -- monomial log modules -----------------------------------------------------
 
 class MonomialLogModule(Record):

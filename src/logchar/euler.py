@@ -13,7 +13,6 @@ from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
 from .cycles import IntegralityError, LogCycle
-from .field import Scalar
 from .laurent import LaurentPolynomial
 from .record import Record
 
@@ -220,7 +219,7 @@ def derham_oracle_curve(phi: LaurentPolynomial, window: int,
         if i != 0:
             mat[row_index[i - 1]][cidx] += i
         for e, c in dphi.terms.items():
-            mat[row_index[i + e[0]]][cidx] += _as_fraction(c)
+            mat[row_index[i + e[0]]][cidx] += c.rational_value()
     rank = _rank(mat)
     ker = len(cols) - rank
     coker = len(rows) - rank
@@ -233,12 +232,6 @@ def derham_oracle_curve(phi: LaurentPolynomial, window: int,
                 f"({again.kernel_dim}, {again.cokernel_dim}) at {window + 3}")
         return OracleCertificate(chi, ker, coker, window, window + 3)
     return OracleCertificate(chi, ker, coker, window, window)
-
-
-def _as_fraction(c):
-    if isinstance(c, Scalar):
-        return c.rational_value()
-    return Fraction(c)
 
 
 def _rank(mat):

@@ -7,10 +7,11 @@ primitive integer vector, and each combination formed during elimination is
 divided by the gcd of its entries.  Rows that are positive multiples of each
 other therefore coincide and are merged before the next stage.  The only
 caller, ``tropical.sorted_profile_linear``, passes one system per vertex ray:
-n - 1 walls as pairs of opposite rows, one strict row (the free coordinates
-sum to more than 0) and the sharp-mode pins r_j = 0, in as many variables as
-the chart has coordinates.  Nothing bounds that count; elimination can grow
-doubly exponentially in it.  Feasibility returns a witness point built by
+n - 1 walls as pairs of opposite rows and one strict row (the coordinates
+sum to more than 0), in the n variables of the radius functions: the
+divisors through the point for cleanness, all chart coordinates for
+numerical cleanness.  Nothing bounds n; elimination can grow doubly
+exponentially in it.  Feasibility returns a witness point built by
 back-substitution, the only step that uses ``Fraction`` (each bound is
 rhs / a).
 """

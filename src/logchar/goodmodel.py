@@ -6,10 +6,10 @@ Exponents are integral on a Kummer cover x_j -> x_j^{1/h_j} of the log
 variables; all reported pole orders are base-normalized rationals.
 
 Cleanness at a point z is decided through condition-style data: linearity of
-the sharp radius functions on the divisors through z, together with
-nonvanishing of the reduced twisted differential (the theta vector) at z.
-Numerical cleanness asks for full-octant linearity of every sorted radius
-function in all local coordinates.
+the sorted radius functions on the coordinates of the divisors through z,
+together with nonvanishing of the reduced twisted differential (the theta
+vector) at z.  Numerical cleanness asks for full-octant linearity of every
+sorted radius function in all local coordinates.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 from .cycles import (ChartStamp, CycleError, Direction, DivisorLine,
                      IntegralityError, LogCycle, ZeroSection)
 from .field import QQ, NumberField, Scalar, rational_roots
-from .laurent import LaurentPolynomial, monomial_times_unit, twisted_differential
+from .laurent import LaurentPolynomial, monomial_times_unit, pole_orders, twisted_differential
 from .record import Record
 from .tropical import RadiusProfile, TropicalFn, sorted_profile_linear
 
@@ -114,11 +114,7 @@ class GoodModel:
 
     def cover_pole_vector(self, s: ModelSummand) -> Tuple[int, ...]:
         """Pole order of phi along each log divisor in cover coordinates."""
-        out = []
-        for j in self.chart.log_indices:
-            mn = s.phi.min_exponent(j)
-            out.append(max(0, -(mn if mn is not None else 0)))
-        return tuple(out)
+        return pole_orders(s.phi, self.chart.log_indices)
 
     def base_pole_vector(self, s: ModelSummand) -> Tuple[Fraction, ...]:
         return tuple(Fraction(p, h) for p, h in zip(self.cover_pole_vector(s), self.kummer))
@@ -200,14 +196,11 @@ class RefinedForm(Record):
 def refined_form(phi: LaurentPolynomial, chart: Chart) -> RefinedForm:
     if phi.is_zero:
         raise ModelError("refined form of the zero polynomial")
-    pole = []
+    pole = pole_orders(phi, chart.log_indices)
     exp = [0] * chart.n
-    for j in chart.log_indices:
-        mn = phi.min_exponent(j)
-        p = max(0, -(mn if mn is not None else 0))
-        pole.append(p)
+    for j, p in zip(chart.log_indices, pole):
         exp[j] = p
-    return RefinedForm(twisted_differential(phi, chart.log_indices, exp), tuple(pole))
+    return RefinedForm(twisted_differential(phi, chart.log_indices, exp), pole)
 
 
 # -- local analysis at a point --------------------------------------------------
@@ -291,18 +284,12 @@ def _recenter_support(rterms, names, values, field):
     return set(shifted.terms.keys())
 
 
-def _local_tropical(model: GoodModel, s: ModelSummand, z, mode: str):
-    """Radius function of a summand in the local coordinates at z."""
-    J, R, K = _local_frame(model, z)
-    order = J + R + K  # local octant: divisors through z first
+def _local_tropical(model: GoodModel, s: ModelSummand, z, coords):
+    """Radius function of a summand at z on the local coordinates ``coords``."""
     kv = model.kummer_for_var()
-    supp = local_support(s.phi, model, z)
-    forms = []
-    for e in supp:
-        forms.append(tuple(Fraction(-e[j], kv[j]) for j in order))
-    n = model.chart.n
-    nlog = len(J)
-    return TropicalFn(n, forms, mode=mode, nlog=nlog)
+    forms = [tuple(Fraction(-e[j], kv[j]) for j in coords)
+             for e in local_support(s.phi, model, z)]
+    return TropicalFn(len(coords), forms)
 
 
 class CleanCertificate(Record):
@@ -315,33 +302,34 @@ class CleanCertificate(Record):
 def numerically_clean_at_point(model: GoodModel, z: Mapping[str, object]) -> bool:
     """Full-octant linearity of every sorted radius function at z."""
     pt = _normalize_point(model, z)
-    profile = RadiusProfile([(_local_tropical(model, s, pt, "full"), s.rank)
+    J, R, K = _local_frame(model, pt)  # local octant: divisors through z first
+    profile = RadiusProfile([(_local_tropical(model, s, pt, J + R + K), s.rank)
                              for s in model.summands])
     ok, _ = sorted_profile_linear(profile)
     return ok
 
 
 def clean_at_point(model: GoodModel, z: Mapping[str, object]):
-    """Cleanness at z: sharp linearity plus nonvanishing reduced theta.
+    """Cleanness at z: linearity on the divisors through z plus nonvanishing
+    reduced theta.
 
     Returns (bool, CleanCertificate).
     """
     pt = _normalize_point(model, z)
     J, R, K = _local_frame(model, pt)
-    profile = RadiusProfile([(_local_tropical(model, s, pt, "sharp"), s.rank)
+    profile = RadiusProfile([(_local_tropical(model, s, pt, J), s.rank)
                              for s in model.summands])
     ok, verdicts = sorted_profile_linear(profile)
     thetas = []
     theta_ok = True
     chart = model.chart
     for idx, s in enumerate(model.summands):
-        pole = {chart.log_indices[k]: p
-                for k, p in enumerate(model.cover_pole_vector(s))}
-        if not any(pole[j] for j in J if j in pole):
+        pole = pole_orders(s.phi, J)
+        if not any(pole):
             continue  # no pole through z: nothing to reduce
         exp = [0] * chart.n
-        for j in J:
-            exp[j] = pole.get(j, 0)
+        for j, p in zip(J, pole):
+            exp[j] = p
         vals = [t.evaluate(pt) for t in twisted_differential(s.phi, J, exp)]
         thetas.append((idx, tuple(str(v) for v in vals)))
         theta_ok = theta_ok and any(not v.is_zero for v in vals)

@@ -290,6 +290,11 @@ class LaurentPolynomial:
 
 # -- module operations -----------------------------------------------------
 
+def pole_orders(phi: LaurentPolynomial, indices: Sequence[int]) -> Tuple[int, ...]:
+    """Pole order max(0, -min exponent) of phi along each variable in ``indices``."""
+    return tuple(max(0, -(phi.min_exponent(j) or 0)) for j in indices)
+
+
 def twisted_differential(phi: LaurentPolynomial, log_indices: Sequence[int],
                          twist: Sequence[int]) -> Tuple[LaurentPolynomial, ...]:
     """The coefficients x^twist * D_l(phi) of the twisted differential.
@@ -320,16 +325,11 @@ def monomial_times_unit(phi: LaurentPolynomial, log_indices: Sequence[int]):
     """
     if phi.is_zero:
         return None
-    pole = []
-    shifted = phi
-    for j in log_indices:
-        m = phi.min_exponent(j)
-        i_j = max(0, -m)
-        pole.append(i_j)
-        if i_j:
-            e = [0] * len(phi.vars)
-            e[j] = i_j
-            shifted = shifted * LaurentPolynomial.monomial(phi.vars, e, 1, phi.field)
+    pole = pole_orders(phi, log_indices)
+    e = [0] * len(phi.vars)
+    for j, i_j in zip(log_indices, pole):
+        e[j] = i_j
+    shifted = phi * LaurentPolynomial.monomial(phi.vars, e, 1, phi.field)
     if is_unit_in_R_n0(shifted):
-        return tuple(pole), shifted
+        return pole, shifted
     return None

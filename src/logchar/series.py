@@ -5,8 +5,7 @@ bound ``prec``: terms of exponent >= prec are unknown.  ``prec = None`` marks
 a series that is exactly its stored finite sum (polynomial-born); such series
 stay exact under ring operations, and only inversion forces a finite window.
 
-Coefficients are Scalars, or any exact coefficient object exposing the same
-arithmetic (LaurentPolynomial works, for series over a function field).
+Coefficients are Scalars.
 """
 
 from __future__ import annotations
@@ -22,13 +21,6 @@ class PrecisionError(ArithmeticError):
     pass
 
 
-def _is_zero_coeff(c):
-    z = getattr(c, "is_zero", None)
-    if z is None:
-        return c == 0
-    return z
-
-
 class LaurentSeries:
     __slots__ = ("var", "terms", "prec", "field")
 
@@ -39,8 +31,8 @@ class LaurentSeries:
             e = int(e)
             if prec is not None and e >= prec:
                 continue
-            cc = c if isinstance(c, Scalar) or hasattr(c, "is_zero") else field(c)
-            if not _is_zero_coeff(cc):
+            cc = c if isinstance(c, Scalar) else field(c)
+            if not cc.is_zero:
                 clean[e] = cc
         object.__setattr__(self, "var", var)
         object.__setattr__(self, "terms", dict(sorted(clean.items())))
@@ -125,7 +117,7 @@ class LaurentSeries:
         for e, c in o.terms.items():
             s = out.get(e)
             s = c if s is None else s + c
-            if _is_zero_coeff(s):
+            if s.is_zero:
                 out.pop(e, None)
             else:
                 out[e] = s
@@ -151,8 +143,8 @@ class LaurentSeries:
         zero series, whatever the precision of self.
         """
         if not isinstance(o, LaurentSeries):
-            c = o if isinstance(o, Scalar) or hasattr(o, "is_zero") else self.field(o)
-            if _is_zero_coeff(c):
+            c = o if isinstance(o, Scalar) else self.field(o)
+            if c.is_zero:
                 return LaurentSeries.zero(self.var, self.field)
             return LaurentSeries(self.var, {e: t * c for e, t in self.terms.items()},
                                  self.prec, self.field)
@@ -180,7 +172,7 @@ class LaurentSeries:
                 c = c1 * c2
                 s = out.get(e)
                 s = c if s is None else s + c
-                if _is_zero_coeff(s):
+                if s.is_zero:
                     out.pop(e, None)
                 else:
                     out[e] = s
@@ -221,8 +213,6 @@ class LaurentSeries:
         if v is None:
             raise ZeroDivisionError("inverse of zero series")
         lead = self.terms[v]
-        if not isinstance(lead, Scalar):
-            raise PrecisionError("series inversion requires scalar coefficients")
         w = window if window is not None else _DEFAULT_WINDOW
         if self.prec is not None:
             w = min(w, self.prec - v)

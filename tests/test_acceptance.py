@@ -16,8 +16,8 @@ from logchar.cdvf import (DiffOperator, GAUGE_PARTIAL, newton_polygon,
                           orbit_integrality_violations, refined_residue)
 from logchar.cli import main as cli_main
 from logchar.cycles import (ChartStamp, Direction, LogCycle,
-                            MonomialLogModule, ZeroSection, cycle_equal,
-                            hilbert_dim, monomial_char_cycle)
+                            MonomialLogModule, ZeroSection, hilbert_dim,
+                            monomial_char_cycle)
 from logchar.euler import (Curve, IntegralityError, Surface, chi_EP, chi_curve,
                            chi_surface_kato, derham_oracle_curve,
                            integrality_check)
@@ -28,7 +28,7 @@ from logchar.laurent import LaurentPolynomial
 from logchar.series import LaurentSeries
 
 from test_cdvf import companion_matrix, local_zcar_rank1, radius_oracle, rank1_operator
-from test_cycles import gr_extract_structured, kummer_pullback
+from test_cycles import cycle_equal, gr_extract_structured, kummer_pullback
 from test_goodmodel import model_kummer_pullback
 
 L = LaurentPolynomial

@@ -405,3 +405,78 @@ def test_newton_fuzz_exit_codes_and_json(tmp_path_factory, doc):
         elif extra:
             lines = out.getvalue().splitlines()
             assert len(lines) == 1 and isinstance(json.loads(lines[0]), dict), doc
+
+
+_VALUES = ("0", "1", "-1", "2", "1/2", "-3/2")
+_MODULI = ([-2, 0, 1], [1, 0, 1], [-2, 0, 0, 1])
+
+
+@st.composite
+def _model_documents(draw):
+    """Model documents on charts of 1-3 coordinates: fractional exponents,
+    optional number fields and Kummer data, curve or surface geometry and
+    points; some drawn values are invalid on purpose."""
+    vars = ["x", "y", "z"][:draw(st.integers(1, 3))]
+    log_vars = draw(st.permutations(sorted(draw(st.sets(st.sampled_from(vars), min_size=1)))))
+    log_exp = st.one_of(st.integers(-4, 2), st.sampled_from(("-1/2", "-5/3", "1/2")))
+    # one document in six may carry a pole or a fraction on a non-log variable
+    other_exp = st.integers(0, 2) if draw(st.integers(0, 5)) else \
+        st.sampled_from((0, 1, -1, "1/2"))
+    coeff = st.builds(lambda p, q: f"{p}/{q}", st.integers(-3, 3), st.sampled_from((1, 2, 3)))
+    term = st.fixed_dictionaries({
+        "coeff": coeff,
+        "exp": st.tuples(*[log_exp if v in log_vars else other_exp for v in vars]).map(list)})
+    doc = {"schema": 1, "chart": {"vars": vars, "log_vars": list(log_vars)},
+           "model": draw(st.lists(st.fixed_dictionaries(
+               {"phi": st.lists(term, min_size=1, max_size=3), "rank": st.integers(1, 3)}),
+               min_size=1, max_size=3))}
+    if draw(st.booleans()):
+        doc["field"] = {"base": "number_field", "modulus": draw(st.sampled_from(_MODULI))}
+    if draw(st.integers(0, 3)) == 0:
+        doc["kummer"] = draw(st.lists(st.integers(1, 3), min_size=len(log_vars),
+                                      max_size=len(log_vars)))
+    kind = draw(st.sampled_from(("curve", "surface", None)))
+    if kind == "curve":
+        names = [log_vars[0] if draw(st.integers(0, 3)) else "p", "inf"]
+        doc["geometry"] = {"kind": "curve", "genus": draw(st.integers(0, 1)), "punctures": [
+            {"name": name, "irregularities": draw(st.lists(st.sampled_from(_VALUES[:5]),
+                                                           max_size=2))}
+            for name in names]}
+    elif kind == "surface":
+        k = draw(st.sampled_from((len(log_vars), 2)))
+        upper = {(i, j): draw(st.integers(-2, 1)) for i in range(k) for j in range(i, k)}
+        doc["geometry"] = {
+            "kind": "surface", "chi_U": draw(st.integers(-1, 2)),
+            "components": [{"name": f"D{i}", "chi_open": draw(st.integers(-1, 2))}
+                           for i in range(k)],
+            "intersections": [[upper[min(i, j), max(i, j)] for j in range(k)]
+                              for i in range(k)]}
+        if draw(st.booleans()):
+            doc["chern"] = {"c2": draw(st.sampled_from(_VALUES)),
+                            "c1_dot_D": [draw(st.sampled_from(_VALUES)) for _ in range(k)]}
+    doc["points"] = draw(st.lists(st.fixed_dictionaries(
+        {v: st.sampled_from(("0", "1", "-1/2")) for v in vars}), min_size=1, max_size=2))
+    return doc
+
+
+_MODEL_COMMANDS = [("validate",), ("irr",), ("clean",), ("zcar",), ("zcar", "--require-clean")] \
+    + [("chi", "--formula", f, *r) for f in ("kato", "ep", "kd") for r in ((), ("--require-clean",))]
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(_model_documents())
+def test_model_document_fuzz_exit_codes_and_json(tmp_path_factory, doc):
+    # main returns rather than raises: an exception here is a traceback
+    path = tmp_path_factory.getbasetemp() / "model_fuzz.json"
+    path.write_text(json.dumps(doc))
+    for command, *rest in _MODEL_COMMANDS:
+        for extra in ((), ("--json",)):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([command, str(path), *rest, *extra])
+            assert code in (0, 2, 3, 4), (command, doc, err.getvalue())
+            if code:
+                assert out.getvalue() == "" and err.getvalue().count("\n") == 1, (command, doc)
+            elif extra:
+                lines = out.getvalue().splitlines()
+                assert len(lines) == 1 and isinstance(json.loads(lines[0]), dict), (command, doc)

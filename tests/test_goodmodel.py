@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from logchar.cycles import IntegralityError, cycle_equal
+from logchar.cycles import IntegralityError
 from logchar.goodmodel import (
     Chart,
     GoodModel,
@@ -20,9 +20,10 @@ from logchar.goodmodel import (
     zcar_prime,
 )
 from logchar.laurent import LaurentPolynomial
-from logchar.tropical import RadiusProfile, TropicalFn, g_of_phi, sorted_profile_linear
+from logchar.tropical import RadiusProfile, TropicalFn, sorted_profile_linear
 
-from test_cycles import gr_extract_structured, kummer_pullback
+from test_cycles import cycle_equal, gr_extract_structured, kummer_pullback
+from test_tropical import g_of_phi
 
 L = LaurentPolynomial
 F = Fraction
@@ -58,7 +59,7 @@ def kedlaya_criterion(model):
 
     The endomorphism model of a direct sum of rank-1 twists is again such a
     sum, over the pairwise differences phi_a - phi_b; the criterion reduces
-    to sorted linearity of both full-mode profiles.
+    to sorted linearity of both profiles.
     """
     kv = model.kummer_for_var()
     own = RadiusProfile([

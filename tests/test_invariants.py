@@ -1,10 +1,13 @@
 """Cross-module invariants that do not belong to a single unit suite."""
 
+import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 from logchar.euler import Curve, Surface, chi_curve, chi_surface_kato
 from logchar.goodmodel import (Chart, GoodModel, ModelSummand, clean_at_point,
@@ -60,3 +63,35 @@ def test_console_script_smoke(tmp_path):
                          env={**os.environ, "PYTHONPATH": "src"})
     assert out.returncode == 0, out.stderr
     assert "chi = -3" in out.stdout
+
+
+def _names_used(tree):
+    """Names and attributes read in a module, except a top-level function's
+    references to itself."""
+    used = set()
+    for stmt in tree.body:
+        own = stmt.name if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
+        for node in ast.walk(stmt):
+            name = node.id if isinstance(node, ast.Name) else \
+                node.attr if isinstance(node, ast.Attribute) else None
+            if name is not None and name != own:
+                used.add(name)
+    return used
+
+
+def test_every_public_function_has_a_caller_outside_tests():
+    # A module-level function that only tests call belongs in the tests.
+    root = Path(__file__).resolve().parent.parent
+    sources = sorted((root / "src" / "logchar").glob("*.py"))
+    trees = {p.name: ast.parse(p.read_text()) for p in sources}
+    used = set()
+    for name, tree in trees.items():
+        if name != "__init__.py":
+            used |= _names_used(tree)
+    bench = " ".join(p.read_text() for p in sorted((root / "bench").glob("*.py")))
+    unused = sorted(f"{name}:{stmt.name}" for name, tree in trees.items()
+                    for stmt in tree.body
+                    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not stmt.name.startswith("_") and stmt.name not in used
+                    and not re.search(rf"\b{stmt.name}\b", bench))
+    assert not unused, unused

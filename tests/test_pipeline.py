@@ -9,7 +9,6 @@ import random
 from fractions import Fraction
 
 from logchar.cdvf import refined_residue
-from logchar.cycles import cycle_equal
 from logchar.euler import Curve, Surface, chi_EP, chi_curve, chi_surface_kato, \
     derham_oracle_curve, kashiwara_dubson
 from logchar.goodmodel import Chart, GoodModel, ModelSummand, irregularity_divisor, \
@@ -18,6 +17,7 @@ from logchar.laurent import LaurentPolynomial
 from logchar.series import LaurentSeries
 
 from test_cdvf import rank1_operator
+from test_cycles import cycle_equal
 
 L = LaurentPolynomial
 F = Fraction

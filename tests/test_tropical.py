@@ -9,10 +9,8 @@ from hypothesis import given, settings, strategies as st
 from logchar.fme import feasible_point
 from logchar.laurent import LaurentPolynomial
 from logchar.tropical import (
-    ModeMismatch,
     RadiusProfile,
     TropicalFn,
-    g_of_phi,
     is_linear_on_octant,
     sorted_profile_linear,
 )
@@ -22,6 +20,19 @@ L = LaurentPolynomial
 
 def E(vars, d):
     return L(vars, d)
+
+
+def g_of_phi(phi, kummer=None):
+    """Radius function of the rank-1 twist attached to phi: max(0, -v_r(phi)).
+
+    Each monomial x^a contributes the form -<a, r>; with Kummer data the
+    support lives on a cover and form coordinates are divided by h_j.
+    """
+    if phi.is_zero:
+        raise ValueError("phi must be nonzero")
+    n = len(phi.vars)
+    h = tuple(kummer) if kummer is not None else (1,) * n
+    return TropicalFn(n, [tuple(Fraction(-a, hj) for a, hj in zip(e, h)) for e in phi.terms])
 
 
 def test_g_of_phi_counterexample_shape():
@@ -45,14 +56,14 @@ def test_g_of_phi_monomial_and_regular():
 
 
 def test_g_of_phi_sharp_projection():
-    # x / y^2 with log var y listed second: sharp over (y) only after reorder.
-    # Chart order (y, x) with nlog=1: supp exponent (-2, 1) -> form (2, -1),
-    # projected to (2, 0).
-    phi = E(("y", "x"), {(-2, 1): 1})
-    f = g_of_phi(phi, mode="sharp", nlog=1)
-    assert set(f.forms) == {(0, 0), (2, 0)}
-    ok, wit = is_linear_on_octant(f)
-    assert ok and wit.dominating_form == (2, 0)
+    # x / y^2 in chart order (y, x), restricted to the divisor y = 0: the
+    # support exponent (-2, 1) gives the form (2, -1), projected onto the
+    # y coordinate to (2,).
+    f = g_of_phi(E(("y", "x"), {(-2, 1): 1}))
+    sharp = TropicalFn(1, [form[:1] for form in f.forms])
+    assert set(sharp.forms) == {(0,), (2,)}
+    ok, wit = is_linear_on_octant(sharp)
+    assert ok and wit.dominating_form == (2,)
 
 
 def test_g_of_phi_kummer_scaling():
@@ -77,21 +88,20 @@ def test_is_linear_direct_sum_of_axes():
 
 
 def test_sorted_profile_examples():
-    full = dict(mode="full")
-    p1 = RadiusProfile([(g_of_phi(E(("x", "y"), {(-2, -3): 1}), **full), 1)])
+    p1 = RadiusProfile([(g_of_phi(E(("x", "y"), {(-2, -3): 1})), 1)])
     assert sorted_profile_linear(p1) == (True, (True,))
 
     p2 = RadiusProfile([
-        (g_of_phi(E(("x", "y"), {(-1, 0): 1}), **full), 1),
-        (g_of_phi(E(("x", "y"), {(0, -1): 1}), **full), 1),
+        (g_of_phi(E(("x", "y"), {(-1, 0): 1})), 1),
+        (g_of_phi(E(("x", "y"), {(0, -1): 1})), 1),
     ])
     ok, verdicts = sorted_profile_linear(p2)
     assert not ok
     assert verdicts == (False, False)
 
     p3 = RadiusProfile([
-        (g_of_phi(E(("x",), {(-2,): 1}), **full), 1),
-        (g_of_phi(E(("x",), {(-1,): 1}), **full), 1),
+        (g_of_phi(E(("x",), {(-2,): 1})), 1),
+        (g_of_phi(E(("x",), {(-1,): 1})), 1),
     ])
     assert sorted_profile_linear(p3) == (True, (True, True))
 
@@ -115,15 +125,14 @@ def test_sorted_profile_order_statistic_fallback():
 # i-th sorted value is the form c everywhere iff nowhere do i constituents lie
 # strictly above c and nowhere do rank - i + 1 lie strictly below it.  Each
 # choice of constituents and forms is one exact Fourier-Motzkin system.
+# A sharp case keeps all n variables and pins r_j = 0 past the first nlog;
+# the engine sees only its projection onto those nlog coordinates.
 
 
-def _reference_verdicts(profile):
+def _reference_verdicts(profile, nlog):
     fns = [fn for fn, mult in profile.entries for _ in range(mult)]
-    f0 = fns[0]
-    pins = []
-    for j in range(f0.nvars):
-        if j not in f0.free_coords:
-            pins.append((tuple(Fraction(-int(k == j)) for k in range(f0.nvars)), False))
+    n = fns[0].nvars
+    pins = [(tuple(Fraction(-int(k == j)) for k in range(n)), False) for j in range(nlog, n)]
     candidates = sorted({f for fn in fns for f in fn.forms})
     return tuple(any(not _some_above(fns, i, c, pins) and
                      not _some_below(fns, len(fns) - i + 1, c, pins)
@@ -150,25 +159,31 @@ def _some_below(fns, k, cand, pins):
     return False
 
 
+def _project(profile, nlog):
+    return RadiusProfile([(TropicalFn(nlog, [f[:nlog] for f in fn.forms]), mult)
+                          for fn, mult in profile.entries])
+
+
 def _random_profile(rng):
+    """An n-variable profile and the number of coordinates left free."""
     n = rng.randint(1, 3)
-    mode = rng.choice(("full", "sharp"))
-    nlog = rng.randint(1, n) if mode == "sharp" else None
+    sharp = rng.choice((False, True))
+    nlog = rng.randint(1, n) if sharp else n
     entries = []
     for _ in range(rng.randint(1, 3)):
         forms = [tuple(Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3)))
                        for _ in range(n)) for _ in range(rng.randint(1, 2))]
-        entries.append((TropicalFn(n, forms, mode=mode, nlog=nlog), rng.choice((1, 1, 2))))
-    return RadiusProfile(entries)
+        entries.append((TropicalFn(n, forms), rng.choice((1, 1, 2))))
+    return RadiusProfile(entries), nlog
 
 
 def test_sorted_profile_agrees_with_reference():
     rng = random.Random(41)
     off_fast_path = 0
     for _ in range(80):
-        prof = _random_profile(rng)
-        ok, verdicts = sorted_profile_linear(prof)
-        assert verdicts == _reference_verdicts(prof), prof.entries
+        prof, nlog = _random_profile(rng)
+        ok, verdicts = sorted_profile_linear(_project(prof, nlog))
+        assert verdicts == _reference_verdicts(prof, nlog), (prof.entries, nlog)
         assert ok == all(verdicts)
         off_fast_path += not ok
     assert off_fast_path >= 20
@@ -177,21 +192,20 @@ def test_sorted_profile_agrees_with_reference():
 @st.composite
 def _profiles(draw):
     n = draw(st.integers(1, 3))
-    mode = draw(st.sampled_from(("full", "sharp")))
-    nlog = draw(st.integers(1, n)) if mode == "sharp" else None
+    nlog = draw(st.integers(1, n)) if draw(st.booleans()) else n
     coeff = st.builds(Fraction, st.integers(-4, 4), st.sampled_from((1, 2, 3)))
     form = st.tuples(*[coeff] * n)
     entries = draw(st.lists(st.tuples(st.lists(form, min_size=1, max_size=2),
                                       st.integers(1, 2)), min_size=1, max_size=3))
-    return RadiusProfile([(TropicalFn(n, forms, mode=mode, nlog=nlog), mult)
-                          for forms, mult in entries])
+    return RadiusProfile([(TropicalFn(n, forms), mult) for forms, mult in entries]), nlog
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
 @given(_profiles())
-def test_sorted_profile_agrees_with_reference_property(prof):
-    ok, verdicts = sorted_profile_linear(prof)
-    assert verdicts == _reference_verdicts(prof)
+def test_sorted_profile_agrees_with_reference_property(case):
+    prof, nlog = case
+    ok, verdicts = sorted_profile_linear(_project(prof, nlog))
+    assert verdicts == _reference_verdicts(prof, nlog)
     assert ok == all(verdicts)
 
 
@@ -207,10 +221,10 @@ def test_sorted_profile_rank10_middle_block():
     assert verdicts == (False,) * 3 + (True,) * 4 + (False,) * 3
 
 
-def test_profile_mode_mismatch():
-    f1 = TropicalFn(2, [(1, 0)], mode="full")
-    f2 = TropicalFn(2, [(1, 0)], mode="sharp", nlog=1)
-    with pytest.raises(ModeMismatch):
+def test_profile_dimension_mismatch():
+    f1 = TropicalFn(2, [(1, 0)])
+    f2 = TropicalFn(1, [(1,)])
+    with pytest.raises(ValueError):
         RadiusProfile([(f1, 1), (f2, 1)])
 
 
