@@ -13,8 +13,7 @@ from .cycles import (ChartStamp, Direction, DivisorLine, LogCycle, LowerDim,
 from .cdvf import (DiffOperator, NewtonPolygon, RefinedClass, cyclic_vector,
                    newton_polygon, refined_residue)
 from .goodmodel import (Chart, GoodModel, ModelSummand, clean_at_point,
-                        irregularity_divisor, nonclean_locus,
-                        numerically_clean_at_point, refined_form,
+                        irregularity_divisor, nonclean_locus, refined_form,
                         validate_good_decomposition, zcar_prime)
 from .euler import (ChernData, Curve, Surface, chi_EP, chi_curve,
                     chi_surface_kato, derham_oracle_curve, integrality_check,

@@ -22,9 +22,9 @@ from __future__ import annotations
 from collections import Counter
 from functools import cache
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
-from .field import QQ, _poly_mul, factor_over_Q
+from .field import QQ, factor_over_Q
 from .record import Record
 from .series import LaurentSeries, PrecisionError
 
@@ -110,12 +110,6 @@ class DiffOperator:
         coeffs = [c.substitute_power(h) * (h ** i)
                   for i, c in enumerate(op.coeffs, start=1)]
         return DiffOperator(GAUGE_LOG, coeffs, self.var, self.field)
-
-    def rescale(self, c) -> "DiffOperator":
-        """Substitute t -> c t (gauge covariant in the log gauge)."""
-        op = self.to_log_gauge()
-        return DiffOperator(GAUGE_LOG, [s.rescale(c) for s in op.coeffs], self.var,
-                            self.field)
 
 
 @cache
@@ -282,9 +276,7 @@ def _poly_str(coeffs):
     return out
 
 
-def refined_residue(op: DiffOperator, b: Fraction,
-                    factorization: Optional[Sequence[Tuple[Sequence[Fraction], int]]] = None
-                    ) -> RefinedClass:
+def refined_residue(op: DiffOperator, b: Fraction) -> RefinedClass:
     """Residue polynomial along the irregularity-b face, with orbit data.
 
     Accepts either gauge and converts once: the log-gauge operator is used
@@ -327,12 +319,7 @@ def refined_residue(op: DiffOperator, b: Fraction,
     q = tuple(Fraction(x) / Fraction(lead) for x in qs)
     if q[-1] == 0:
         raise OperatorError("residue polynomial vanishes at 0 on a positive slope")
-    if factorization is not None:
-        factors = [(tuple(Fraction(c) for c in f), int(m)) for f, m in factorization]
-        _verify_factorization(q, factors)
-    else:
-        factors = factor_rational(q)
-    orbits = _orbit_classes(factors, h, B)
+    orbits = _orbit_classes(factor_rational(q), h, B)
     return RefinedClass(b, h, q, tuple(orbits))
 
 
@@ -342,15 +329,6 @@ def _series_coeff(c: LaurentSeries, e: int) -> Fraction:
     except PrecisionError:
         raise PrecisionError(f"face coefficient at t^{e} beyond known precision")
     return s.rational_value()
-
-
-def _verify_factorization(q, factors):
-    prod = [Fraction(1)]
-    for f, m in factors:
-        for _ in range(m):
-            prod = _poly_mul(prod, f[::-1])
-    if any(not f or f[0] == 0 for f, _ in factors) or prod[::-1] != list(q):
-        raise FactorizationError("supplied factorization does not multiply back to q")
 
 
 def factor_rational(q: Sequence[Fraction]):

@@ -19,8 +19,7 @@ from .cycles import IntegralityError, hilbert_dim, monomial_char_cycle
 from .euler import Curve, GeometryError, Surface, WindowError, \
     chi_EP, chi_curve, chi_surface_kato, derham_oracle_curve, kashiwara_dubson
 from .field import parse_rational
-from .goodmodel import (clean_at_point, irregularity_divisor, nonclean_locus,
-                        numerically_clean_at_point, refined_form,
+from .goodmodel import (clean_at_point, irregularity_divisor, nonclean_locus, refined_form,
                         validate_good_decomposition, zcar_prime, CodimensionError)
 from .modeldoc import SchemaError, load_json, parse_model_document, \
     parse_operator_document
@@ -192,7 +191,7 @@ def cmd_clean(args) -> int:
     for pt in points:
         label = ",".join(f"{k}={pt[k]}" for k in doc.chart.vars)
         ok, cert = clean_at_point(doc.model, pt)
-        num = numerically_clean_at_point(doc.model, pt)
+        num = cert.numerically_clean
         lines.append(f"at ({label}): clean: {'yes' if ok else 'no'}, "
                      f"numerically clean: {'yes' if num else 'no'}")
         if not ok:
@@ -257,19 +256,21 @@ def cmd_chi(args) -> int:
     if args.require_clean and not clean:
         _fail("model is not clean on the chart; refusing under --require-clean")
         return EXIT_NOT_CLEAN
-    rows = irregularity_divisor(doc.model).rows
+    div = irregularity_divisor(doc.model)
+    if isinstance(geom, Curve):
+        geom = _curve_with_model_divisor(doc.model, div, geom)
     if args.formula == "kato":
         if isinstance(geom, Curve):
-            value = chi_curve(doc.model.rank, _curve_with_model_divisor(doc.model, geom))
+            value = chi_curve(doc.model.rank, geom)
             provenance = "curve formula: rank*chi(U) - total irregularity"
         else:
-            value = chi_surface_kato(rows, _surface_for_chart(doc.model, geom))
+            value = chi_surface_kato(div.rows, _surface_for_chart(doc.model, geom))
             provenance = "surface formula with per-row irregularity divisors"
     elif args.formula == "ep":
         if isinstance(geom, Curve):
-            value = chi_EP(_curve_rows(doc.model, geom), geom)
+            value = chi_EP(_curve_rows(doc.model.rank, geom), geom)
         else:
-            value = chi_EP(rows, _surface_for_chart(doc.model, geom), doc.chern)
+            value = chi_EP(div.rows, _surface_for_chart(doc.model, geom), doc.chern)
         provenance = "Chern-class evaluation, degree-n truncation with (-1)^n"
     else:
         cycle = zcar_prime(doc.model)
@@ -298,24 +299,23 @@ def _chart_puncture_index(model, geom: Curve) -> int:
     raise SchemaError(f"geometry lists no puncture named {chart_div!r}")
 
 
-def _curve_with_model_divisor(model, geom: Curve) -> Curve:
-    """Substitute the computed irregularities at the chart's own puncture.
+def _curve_with_model_divisor(model, div, geom: Curve) -> Curve:
+    """Substitute the computed irregularities ``div`` at the chart's own puncture.
 
     A nonempty multiset supplied at the chart puncture must agree with the
-    model; other punctures keep their declared multisets.
+    model; other punctures keep their declared multisets, which may hold at
+    most rank values each.
     """
-    div = irregularity_divisor(model)
     col = _chart_puncture_index(model, geom)
+    name, irrs = geom.punctures[col]
     computed = div.per_divisor[0]
-    punctures = []
-    for j, (name, irrs) in enumerate(geom.punctures):
-        if j == col:
-            if irrs and tuple(sorted(irrs, reverse=True)) != computed:
-                raise GeometryError(
-                    f"declared irregularities at {name} disagree with the model")
-            punctures.append((name, computed))
-        else:
-            punctures.append((name, irrs))
+    if irrs and tuple(sorted(irrs, reverse=True)) != computed:
+        raise GeometryError(f"declared irregularities at {name} disagree with the model")
+    punctures = list(geom.punctures)
+    punctures[col] = (name, computed)
+    for name, irrs in punctures:
+        if len(irrs) > model.rank:
+            raise GeometryError(f"more irregularities than the rank at {name}")
     return Curve(geom.genus, tuple(punctures))
 
 
@@ -330,24 +330,18 @@ def _other_puncture_total(model, geom: Curve) -> int:
     return total.numerator
 
 
-def _curve_rows(model, geom: Curve):
+def _curve_rows(rank, curve: Curve):
     """Rank-expanded irregularity rows over every puncture of the curve.
 
-    The chart column comes from the model; declared multisets at the other
-    punctures are distributed over the rows in sorted order (any
+    ``curve`` comes from ``_curve_with_model_divisor``.  The declared
+    multisets are distributed over the rows in sorted order (any
     distribution yields the same Euler characteristic).
     """
-    geom = _curve_with_model_divisor(model, geom)
-    k = len(geom.punctures)
-    d = model.rank
     cols = []
-    for name, irrs in geom.punctures:
+    for _, irrs in curve.punctures:
         vals = sorted((Fraction(v) for v in irrs), reverse=True)
-        if len(vals) > d:
-            raise GeometryError(f"more irregularities than the rank at {name}")
-        vals += [Fraction(0)] * (d - len(vals))
-        cols.append(vals)
-    return [(1, tuple(cols[j][i] for j in range(k))) for i in range(d)]
+        cols.append(vals + [Fraction(0)] * (rank - len(vals)))
+    return [(1, tuple(col[i] for col in cols)) for i in range(rank)]
 
 
 def _surface_for_chart(model, geom: Surface) -> Surface:

@@ -336,45 +336,17 @@ def _classify_subspace(chart: ChartStamp, killed, n):
 
 
 def hilbert_dim(M: MonomialLogModule) -> int:
-    """Growth degree of dim fil_alpha with every variable in degree one.
+    """Growth degree of dim fil_alpha: the Krull dimension of the module.
 
-    Counts standard monomials of total degree <= alpha (shifted by generator
-    degrees) and reads the eventual polynomial degree off finite differences.
+    M is the direct sum over generators of k[x, xi] modulo the generator's
+    monomial annihilator, of dimension 2n minus the smallest minimal cover of
+    the relation supports; a free generator counts 2n and a unit relation
+    kills its generator.
     """
-    chart = M.chart
-    n2 = 2 * chart.n
-    upto = 14
-    counts = []
-    for alpha in range(upto):
-        total = 0
-        for gen, shift in enumerate(M.generator_degrees):
-            ann = [x + xi for x, xi in M.annihilator(gen)]
-            budget = alpha - shift
-            if budget < 0:
-                continue
-            total += _count_standard_below(ann, n2, budget)
-        counts.append(total)
-    seq = counts
-    for degree in range(0, n2 + 1):
-        tail = seq[max(2, len(seq) - 6):]
-        if all(x == tail[0] for x in tail):
-            return degree
-        seq = [b - a for a, b in zip(seq, seq[1:])]
-    raise CycleError("filtration growth not polynomial in the sampled range")
-
-
-def _count_standard_below(gens, nvars, budget):
-    count = 0
-    for exp in _exps_upto(nvars, budget):
-        if not any(all(exp[i] >= g[i] for i in range(nvars)) for g in gens):
-            count += 1
-    return count
-
-
-def _exps_upto(nvars, budget):
-    if nvars == 0:
-        yield ()
-        return
-    for head in range(budget + 1):
-        for rest in _exps_upto(nvars - 1, budget - head):
-            yield (head,) + rest
+    n2 = 2 * M.chart.n
+    dim = 0
+    for gen in range(len(M.generator_degrees)):
+        supports = [{i for i, a in enumerate(x + xi) if a} for x, xi in M.annihilator(gen)]
+        covers = _minimal_covers(supports, n2) if supports else [()]
+        dim = max([dim] + [n2 - len(c) for c in covers])
+    return dim

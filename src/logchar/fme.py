@@ -34,20 +34,20 @@ def _primitive(coeffs) -> Row:
     return tuple(x // g for x in ints) if g > 1 else tuple(ints)
 
 
-def feasible_point(constraints: Sequence[Constraint], nvars: int,
-                   nonnegative: bool = True) -> Optional[Tuple[Fraction, ...]]:
-    """A rational point satisfying all constraints, or None if infeasible.
+def feasible_point(constraints: Sequence[Constraint],
+                   nvars: int) -> Optional[Tuple[Fraction, ...]]:
+    """A rational point with r >= 0 satisfying all constraints, or None if
+    infeasible.
 
-    Rows may hold ints or Fractions.  With ``nonnegative`` the constraints
-    r_j >= 0 are added implicitly.
+    Rows may hold ints or Fractions; the constraints r_j >= 0 are added
+    implicitly.
     """
     system: List[Tuple[Row, bool]] = [(_primitive(c), bool(s)) for c, s in constraints]
     for c, _ in system:
         if len(c) != nvars:
             raise ValueError("constraint arity mismatch")
-    if nonnegative:
-        for j in range(nvars):
-            system.append((tuple(int(k == j) for k in range(nvars)), False))
+    for j in range(nvars):
+        system.append((tuple(int(k == j) for k in range(nvars)), False))
 
     stages = []  # per eliminated variable: constraints mentioning it
     current = _dedupe(system)

@@ -8,8 +8,9 @@ variables; all reported pole orders are base-normalized rationals.
 Cleanness at a point z is decided through condition-style data: linearity of
 the sorted radius functions on the coordinates of the divisors through z,
 together with nonvanishing of the reduced twisted differential (the theta
-vector) at z.  Numerical cleanness asks for full-octant linearity of every
-sorted radius function in all local coordinates.
+vector) at z.  Numerical cleanness asks for full-octant linearity of the same
+sorted radius functions in all local coordinates; one certificate carries
+both verdicts.
 """
 
 from __future__ import annotations
@@ -196,11 +197,8 @@ class RefinedForm(Record):
 def refined_form(phi: LaurentPolynomial, chart: Chart) -> RefinedForm:
     if phi.is_zero:
         raise ModelError("refined form of the zero polynomial")
-    pole = pole_orders(phi, chart.log_indices)
-    exp = [0] * chart.n
-    for j, p in zip(chart.log_indices, pole):
-        exp[j] = p
-    return RefinedForm(twisted_differential(phi, chart.log_indices, exp), pole)
+    log = chart.log_indices
+    return RefinedForm(twisted_differential(phi, log, log), pole_orders(phi, log))
 
 
 # -- local analysis at a point --------------------------------------------------
@@ -236,15 +234,16 @@ def _local_frame(model: GoodModel, z: Mapping[str, Scalar]):
     return J, R, K
 
 
-def local_support(phi: LaurentPolynomial, model: GoodModel,
-                  z: Mapping[str, Scalar]) -> Tuple[Tuple[int, ...], ...]:
+def local_support(phi: LaurentPolynomial, model: GoodModel, z: Mapping[str, Scalar],
+                  frame) -> Tuple[Tuple[int, ...], ...]:
     """Support of phi recentred at z, up to unit saturation.
 
-    Coordinates with nonzero value are shifted exactly; negative powers of
-    shifted variables are units there and only saturate the support upward,
-    which never changes the attached max-plus function.
+    ``frame`` is the split (J, R, K) of the coordinates at z from
+    ``_local_frame``.  Coordinates with nonzero value are shifted exactly;
+    negative powers of shifted variables are units there and only saturate
+    the support upward, which never changes the attached max-plus function.
     """
-    J, R, K = _local_frame(model, z)
+    J, R, K = frame
     chart = model.chart
     groups: Dict[Tuple[int, ...], Dict[Tuple[int, ...], Scalar]] = {}
     for e, c in phi.terms.items():
@@ -284,53 +283,44 @@ def _recenter_support(rterms, names, values, field):
     return set(shifted.terms.keys())
 
 
-def _local_tropical(model: GoodModel, s: ModelSummand, z, coords):
-    """Radius function of a summand at z on the local coordinates ``coords``."""
-    kv = model.kummer_for_var()
-    forms = [tuple(Fraction(-e[j], kv[j]) for j in coords)
-             for e in local_support(s.phi, model, z)]
-    return TropicalFn(len(coords), forms)
-
-
 class CleanCertificate(Record):
     clean: bool
+    numerically_clean: bool
     sharp_linear: Tuple[bool, ...]
     theta_reductions: Tuple[Tuple[int, Tuple[str, ...]], ...]
     reason: str
 
 
-def numerically_clean_at_point(model: GoodModel, z: Mapping[str, object]) -> bool:
-    """Full-octant linearity of every sorted radius function at z."""
-    pt = _normalize_point(model, z)
-    J, R, K = _local_frame(model, pt)  # local octant: divisors through z first
-    profile = RadiusProfile([(_local_tropical(model, s, pt, J + R + K), s.rank)
-                             for s in model.summands])
-    ok, _ = sorted_profile_linear(profile)
-    return ok
-
-
 def clean_at_point(model: GoodModel, z: Mapping[str, object]):
-    """Cleanness at z: linearity on the divisors through z plus nonvanishing
-    reduced theta.
+    """Cleanness and numerical cleanness at z.
 
-    Returns (bool, CleanCertificate).
+    Each summand's radius function is built once on the local coordinates
+    J + R + K, divisors through z first.  Cleanness asks for linearity of the
+    sorted functions restricted to J, plus nonvanishing reduced theta;
+    numerical cleanness asks for their linearity on the whole local octant.
+    Returns (clean, CleanCertificate).
     """
     pt = _normalize_point(model, z)
-    J, R, K = _local_frame(model, pt)
-    profile = RadiusProfile([(_local_tropical(model, s, pt, J), s.rank)
-                             for s in model.summands])
-    ok, verdicts = sorted_profile_linear(profile)
+    frame = _local_frame(model, pt)
+    J, R, K = frame
+    coords = J + R + K
+    kv = model.kummer_for_var()
+    forms = [[tuple(Fraction(-e[j], kv[j]) for j in coords)
+              for e in local_support(s.phi, model, pt, frame)] for s in model.summands]
+
+    def profile(n):
+        """The radius functions on the first n local coordinates."""
+        return RadiusProfile([(TropicalFn(n, [f[:n] for f in fs]), s.rank)
+                              for fs, s in zip(forms, model.summands)])
+
+    ok, verdicts = sorted_profile_linear(profile(len(J)))
+    numerically = ok if not R and not K else sorted_profile_linear(profile(len(coords)))[0]
     thetas = []
     theta_ok = True
-    chart = model.chart
     for idx, s in enumerate(model.summands):
-        pole = pole_orders(s.phi, J)
-        if not any(pole):
+        if not any(pole_orders(s.phi, J)):
             continue  # no pole through z: nothing to reduce
-        exp = [0] * chart.n
-        for j, p in zip(J, pole):
-            exp[j] = p
-        vals = [t.evaluate(pt) for t in twisted_differential(s.phi, J, exp)]
+        vals = [t.evaluate(pt) for t in twisted_differential(s.phi, J, J)]
         thetas.append((idx, tuple(str(v) for v in vals)))
         theta_ok = theta_ok and any(not v.is_zero for v in vals)
     clean = ok and theta_ok
@@ -340,7 +330,7 @@ def clean_at_point(model: GoodModel, z: Mapping[str, object]):
         reason = "a sorted sharp radius function is not linear at the point"
     else:
         reason = "a reduced twisted differential vanishes at the point"
-    return clean, CleanCertificate(clean, verdicts, tuple(thetas), reason)
+    return clean, CleanCertificate(clean, numerically, verdicts, tuple(thetas), reason)
 
 
 # -- non-clean locus ------------------------------------------------------------
@@ -374,13 +364,10 @@ def nonclean_locus(model: GoodModel) -> NonCleanLocus:
         j = chart.vars.index(name)
         gens = []
         for s in model.summands:
-            p = model.cover_pole_vector(s)[k]
-            if p == 0:
+            if model.cover_pole_vector(s)[k] == 0:
                 continue
-            exp = [0] * chart.n
-            exp[j] = p
             entries = [t.restrict_to_zero(j)
-                       for t in twisted_differential(s.phi, chart.log_indices, exp)]
+                       for t in twisted_differential(s.phi, chart.log_indices, (j,))]
             if all(en.is_zero for en in entries):
                 raise CodimensionError(
                     f"theta vector of a summand vanishes along D({name})")

@@ -295,15 +295,24 @@ def pole_orders(phi: LaurentPolynomial, indices: Sequence[int]) -> Tuple[int, ..
     return tuple(max(0, -(phi.min_exponent(j) or 0)) for j in indices)
 
 
-def twisted_differential(phi: LaurentPolynomial, log_indices: Sequence[int],
-                         twist: Sequence[int]) -> Tuple[LaurentPolynomial, ...]:
-    """The coefficients x^twist * D_l(phi) of the twisted differential.
+def pole_monomial(phi: LaurentPolynomial, indices: Sequence[int]) -> LaurentPolynomial:
+    """The monomial prod x_j^{pole order of phi along x_j} over ``indices``."""
+    exp = [0] * len(phi.vars)
+    for j, p in zip(indices, pole_orders(phi, indices)):
+        exp[j] = p
+    return LaurentPolynomial.monomial(phi.vars, exp, 1, phi.field)
 
-    D_l is x_l d/dx_l for l in ``log_indices`` and d/dx_l otherwise; ``twist``
-    is one exponent per variable.  These are the theta vectors of a rank-1
-    twist before their reduction along a divisor or at a point.
+
+def twisted_differential(phi: LaurentPolynomial, log_indices: Sequence[int],
+                         along: Sequence[int]) -> Tuple[LaurentPolynomial, ...]:
+    """The coefficients t * D_l(phi) of the twisted differential.
+
+    D_l is x_l d/dx_l for l in ``log_indices`` and d/dx_l otherwise; t is
+    the pole monomial of phi along the variables in ``along``.  These are the
+    theta vectors of a rank-1 twist before their reduction along a divisor
+    or at a point.
     """
-    tw = LaurentPolynomial.monomial(phi.vars, twist, 1, phi.field)
+    tw = pole_monomial(phi, along)
     return tuple(tw * (phi.log_partial(l) if l in log_indices else phi.partial(l))
                  for l in range(len(phi.vars)))
 
@@ -325,11 +334,7 @@ def monomial_times_unit(phi: LaurentPolynomial, log_indices: Sequence[int]):
     """
     if phi.is_zero:
         return None
-    pole = pole_orders(phi, log_indices)
-    e = [0] * len(phi.vars)
-    for j, i_j in zip(log_indices, pole):
-        e[j] = i_j
-    shifted = phi * LaurentPolynomial.monomial(phi.vars, e, 1, phi.field)
+    shifted = phi * pole_monomial(phi, log_indices)
     if is_unit_in_R_n0(shifted):
-        return pole, shifted
+        return pole_orders(phi, log_indices), shifted
     return None

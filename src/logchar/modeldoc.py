@@ -1,4 +1,4 @@
-"""JSON model documents: parsing, validation, serialization.
+"""JSON model documents: parsing and validation.
 
 Schema version 1.  Coefficients are exact rational strings "p/q"; exponents
 are integers or rational strings, whose denominators are absorbed into the
@@ -29,25 +29,12 @@ class SchemaError(ValueError):
 
 
 class ModelDocument(Record):
-    field: NumberField
     chart: Chart
     model: Optional[GoodModel]
     monomial_module: Optional[MonomialLogModule]
     geometry: object
     chern: Optional[ChernData]
     points: Tuple[dict, ...]
-    raw: dict
-
-    def to_json_dict(self) -> dict:
-        return _canonical(self.raw)
-
-
-def _canonical(obj):
-    if isinstance(obj, dict):
-        return {k: _canonical(obj[k]) for k in sorted(obj)}
-    if isinstance(obj, list):
-        return [_canonical(x) for x in obj]
-    return obj
 
 
 def _expect(cond, msg):
@@ -72,7 +59,7 @@ def parse_model_document(doc: dict) -> ModelDocument:
     geometry = _parse_geometry(doc.get("geometry"))
     chern = _parse_chern(doc.get("chern"), geometry)
     points = tuple(_parse_point(p, chart) for p in doc.get("points", []))
-    return ModelDocument(field, chart, model, monomial, geometry, chern, points, doc)
+    return ModelDocument(chart, model, monomial, geometry, chern, points)
 
 
 def _parse_field(spec) -> NumberField:

@@ -190,11 +190,6 @@ class LaurentSeries:
         prec = None if self.prec is None else self.prec - 1
         return LaurentSeries(self.var, out, prec, self.field)
 
-    def log_derivative(self) -> "LaurentSeries":
-        """t d/dt; exponent-preserving."""
-        return LaurentSeries(self.var, {e: c * e for e, c in self.terms.items() if e != 0},
-                             self.prec, self.field)
-
     def truncate(self, prec: int) -> "LaurentSeries":
         p = self._min_prec(self.prec, prec)
         return LaurentSeries(self.var, {e: c for e, c in self.terms.items() if e < p}, p,
@@ -264,14 +259,6 @@ class LaurentSeries:
             raise ValueError("power must be positive")
         return LaurentSeries(self.var, {e * h: c for e, c in self.terms.items()},
                              None if self.prec is None else self.prec * h, self.field)
-
-    def rescale(self, c) -> "LaurentSeries":
-        """Substitute t -> c*t for a nonzero scalar c."""
-        cc = c if isinstance(c, Scalar) else self.field(c)
-        if cc.is_zero:
-            raise ValueError("rescale by zero")
-        return LaurentSeries(self.var, {e: coef * cc ** e for e, coef in self.terms.items()},
-                             self.prec, self.field)
 
     def __repr__(self):
         return f"LaurentSeries({self})"

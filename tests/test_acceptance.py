@@ -21,8 +21,7 @@ from logchar.cycles import (ChartStamp, Direction, LogCycle,
 from logchar.euler import (Curve, IntegralityError, Surface, chi_EP, chi_curve,
                            chi_surface_kato, derham_oracle_curve,
                            integrality_check)
-from logchar.goodmodel import (Chart, GoodModel, ModelSummand, clean_at_point,
-                               numerically_clean_at_point, refined_form,
+from logchar.goodmodel import (Chart, GoodModel, ModelSummand, clean_at_point, refined_form,
                                validate_good_decomposition, zcar_prime)
 from logchar.laurent import LaurentPolynomial
 from logchar.series import LaurentSeries
@@ -169,10 +168,10 @@ def test_criterion_05_cleanness_counterexample():
     origin = {"x": 0, "y": 0}
     ok, cert = clean_at_point(model, origin)
     assert ok, cert.reason
-    assert not numerically_clean_at_point(model, origin)
+    assert not cert.numerically_clean
     sampled = [{"x": c, "y": 0} for c in (1, -1, 2, F(1, 2), 7, F(-3, 5))]
     for pt in sampled:
-        assert numerically_clean_at_point(model, pt), pt
+        assert clean_at_point(model, pt)[1].numerically_clean, pt
         ok, _ = clean_at_point(model, pt)
         assert ok
     _report(5, "clean everywhere, numerically clean away from the origin only")
@@ -209,7 +208,7 @@ def test_criterion_06_implication_chain():
         pts = [p for p in pts_full
                if any(p[v] == 0 for v in model.chart.log_vars)]
         for pt in pts:
-            num = numerically_clean_at_point(model, pt)
+            num = clean_at_point(model, pt)[1].numerically_clean
             if good:
                 assert num, (model.summands, pt)
             if num:

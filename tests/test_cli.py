@@ -103,6 +103,33 @@ def test_clean_direct_sum_cli(tmp_path, capsys):
     assert code == 0 and "clean: no" in out
 
 
+def test_clean_builds_each_radius_function_once(tmp_path, capsys, monkeypatch):
+    # one certificate per point: every summand's support is recentred once,
+    # and the numerical profile needs a decision of its own only when the
+    # point has a coordinate off the divisors through it
+    import logchar.goodmodel as goodmodel
+    counts = {}
+    for name in ("sorted_profile_linear", "local_support"):
+        def counted(*args, _name=name, _fn=getattr(goodmodel, name)):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _fn(*args)
+        monkeypatch.setattr(goodmodel, name, counted)
+    doc = {
+        "schema": 1,
+        "chart": {"vars": ["x", "y"], "log_vars": ["x", "y"]},
+        "model": [{"phi": [{"coeff": "1", "exp": [-1, -2]}], "rank": 1},
+                  {"phi": [{"coeff": "1", "exp": [-2, -1]}], "rank": 2},
+                  {"phi": [{"coeff": "1", "exp": [-1, 0]},
+                           {"coeff": "3", "exp": [0, 1]}], "rank": 1}],
+    }
+    f = write(tmp_path, "three.json", doc)
+    for point, decisions in (("x=0,y=0", 1), ("x=0,y=1", 2)):
+        counts.clear()
+        code, _, _ = run(capsys, "clean", f, "--point", point)
+        assert code == 0
+        assert counts == {"sorted_profile_linear": decisions, "local_support": 3}, point
+
+
 def test_zcar_reports_and_require_clean(tmp_path, capsys):
     f = write(tmp_path, "kato.json", KATO_SURFACE)
     code, out, _ = run(capsys, "zcar", f)
@@ -143,6 +170,24 @@ def test_chi_curve_all_formulas(tmp_path, capsys):
         code, out, _ = run(capsys, "chi", f, "--formula", formula)
         assert code == 0, (formula, out)
         assert "chi = -3" in out
+
+
+def test_chi_formulas_accept_the_same_curves(tmp_path, capsys):
+    # every formula reads one reconciled curve, so a declared multiset that
+    # holds more values than the rank, or one that disagrees with the model at
+    # the chart puncture, is refused by all three alike
+    cases = [(["1", "1"], [], "more irregularities than the rank at inf"),
+             (["1"], ["3"], "declared irregularities at x disagree with the model")]
+    for inf, at_x, message in cases:
+        doc = dict(monomial_model(("x",), ("x",), {(-2,): 1}),
+                   geometry={"kind": "curve", "genus": 0,
+                             "punctures": [{"name": "x", "irregularities": at_x},
+                                           {"name": "inf", "irregularities": inf}]})
+        f = write(tmp_path, "curve.json", doc)
+        for formula in ("kato", "ep", "kd"):
+            code, out, err = run(capsys, "chi", f, "--formula", formula)
+            assert (code, out) == (2, ""), (formula, inf, at_x, out)
+            assert message in err, (formula, err)
 
 
 def test_chi_surface_all_formulas(tmp_path, capsys):
@@ -268,13 +313,6 @@ def test_json_output_deterministic(tmp_path, capsys):
     assert out1 == out2
     payload = json.loads(out1)
     assert payload["chi"] == 8
-
-
-def test_schema_round_trip():
-    doc = parse_model_document(json.loads(json.dumps(KATO_SURFACE)))
-    again = parse_model_document(doc.to_json_dict())
-    assert doc.to_json_dict() == again.to_json_dict()
-    assert again.model.rank == doc.model.rank
 
 
 def test_schema_rejects_bad_version():

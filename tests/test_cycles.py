@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -278,6 +279,51 @@ def test_gr_extract_requires_nonvanishing_direction():
         gr_extract_structured(A2, (1, 0), theta, 1)
 
 
+def _sampled_hilbert_dim(M):
+    """Reference growth degree: samples dim fil_alpha for alpha < 14.
+
+    Counts standard monomials of total degree <= alpha (shifted by generator
+    degrees) with every variable in degree one, and reads the eventual
+    polynomial degree off finite differences; refuses when the sampled
+    window shows no polynomial growth.
+    """
+    n2 = 2 * M.chart.n
+    counts = []
+    for alpha in range(14):
+        total = 0
+        for gen, shift in enumerate(M.generator_degrees):
+            ann = [x + xi for x, xi in M.annihilator(gen)]
+            budget = alpha - shift
+            if budget < 0:
+                continue
+            total += _count_standard_below(ann, n2, budget)
+        counts.append(total)
+    seq = counts
+    for degree in range(0, n2 + 1):
+        tail = seq[max(2, len(seq) - 6):]
+        if all(x == tail[0] for x in tail):
+            return degree
+        seq = [b - a for a, b in zip(seq, seq[1:])]
+    raise CycleError("filtration growth not polynomial in the sampled range")
+
+
+def _count_standard_below(gens, nvars, budget):
+    count = 0
+    for exp in _exps_upto(nvars, budget):
+        if not any(all(exp[i] >= g[i] for i in range(nvars)) for g in gens):
+            count += 1
+    return count
+
+
+def _exps_upto(nvars, budget):
+    if nvars == 0:
+        yield ()
+        return
+    for head in range(budget + 1):
+        for rest in _exps_upto(nvars - 1, budget - head):
+            yield (head,) + rest
+
+
 def test_monomial_cycle_skyscraper():
     # x^{-1}k[x]/k[x]: one generator killed by the ideal (x, xi)
     M = MonomialLogModule(A1, (0,), ((0, (1,), (0,)), (0, (0,), (1,))))
@@ -345,3 +391,33 @@ def test_hilbert_dim_bounds():
         MonomialLogModule(A1, (0,), ()),
     ]:
         assert 0 <= hilbert_dim(M) <= 2 * M.chart.n
+
+
+def test_hilbert_dim_beyond_the_sampled_window():
+    # each of these is out of reach of degrees below 14: the sampled growth
+    # answers 2, 0 and refuses, in that order
+    assert hilbert_dim(MonomialLogModule(A1, (0,), ((0, (20,), (0,)),))) == 1
+    assert hilbert_dim(MonomialLogModule(A1, (20,), ())) == 2
+    M = MonomialLogModule(A2, (0,), ((0, (4, 0), (0, 0)), (0, (0, 4), (0, 0)),
+                                      (0, (0, 0), (4, 0))))
+    assert hilbert_dim(M) == 1
+
+
+def test_hilbert_dim_agrees_with_the_sampled_growth():
+    rng = random.Random(3)
+    checked = 0
+    for _ in range(60):
+        chart = rng.choice((A1, A2))
+        degrees = tuple(rng.randint(0, 2) for _ in range(rng.randint(1, 2)))
+        relations = tuple(
+            (rng.randrange(len(degrees)), tuple(rng.randint(0, 2) for _ in chart.vars),
+             tuple(rng.randint(0, 2) for _ in chart.vars))
+            for _ in range(rng.randint(0, 4)))
+        M = MonomialLogModule(chart, degrees, relations)
+        try:
+            want = _sampled_hilbert_dim(M)
+        except CycleError:
+            continue  # the window is too small to read the degree
+        checked += 1
+        assert hilbert_dim(M) == want, M
+    assert checked >= 50

@@ -14,7 +14,6 @@ from logchar.goodmodel import (
     clean_at_point,
     irregularity_divisor,
     nonclean_locus,
-    numerically_clean_at_point,
     refined_form,
     validate_good_decomposition,
     zcar_prime,
@@ -103,7 +102,7 @@ def test_validate_examples():
     assert rep.summand_ok == (True, False)
     assert rep.pair_ok == ((0, 1, True),)
     assert not rep.is_good
-    assert not numerically_clean_at_point(m4, {"x": 0, "y": 0})
+    assert not clean_at_point(m4, {"x": 0, "y": 0})[1].numerically_clean
 
 
 def test_validate_pair_failure():
@@ -154,11 +153,11 @@ def test_clean_counterexample_model():
     origin = {"x": 0, "y": 0}
     ok, cert = clean_at_point(m, origin)
     assert ok, cert.reason
-    assert not numerically_clean_at_point(m, origin)
+    assert not cert.numerically_clean
     # away from the origin on D both hold
     for c in (1, -1, 2, F(1, 2), 5):
         pt = {"x": c, "y": 0}
-        assert numerically_clean_at_point(m, pt)
+        assert clean_at_point(m, pt)[1].numerically_clean
         ok, _ = clean_at_point(m, pt)
         assert ok
 
@@ -168,7 +167,7 @@ def test_clean_direct_sum_crossing():
     origin = {"x": 0, "y": 0}
     ok, cert = clean_at_point(m, origin)
     assert not ok
-    assert not numerically_clean_at_point(m, origin)
+    assert not cert.numerically_clean
     # on one divisor only, away from the crossing, the model is clean
     ok, _ = clean_at_point(m, {"x": 0, "y": 3})
     assert ok
@@ -178,7 +177,7 @@ def test_clean_product_monomial():
     m = model(XY_FULL, {(-1, -1): 1})
     ok, cert = clean_at_point(m, {"x": 0, "y": 0})
     assert ok
-    assert numerically_clean_at_point(m, {"x": 0, "y": 0})
+    assert clean_at_point(m, {"x": 0, "y": 0})[1].numerically_clean
 
 
 def test_point_errors():
@@ -195,7 +194,7 @@ def test_clean_at_algebraic_point():
     a = K.gen()
     m = model(XY_YLOG, {(1, -2): 1})  # the e^{x/y^2} model
     pt = {"x": a, "y": K(0)}
-    assert numerically_clean_at_point(m, pt)
+    assert clean_at_point(m, pt)[1].numerically_clean
     ok, cert = clean_at_point(m, pt)
     assert ok, cert.reason
     # a model whose theta vanishes exactly at x = sqrt(2) on the divisor:
@@ -218,9 +217,9 @@ def test_good_implies_numerically_clean_implies_clean():
         pts = _sample_points(chart)
         if rep.is_good:
             for pt in pts:
-                assert numerically_clean_at_point(m, pt), (m.summands, pt)
+                assert clean_at_point(m, pt)[1].numerically_clean, (m.summands, pt)
         for pt in pts:
-            if numerically_clean_at_point(m, pt):
+            if clean_at_point(m, pt)[1].numerically_clean:
                 ok, cert = clean_at_point(m, pt)
                 assert ok, (m.summands, pt, cert.reason)
 
@@ -279,7 +278,7 @@ def test_nonclean_locus_theta_zero_point():
     assert locus.per_divisor[0].points == ("x=1",)
     ok, _ = clean_at_point(m, {"x": 1, "y": 0})
     assert not ok
-    assert not numerically_clean_at_point(m, {"x": 1, "y": 0})
+    assert not clean_at_point(m, {"x": 1, "y": 0})[1].numerically_clean
     ok, _ = clean_at_point(m, {"x": 2, "y": 0})
     assert ok
 

@@ -44,7 +44,6 @@ def test_valuation_certification():
 def test_derivatives():
     f = S("t", {-2: 1, 0: 4, 3: 2})
     assert f.derivative().terms == {-3: -2, 2: 6}
-    assert f.log_derivative().terms == {-2: -2, 3: 6}
     assert S("t", {0: 1}, prec=6).derivative().prec == 5
 
 
@@ -67,7 +66,6 @@ def test_division_round_trip():
 
 def test_rescale_and_substitute():
     f = S("t", {-2: 1, 1: 3})
-    assert f.rescale(2).terms == {-2: Fraction(1, 4), 1: 6}
     assert f.substitute_power(3).terms == {-6: 1, 3: 3}
 
 
