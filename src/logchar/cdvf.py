@@ -24,7 +24,7 @@ from functools import cache
 from fractions import Fraction
 from typing import Sequence, Tuple
 
-from .field import QQ, factor_over_Q
+from .field import QQ, FactorizationError, factor_over_Q
 from .record import Record
 from .series import LaurentSeries, PrecisionError
 
@@ -33,10 +33,6 @@ GAUGE_LOG = "t*d/dt"
 
 
 class OperatorError(ValueError):
-    pass
-
-
-class FactorizationError(ValueError):
     pass
 
 

@@ -15,10 +15,17 @@ import warnings
 Rat = Union[int, Fraction]
 
 MAX_FIELD_DEGREE = 6
+MAX_DIVISOR_STEPS = 10 ** 6  # trial divisions allowed per integer in _divisors
 
 
 class FieldError(ValueError):
     pass
+
+
+class FactorizationError(ValueError):
+    """A factorization the engine cannot carry out: too large an integer to
+    split by trial division, a factor of too high degree, or an unsupported
+    orbit grouping."""
 
 
 def _poly_trim(cs):
@@ -74,8 +81,8 @@ def rational_roots(coeffs):
     (so a_0 != 0), a root p/q in lowest terms has p | a_0 and q | a_n.  Each
     such candidate is tested on integers: p/q is a root iff
     sum_i a_i p^i q^(n-i) = 0, evaluated by Horner.  The divisors still come
-    from trial division, O(sqrt|a_0| + sqrt|a_n|) steps, which is the cost
-    that remains for a large constant term.
+    from trial division, O(sqrt|a_0| + sqrt|a_n|) steps; past
+    MAX_DIVISOR_STEPS for either integer it raises FactorizationError.
     """
     cs = _poly_trim([Fraction(c) for c in coeffs])
     if len(cs) <= 1:
@@ -109,6 +116,9 @@ def _divisors(n):
     n = abs(n)
     if n == 0:
         return [1]
+    if isqrt(n) > MAX_DIVISOR_STEPS:
+        raise FactorizationError(f"the divisors of a {len(str(n))}-digit integer need more "
+                                 f"than {MAX_DIVISOR_STEPS} trial divisions")
     out = []
     d = 1
     while d * d <= n:

@@ -3,12 +3,22 @@
 A LaurentPolynomial is a finite support map from integer exponent vectors to
 nonzero Scalars over a fixed ordered variable list.  Values are immutable;
 all arithmetic is exact.
+
+Every value is kept in one normal form: its terms are sorted by exponent,
+each exponent is a tuple of ints with one entry per variable, and each
+coefficient is a nonzero Scalar of the polynomial's field.  The public
+constructor ``LaurentPolynomial(vars, terms, field)`` checks and builds that
+form, so it takes external input and results of operands over different
+fields (QQ is widened to the number field).  Results of operations on
+normalized operands over one field are built by the private ``_trusted``
+without a check.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
+from operator import add
 from typing import Mapping, Sequence, Tuple
 
 from .field import QQ, NumberField, Scalar
@@ -51,6 +61,16 @@ class LaurentPolynomial:
         object.__setattr__(self, "vars", vs)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "terms", dict(sorted(clean.items())))
+
+    @classmethod
+    def _trusted(cls, vars, terms, field):
+        """A polynomial whose ``terms`` already hold the normal form (see the
+        module docstring) over ``field``, for the tuple ``vars``; no check."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "vars", vars)
+        object.__setattr__(out, "field", field)
+        object.__setattr__(out, "terms", terms)
+        return out
 
     def __setattr__(self, *a):
         raise AttributeError("LaurentPolynomial is immutable")
@@ -127,12 +147,20 @@ class LaurentPolynomial:
                 out.pop(e, None)
             else:
                 out[e] = s
-        return LaurentPolynomial(self.vars, out, field)
+        return self._same_field_result(other, out, field)
 
     __radd__ = __add__
 
+    def _same_field_result(self, other, out, field):
+        """The sum or product with the terms ``out``: trusted after one sort
+        when both operands share the field, else validated (widened)."""
+        if self.field == other.field:
+            return LaurentPolynomial._trusted(self.vars, dict(sorted(out.items())), field)
+        return LaurentPolynomial(self.vars, out, field)
+
     def __neg__(self):
-        return LaurentPolynomial(self.vars, {e: -c for e, c in self.terms.items()}, self.field)
+        return LaurentPolynomial._trusted(self.vars, {e: -c for e, c in self.terms.items()},
+                                          self.field)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):
@@ -147,8 +175,13 @@ class LaurentPolynomial:
             c0 = other if isinstance(other, Scalar) else self.field(other)
             if c0.is_zero:
                 return LaurentPolynomial.zero(self.vars, self.field)
-            return LaurentPolynomial(self.vars, {e: c * c0 for e, c in self.terms.items()},
-                                     self.field)
+            if c0.field != self.field:
+                return LaurentPolynomial(self.vars, {e: c * c0 for e, c in self.terms.items()},
+                                         self.field)
+            # a trusted degree 5-6 modulus may be reducible: drop zero divisors' products
+            return LaurentPolynomial._trusted(self.vars, {e: v for e, c in self.terms.items()
+                                                          if not (v := c * c0).is_zero},
+                                              self.field)
         field = self._check_same(other)
         out = {}
         for e1, c1 in self.terms.items():
@@ -161,7 +194,7 @@ class LaurentPolynomial:
                     out.pop(e, None)
                 else:
                     out[e] = s
-        return LaurentPolynomial(self.vars, out, field)
+        return self._same_field_result(other, out, field)
 
     __rmul__ = __mul__
 
@@ -193,20 +226,13 @@ class LaurentPolynomial:
     # -- derivations and substitutions -------------------------------------
 
     def partial(self, j: int) -> "LaurentPolynomial":
-        out = {}
-        for e, c in self.terms.items():
-            if e[j] == 0:
-                continue
-            e2 = list(e)
-            e2[j] -= 1
-            out[tuple(e2)] = c * e[j]
-        return LaurentPolynomial(self.vars, out, self.field)
+        step = [0] * len(self.vars)
+        step[j] = -1
+        return _derivative(self, j, step)
 
     def log_partial(self, j: int) -> "LaurentPolynomial":
         """x_j * d/dx_j, an exponent-preserving derivation."""
-        return LaurentPolynomial(self.vars,
-                                 {e: c * e[j] for e, c in self.terms.items() if e[j] != 0},
-                                 self.field)
+        return _derivative(self, j, None)
 
     def scale_exponents(self, factors: Sequence[int]) -> "LaurentPolynomial":
         """Substitute x_j -> x_j^{h_j} (Kummer rescale of the support)."""
@@ -234,7 +260,7 @@ class LaurentPolynomial:
                     acc.pop(key, None)
                 else:
                     acc[key] = s
-        return LaurentPolynomial(self.vars, acc, self.field)
+        return LaurentPolynomial._trusted(self.vars, dict(sorted(acc.items())), self.field)
 
     def restrict_to_zero(self, j: int) -> "LaurentPolynomial":
         """Set x_j = 0; requires nonnegative exponents in x_j."""
@@ -244,7 +270,7 @@ class LaurentPolynomial:
                 raise ValueError("restriction of a pole to its own divisor")
             if e[j] == 0:
                 out[e] = c
-        return LaurentPolynomial(self.vars, out, self.field)
+        return LaurentPolynomial._trusted(self.vars, out, self.field)
 
     def evaluate(self, point: Mapping[str, object]) -> Scalar:
         """Full evaluation; negative exponents require nonzero coordinates."""
@@ -295,12 +321,26 @@ def pole_orders(phi: LaurentPolynomial, indices: Sequence[int]) -> Tuple[int, ..
     return tuple(max(0, -(phi.min_exponent(j) or 0)) for j in indices)
 
 
-def pole_monomial(phi: LaurentPolynomial, indices: Sequence[int]) -> LaurentPolynomial:
-    """The monomial prod x_j^{pole order of phi along x_j} over ``indices``."""
+def _pole_vector(phi: LaurentPolynomial, indices: Sequence[int]):
+    """Exponent vector of the pole monomial prod x_j^{pole order} over ``indices``."""
     exp = [0] * len(phi.vars)
     for j, p in zip(indices, pole_orders(phi, indices)):
         exp[j] = p
-    return LaurentPolynomial.monomial(phi.vars, exp, 1, phi.field)
+    return exp
+
+
+def _derivative(phi: LaurentPolynomial, j: int, shift) -> LaurentPolynomial:
+    """x_j d/dx_j (phi) with every exponent moved by ``shift`` (None: unmoved).
+
+    With ``shift`` the unit vector -e_j this is d/dx_j (phi).  The surviving
+    coefficients c * e_j are nonzero, and a translation keeps the
+    lexicographic order of the exponents, so the terms stay sorted.
+    """
+    if shift is None or not any(shift):
+        terms = {e: c * e[j] for e, c in phi.terms.items() if e[j]}
+    else:
+        terms = {tuple(map(add, e, shift)): c * e[j] for e, c in phi.terms.items() if e[j]}
+    return LaurentPolynomial._trusted(phi.vars, terms, phi.field)
 
 
 def twisted_differential(phi: LaurentPolynomial, log_indices: Sequence[int],
@@ -310,11 +350,18 @@ def twisted_differential(phi: LaurentPolynomial, log_indices: Sequence[int],
     D_l is x_l d/dx_l for l in ``log_indices`` and d/dx_l otherwise; t is
     the pole monomial of phi along the variables in ``along``.  These are the
     theta vectors of a rank-1 twist before their reduction along a divisor
-    or at a point.
+    or at a point.  Multiplying by t is an exponent shift by its pole
+    vector, and d/dx_l is x_l d/dx_l shifted once more by -1 in x_l.
     """
-    tw = pole_monomial(phi, along)
-    return tuple(tw * (phi.log_partial(l) if l in log_indices else phi.partial(l))
-                 for l in range(len(phi.vars)))
+    pole = _pole_vector(phi, along)
+    out = []
+    for l in range(len(phi.vars)):
+        shift = pole
+        if l not in log_indices:
+            shift = list(pole)
+            shift[l] -= 1
+        out.append(_derivative(phi, l, shift))
+    return tuple(out)
 
 
 def is_unit_in_R_n0(u: LaurentPolynomial) -> bool:
@@ -334,7 +381,9 @@ def monomial_times_unit(phi: LaurentPolynomial, log_indices: Sequence[int]):
     """
     if phi.is_zero:
         return None
-    shifted = phi * pole_monomial(phi, log_indices)
+    pole = _pole_vector(phi, log_indices)
+    shifted = LaurentPolynomial._trusted(
+        phi.vars, {tuple(map(add, e, pole)): c for e, c in phi.terms.items()}, phi.field)
     if is_unit_in_R_n0(shifted):
         return pole_orders(phi, log_indices), shifted
     return None

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+from time import perf_counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -287,6 +288,34 @@ def test_newton_json_keeps_slope_without_factorization(tmp_path, capsys):
     assert "cover degree 5" in entry["error"]
 
 
+def test_newton_refuses_to_factor_a_25_digit_residue(tmp_path, capsys):
+    # d^2 - (10^24+7) t^-4: the residue X^2 - (10^24+7) needs the divisors of
+    # a 25-digit integer, beyond the trial-division bound
+    op = {"schema": 1, "gauge": "d/dt", "order": 2,
+          "coeffs": [[], [[-4, str(-(10**24 + 7))]]]}
+    f = write(tmp_path, "op.json", op)
+    start = perf_counter()
+    code, out, err = run(capsys, "newton", f)
+    assert perf_counter() - start < 1
+    assert code == 0 and err == ""
+    assert "slope 1: residue factorization unavailable (the divisors of a 25-digit" in out
+    code, out, err = run(capsys, "newton", f, "--json")
+    assert code == 0 and err == ""
+    (entry,) = json.loads(out)["refined"]
+    assert entry["slope"] == "1" and "trial divisions" in entry["error"]
+
+
+def test_zcar_refuses_a_locus_beyond_trial_division(tmp_path, capsys):
+    # theta_x = -(y - N) on D(x): its rational zeros need the divisors of N
+    big = 10**24 + 7
+    doc = monomial_model(("x", "y"), ("x",), {(-1, 1): 1, (-1, 0): -big})
+    f = write(tmp_path, "big.json", doc)
+    for extra in ((), ("--json",)):
+        code, out, err = run(capsys, "zcar", f, *extra)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "25-digit integer" in err
+
+
 def test_newton_command(tmp_path, capsys):
     op = {"schema": 1, "gauge": "d/dt", "order": 2,
           "coeffs": [[], [[-3, "-1"]]]}
@@ -501,6 +530,20 @@ _MODEL_COMMANDS = [("validate",), ("irr",), ("clean",), ("zcar",), ("zcar", "--r
     + [("chi", "--formula", f, *r) for f in ("kato", "ep", "kd") for r in ((), ("--require-clean",))]
 
 
+def _run_checked(*argv):
+    """Run the CLI: the exit code is 0, 2, 3 or 4, a refusal prints one stderr
+    line and nothing on stdout, and --json on success prints one JSON object."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    assert code in (0, 2, 3, 4), (argv, err.getvalue())
+    if code:
+        assert out.getvalue() == "" and err.getvalue().count("\n") == 1, argv
+    elif "--json" in argv:
+        lines = out.getvalue().splitlines()
+        assert len(lines) == 1 and isinstance(json.loads(lines[0]), dict), argv
+
+
 @settings(derandomize=True, deadline=None, max_examples=40)
 @given(_model_documents())
 def test_model_document_fuzz_exit_codes_and_json(tmp_path_factory, doc):
@@ -509,12 +552,68 @@ def test_model_document_fuzz_exit_codes_and_json(tmp_path_factory, doc):
     path.write_text(json.dumps(doc))
     for command, *rest in _MODEL_COMMANDS:
         for extra in ((), ("--json",)):
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main([command, str(path), *rest, *extra])
-            assert code in (0, 2, 3, 4), (command, doc, err.getvalue())
-            if code:
-                assert out.getvalue() == "" and err.getvalue().count("\n") == 1, (command, doc)
-            elif extra:
-                lines = out.getvalue().splitlines()
-                assert len(lines) == 1 and isinstance(json.loads(lines[0]), dict), (command, doc)
+            _run_checked(command, str(path), *rest, *extra)
+
+
+@st.composite
+def _monomial_documents(draw):
+    """Monomial-module documents on charts of 1-3 coordinates; some carry a
+    relation with a negative or missing exponent, a missing generator or a
+    non-integer degree on purpose."""
+    vars = ["x", "y", "z"][:draw(st.sampled_from((2, 1, 3)))]
+    n = len(vars)
+    log_vars = sorted(draw(st.sets(st.sampled_from(vars), min_size=1)))
+    ngen = draw(st.integers(1, 3))
+    bad = draw(st.integers(0, 5)) == 0
+    exp = st.lists(st.integers(-1 if bad else 0, 3), min_size=n - bad, max_size=n)
+    degree = st.sampled_from((0, 1, -2, "1/2")) if bad else st.integers(-2, 2)
+    relation = st.fixed_dictionaries({"gen": st.integers(0, ngen - (not bad)),
+                                      "x_exp": exp, "xi_exp": exp})
+    return {"schema": 1, "chart": {"vars": vars, "log_vars": log_vars},
+            "monomial_module": {
+                "generators": [{"degree": draw(degree)} for _ in range(ngen)],
+                "relations": draw(st.lists(relation, max_size=4))}}
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(_monomial_documents())
+def test_monomial_module_fuzz_exit_codes_and_json(tmp_path_factory, doc):
+    path = tmp_path_factory.getbasetemp() / "monomial_fuzz.json"
+    path.write_text(json.dumps(doc))
+    for extra in ((), ("--json",)):
+        _run_checked("zcar", str(path), *extra)
+
+
+@st.composite
+def _curve_oracle_documents(draw):
+    """Curve models for the de Rham oracle: mostly one rank-1 summand on a
+    one-coordinate chart, sometimes a second summand, a higher rank, a second
+    coordinate, fractional exponents or Kummer data.  A window <= 6 is stable
+    only for a constant twist, so one document in three has no pole."""
+    vars = ["x", "y"][:1 + (draw(st.integers(0, 5)) == 0)]
+    exp = st.just(0) if draw(st.integers(0, 2)) == 0 else \
+        st.one_of(st.integers(-3, 3), st.sampled_from(("-1/2", "-3/2")))
+    coeff = st.builds(lambda p, q: f"{p}/{q}", st.integers(-3, 3), st.sampled_from((1, 2)))
+    term = st.fixed_dictionaries({
+        "coeff": coeff, "exp": st.tuples(exp, *[st.integers(0, 1)] * (len(vars) - 1)).map(list)})
+    summand = st.fixed_dictionaries({"phi": st.lists(term, min_size=1, max_size=3),
+                                     "rank": st.sampled_from((1, 1, 1, 1, 2))})
+    doc = {"schema": 1, "chart": {"vars": vars, "log_vars": ["x"]},
+           "model": draw(st.lists(summand, min_size=1,
+                                  max_size=1 + (draw(st.integers(0, 4)) == 0))),
+           "geometry": {"kind": "curve", "genus": 0,
+                        "punctures": [{"name": "x", "irregularities": []},
+                                      {"name": "inf", "irregularities": ["0"]}]}}
+    if draw(st.integers(0, 4)) == 0:
+        doc["kummer"] = [draw(st.integers(1, 3))]
+    return doc, draw(st.sampled_from((6, 5, 2, -1)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(_curve_oracle_documents())
+def test_curve_oracle_fuzz_exit_codes_and_json(tmp_path_factory, case):
+    doc, window = case
+    path = tmp_path_factory.getbasetemp() / "oracle_fuzz.json"
+    path.write_text(json.dumps(doc))
+    for extra in ((), ("--json",)):
+        _run_checked("oracle", "chi-curve", str(path), "--window", str(window), *extra)

@@ -4,8 +4,9 @@ from math import lcm
 
 import pytest
 
-from logchar.field import (QQ, FieldError, NumberField, Scalar, _divisors, _poly_mul,
-                           parse_rational, rational_roots)
+from logchar import cdvf
+from logchar.field import (MAX_DIVISOR_STEPS, QQ, FactorizationError, FieldError, NumberField,
+                           Scalar, _divisors, _poly_mul, parse_rational, rational_roots)
 
 
 def test_rational_basics():
@@ -180,3 +181,13 @@ def test_rational_roots_agree_with_reference():
         assert all(type(r) is Fraction for r in got)
     assert rational_roots([0, 0, 3]) == [0]
     assert rational_roots([5]) == [] and rational_roots([]) == []
+
+
+def test_trial_division_is_bounded():
+    # isqrt(n) trial divisions are allowed up to the bound, one more is refused
+    assert len(_divisors(MAX_DIVISOR_STEPS ** 2)) == 169  # 10^12 = 2^12 5^12
+    with pytest.raises(FactorizationError, match="13-digit integer"):
+        _divisors((MAX_DIVISOR_STEPS + 1) ** 2)
+    with pytest.raises(FactorizationError):
+        rational_roots([-(10**24 + 7), 0, 1])
+    assert cdvf.FactorizationError is FactorizationError

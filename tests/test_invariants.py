@@ -94,3 +94,19 @@ def test_every_public_function_has_a_caller_outside_tests():
                     and not stmt.name.startswith("_") and stmt.name not in used
                     and not re.search(rf"\b{stmt.name}\b", bench))
     assert not unused, unused
+
+
+def test_trusted_laurent_constructor_stays_in_laurent():
+    # LaurentPolynomial._trusted skips every check of the normal form; only
+    # laurent.py, whose results already hold it, may build through it.
+    root = Path(__file__).resolve().parent.parent
+    files = [p for d in ("src/logchar", "bench", "tools", "tests")
+             for p in sorted((root / d).glob("*.py"))]
+    users = set()
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = node.id if isinstance(node, ast.Name) else \
+                node.attr if isinstance(node, ast.Attribute) else None
+            if name == "_trusted":
+                users.add(path.relative_to(root).as_posix())
+    assert users == {"src/logchar/laurent.py"}, users

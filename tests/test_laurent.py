@@ -1,12 +1,17 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from logchar.field import QQ, NumberField, Scalar
 from logchar.laurent import (
     LaurentPolynomial,
     is_unit_in_R_n0,
     monomial_times_unit,
+    pole_orders,
+    twisted_differential,
 )
 
 L = LaurentPolynomial
@@ -88,3 +93,116 @@ def test_evaluate():
 def test_scale_exponents():
     phi = P(("x", "y"), {(-2, 1): 5})
     assert phi.scale_exponents((3, 1)) == P(("x", "y"), {(-6, 1): 5})
+
+
+# -- the twisted differential against its product formula ----------------------
+
+Q2 = NumberField([-2, 0, 1])  # Q(a), a^2 = 2
+VARS = ("x", "y", "z")
+
+
+def _reference_derivative(phi, l, log):
+    """x_l d/dx_l (log) or d/dx_l of phi, term by term through the public
+    constructor."""
+    terms = {}
+    for e, c in phi.terms.items():
+        if e[l]:
+            d = list(e)
+            d[l] -= 0 if log else 1
+            terms[tuple(d)] = c * e[l]
+    return L(phi.vars, terms, phi.field)
+
+
+def _reference_pole_monomial(phi, along):
+    """The monomial prod x_j^{pole order of phi along x_j} over ``along``."""
+    exp = [0] * len(phi.vars)
+    for j, p in zip(along, pole_orders(phi, along)):
+        exp[j] = p
+    return L.monomial(phi.vars, exp, 1, phi.field)
+
+
+def _reference_twisted_differential(phi, log_indices, along):
+    """theta_l = pole_monomial(phi, along) * D_l(phi) as a polynomial product."""
+    tw = _reference_pole_monomial(phi, along)
+    return tuple(tw * _reference_derivative(phi, l, l in log_indices)
+                 for l in range(len(phi.vars)))
+
+
+def _subsets(n):
+    return [c for k in range(n + 1) for c in itertools.combinations(range(n), k)]
+
+
+@st.composite
+def _laurent(draw, n=None, field=None):
+    """phi over Q or Q(sqrt 2) on 1-3 variables; log variables may carry poles."""
+    n = draw(st.integers(1, 3)) if n is None else n
+    field = draw(st.sampled_from((QQ, Q2))) if field is None else field
+    log = draw(st.sets(st.integers(0, n - 1)))
+    exps = st.tuples(*[st.integers(-3, 3) if j in log else st.integers(0, 3)
+                       for j in range(n)])
+    rat = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    coeff = rat.map(field) if field.is_rational else \
+        st.tuples(rat, rat).map(lambda ab: field(ab[0]) + field.gen() * ab[1])
+    return L(VARS[:n], draw(st.dictionaries(exps, coeff, max_size=4)), field)
+
+
+def _assert_normal(p, field=None):
+    """p holds the normal form: sorted int-tuple exponents of p's arity and
+    nonzero coefficients of p's field (``field`` when given)."""
+    assert type(p.vars) is tuple
+    if field is not None:
+        assert p.field == field
+    keys = list(p.terms)
+    assert keys == sorted(keys)
+    for e, c in p.terms.items():
+        assert type(e) is tuple and len(e) == len(p.vars)
+        assert all(type(a) is int for a in e)
+        assert isinstance(c, Scalar) and c.field == p.field and not c.is_zero
+    rebuilt = L(p.vars, p.terms, p.field)
+    assert list(rebuilt.terms.items()) == list(p.terms.items())
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(_laurent())
+def test_twisted_differential_is_the_pole_monomial_product(phi):
+    for log_indices in _subsets(len(phi.vars)):
+        for along in _subsets(len(phi.vars)):
+            got = twisted_differential(phi, log_indices, along)
+            want = _reference_twisted_differential(phi, log_indices, along)
+            assert got == want, (phi, log_indices, along)
+            for t in got:
+                _assert_normal(t, phi.field)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    _laurent(n=n), _laurent(n=n), _laurent(n=n, field=QQ), _laurent(n=n, field=Q2))))
+def test_trusted_results_hold_the_normal_form(polys):
+    p, q, r, k = polys
+    n = len(p.vars)
+    same = [q] if q.field == p.field else []
+    for out in [-p, p * 3, p * Fraction(-2, 3), p * p.field(5), p * 0] + \
+            [p + o for o in same] + [p * o for o in same] + [p - o for o in same]:
+        _assert_normal(out, p.field)
+    # Q x Q(sqrt 2): the result lives in the number field
+    for out in (r + k, k + r, r * k, k * r, r - k):
+        _assert_normal(out, Q2)
+    _assert_normal(r * Q2.gen())  # a zero r keeps its field
+    for j in range(n):
+        _assert_normal(p.partial(j), p.field)
+        _assert_normal(p.log_partial(j), p.field)
+        lifted = p * L.monomial(p.vars, [3 if i == j else 0 for i in range(n)], 1, p.field)
+        _assert_normal(lifted.restrict_to_zero(j), p.field)
+        _assert_normal(lifted.shift_variable(j, Fraction(1, 2)), p.field)
+    got = monomial_times_unit(p, list(range(n)))
+    if got is not None:
+        _assert_normal(got[1], p.field)
+
+
+def test_scalar_product_drops_zero_divisor_products():
+    # a degree-6 modulus is trusted unverified; (a^3 - 2)(a^3 - 3) is reducible
+    with pytest.warns(UserWarning):
+        k = NumberField([6, 0, 0, -5, 0, 0, 1])
+    a3 = k.gen() ** 3
+    p = L(("x", "y"), {(1, 0): a3 - 2, (0, 1): 1}, k)
+    assert (p * (a3 - 3)).terms == {(0, 1): a3 - 3}

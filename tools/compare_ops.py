@@ -1,0 +1,127 @@
+"""Byte-identity check of two logchar checkouts on the benchmark corpus.
+
+    python3 tools/compare_ops.py OLD_ROOT NEW_ROOT
+
+Each root is a checkout with ``src/logchar`` and ``bench/corpus.py``.  For
+each root, a child process of its own imports that checkout's engine and
+corpus, builds every op of ``corpus.build`` for seeds 0-2 of all workloads
+and runs it in-process: CLI ops through ``logchar.cli.main`` on documents
+written to a temporary directory, ``cyclic`` ops through
+``logchar.cdvf.cyclic_vector``.  An op's record is its exit code, stdout,
+stderr and, for ``cyclic``, the ``repr`` of the returned operator (an
+exception is recorded by its type and message).  The first op whose record
+differs between the two roots is reported, and the exit status is 1; it is
+0 when every op matches.  Nothing is written under either checkout.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+SEEDS = (0, 1, 2)
+FIELDS = ("exit", "stdout", "stderr", "repr")
+
+
+def _cyclic_call(cdvf, series_cls, matrix):
+    rows = [[series_cls("t", {int(e): c for e, c in entry.items()}) for entry in row]
+            for row in matrix["rows"]]
+    return lambda: cdvf.cyclic_vector(rows)
+
+
+def _run_op(call):
+    out, err = io.StringIO(), io.StringIO()
+    record = {"repr": None}
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            result = call()
+    except Exception as exc:  # recorded and compared like any other answer
+        record["exit"] = f"raised {type(exc).__name__}: {exc}"
+    else:
+        if isinstance(result, int):
+            record["exit"] = result
+        else:
+            record["exit"], record["repr"] = 0, repr(result)
+    record["stdout"], record["stderr"] = out.getvalue(), err.getvalue()
+    return record
+
+
+def dump(root):
+    """Run the corpus on the checkout at ``root``; print one JSON list."""
+    sys.dont_write_bytecode = True
+    root = os.path.abspath(root)
+    sys.path[:0] = [os.path.join(root, "bench"), os.path.join(root, "src")]
+    import corpus
+    import logchar.cdvf
+    import logchar.cli
+    import logchar.series
+
+    records = []
+    with tempfile.TemporaryDirectory() as tmp:
+        # relative document paths, so that messages naming a file match
+        os.chdir(tmp)
+        for workload in corpus.WORKLOADS:
+            for seed in SEEDS:
+                written = set()
+                for op in corpus.build(workload, seed):
+                    if op.command == "cyclic":
+                        call = _cyclic_call(logchar.cdvf, logchar.series.LaurentSeries,
+                                            op.matrix)
+                    else:
+                        argv = [os.path.join(f"{workload}-{seed}", a) if a.endswith(".json")
+                                else a for a in op.argv]
+                        path = next(a for a in argv if a.endswith(".json"))
+                        if path not in written:
+                            written.add(path)
+                            os.makedirs(os.path.dirname(path), exist_ok=True)
+                            with open(path, "w", encoding="utf-8") as fh:
+                                json.dump(op.doc, fh, sort_keys=True)
+                        call = (lambda a: lambda: logchar.cli.main(a))(argv)
+                    records.append({"op": f"{workload}/{seed}/{op.id}", **_run_op(call)})
+        os.chdir(root)
+    json.dump(records, sys.stdout)
+
+
+def _records(root):
+    proc = subprocess.run([sys.executable, "-B", os.path.abspath(__file__), "--dump", root],
+                          capture_output=True, text=True)
+    if proc.returncode != 0:
+        sys.exit(f"{root}: corpus run failed\n{proc.stderr}")
+    return json.loads(proc.stdout)
+
+
+def compare(old_root, new_root):
+    old, new = _records(old_root), _records(new_root)
+    for a, b in zip(old, new):
+        if a["op"] != b["op"]:
+            print(f"op lists differ: {a['op']} vs {b['op']}")
+            return 1
+        for field in FIELDS:
+            if a[field] != b[field]:
+                print(f"{a['op']}: {field} differs\n  old: {a[field]!r}\n  new: {b[field]!r}")
+                return 1
+    if len(old) != len(new):
+        print(f"op counts differ: {len(old)} vs {len(new)}")
+        return 1
+    print(f"{len(old)} ops identical (exit code, stdout, stderr, returned operator)")
+    return 0
+
+
+def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) == 2 and argv[0] == "--dump":
+        dump(argv[1])
+        return 0
+    if len(argv) != 2:
+        print("usage: python3 tools/compare_ops.py OLD_ROOT NEW_ROOT", file=sys.stderr)
+        return 2
+    return compare(*argv)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
