@@ -24,6 +24,7 @@ from .goodmodel import (clean_at_point, irregularity_divisor, nonclean_locus, re
 from .modeldoc import SchemaError, load_json, parse_model_document, \
     parse_operator_document
 from .series import PrecisionError
+from .tropical import RayBudgetError
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -34,7 +35,7 @@ EXIT_ASSERTION = 4
 ERRORS = (
     ((IntegralityError, CodimensionError), EXIT_ASSERTION, "internal assertion failure"),
     ((SchemaError, GeometryError, FactorizationError, PrecisionError, WindowError,
-      ValueError), EXIT_INVALID, "invalid input"),
+      RayBudgetError, ValueError), EXIT_INVALID, "invalid input"),
 )
 
 

@@ -394,6 +394,13 @@ class Scalar:
 
     __rmul__ = __mul__
 
+    def _times_int(self, k: int) -> "Scalar":
+        """self * k for an int k; a rational self scales its one Fraction
+        directly, without the operand checks of ``__mul__``."""
+        if self.field.modulus is None:
+            return Scalar._rational(self.field, self.coeffs[0] * k if self.coeffs else 0)
+        return self * k
+
     def inverse(self) -> "Scalar":
         if self.is_zero:
             raise ZeroDivisionError("scalar inverse of zero")

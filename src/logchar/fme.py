@@ -1,125 +1,55 @@
-"""Exact Fourier-Motzkin elimination for small homogeneous systems.
+"""The vertex ray cut out of the octant by n - 1 integer walls.
 
-A constraint is (coeffs, strict) and reads  <coeffs, r> >= 0  (or > 0 when
-strict).  All systems here are homogeneous, so a row may be scaled by any
-positive number: each input row (int or Fraction entries) is brought to a
-primitive integer vector, and each combination formed during elimination is
-divided by the gcd of its entries.  Rows that are positive multiples of each
-other therefore coincide and are merged before the next stage.  The only
-caller, ``tropical.sorted_profile_linear``, passes one system per vertex ray:
-n - 1 walls as pairs of opposite rows and one strict row (the coordinates
-sum to more than 0), in the n variables of the radius functions: the
-divisors through the point for cleanness, all chart coordinates for
-numerical cleanness.  Nothing bounds n; elimination can grow doubly
-exponentially in it.  Feasibility returns a witness point built by
-back-substitution, the only step that uses ``Fraction`` (each bound is
-rhs / a).
+``tropical.sorted_profile_linear`` asks, for each choice of n - 1 walls
+(the rows of an integer matrix W with n columns), for the ray of the octant
+on which every wall vanishes.  When W has rank n - 1 its kernel is the line
+spanned by the signed maximal minors v_j = (-1)^j det W_j, where W_j drops
+column j: <w_i, v> is the determinant of W with the row w_i repeated, so 0.
+The minors come from one fraction-free Gauss-Jordan elimination (Bareiss,
+Math. Comp. 22, 1968): after each step every entry is a minor of W, so each
+division by the previous pivot is exact and no rational number appears.  At
+the end every pivot row holds d = det W_c at its pivot column, where c is
+the one column left without a pivot, and at column c the minor with that
+pivot column replaced by column c (Cramer's rule); up to one common sign
+these are the signed maximal minors.  The line meets the octant away from
+the apex iff the nonzero minors share a sign; otherwise, or when W is rank
+deficient (every minor is zero, so no single ray is cut out), there is none.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd, lcm
-from typing import List, Optional, Sequence, Tuple, Union
+from math import gcd
+from typing import List, Optional, Sequence, Tuple
 
-Constraint = Tuple[Tuple[Union[int, Fraction], ...], bool]
 Row = Tuple[int, ...]
 
 
-def _primitive(coeffs) -> Row:
-    """The positive multiple of a rational row with coprime integer entries."""
-    den = lcm(*(c.denominator for c in coeffs))
-    ints = [c.numerator * (den // c.denominator) for c in coeffs]
-    g = gcd(*ints)
-    return tuple(x // g for x in ints) if g > 1 else tuple(ints)
-
-
-def feasible_point(constraints: Sequence[Constraint],
-                   nvars: int) -> Optional[Tuple[Fraction, ...]]:
-    """A rational point with r >= 0 satisfying all constraints, or None if
-    infeasible.
-
-    Rows may hold ints or Fractions; the constraints r_j >= 0 are added
-    implicitly.
-    """
-    system: List[Tuple[Row, bool]] = [(_primitive(c), bool(s)) for c, s in constraints]
-    for c, _ in system:
-        if len(c) != nvars:
-            raise ValueError("constraint arity mismatch")
-    for j in range(nvars):
-        system.append((tuple(int(k == j) for k in range(nvars)), False))
-
-    stages = []  # per eliminated variable: constraints mentioning it
-    current = _dedupe(system)
-    for var in range(nvars - 1, -1, -1):
-        mentioning = [c for c in current if c[0][var] != 0]
-        rest = [c for c in current if c[0][var] == 0]
-        stages.append((var, mentioning))
-        pos = [c for c in mentioning if c[0][var] > 0]
-        neg = [c for c in mentioning if c[0][var] < 0]
-        for pc, ps in pos:
-            for nc, ns in neg:
-                # eliminate: pc scaled by -nc[var], nc scaled by pc[var]
-                a = -nc[var]
-                b = pc[var]
-                combo = [a * x + b * y for x, y in zip(pc, nc)]
-                g = gcd(*combo)
-                rest.append((tuple(x // g for x in combo) if g > 1 else tuple(combo),
-                             ps or ns))
-        current = _dedupe(rest)
-
-    for c, strict in current:
-        # all-zero rows remain; <0,r> is 0
-        if strict:
+def feasible_point(walls: Sequence[Row], n: int) -> Optional[Row]:
+    """The primitive nonnegative integer vector spanning the ray of the octant
+    on which the n - 1 ``walls`` (integer rows of n entries) vanish, or None
+    if they cut out no ray."""
+    rows: List[Sequence[int]] = list(walls)
+    free = list(range(n))
+    pivots = []
+    prev = 1
+    for k in range(n - 1):
+        top = rows[k]
+        c = next((j for j in free if top[j]), None)
+        if c is None:
+            return None  # rank deficient
+        free.remove(c)
+        pivots.append(c)
+        p = top[c]
+        rows = [r if i == k else [(p * x - r[c] * y) // prev for x, y in zip(r, top)]
+                for i, r in enumerate(rows)]
+        prev = p
+    ray = [0] * n
+    ray[free[0]] = -prev
+    for r, c in zip(rows, pivots):
+        ray[c] = r[free[0]]
+    if any(x < 0 for x in ray):
+        if any(x > 0 for x in ray):
             return None
-
-    # back-substitute from the innermost stage outwards; a row of stage var
-    # mentions only the variables 0..var
-    values: List[Fraction] = []
-    for var, mentioning in reversed(stages):
-        lo, lo_strict = None, False
-        hi, hi_strict = None, False
-        for coeffs, strict in mentioning:
-            rhs = -sum(c * v for c, v in zip(coeffs, values) if c)
-            a = coeffs[var]
-            bound = Fraction(rhs, a)
-            if a > 0:  # var >= bound
-                if lo is None or bound > lo:
-                    lo, lo_strict = bound, strict
-                elif bound == lo:
-                    lo_strict = lo_strict or strict
-            else:  # var <= bound
-                if hi is None or bound < hi:
-                    hi, hi_strict = bound, strict
-                elif bound == hi:
-                    hi_strict = hi_strict or strict
-        v = _pick(lo, lo_strict, hi, hi_strict)
-        if v is None:
-            return None
-        values.append(v)
-    return tuple(values)
-
-
-def _pick(lo, lo_strict, hi, hi_strict):
-    if lo is None and hi is None:
-        return Fraction(0)
-    if lo is None:
-        return hi - 1 if hi_strict else hi
-    if hi is None:
-        return lo + 1 if lo_strict else lo
-    if lo > hi:
-        return None
-    if lo == hi:
-        if lo_strict or hi_strict:
-            return None
-        return lo
-    return (lo + hi) / 2
-
-
-def _dedupe(constraints):
-    seen = {}
-    for c, s in constraints:
-        if not s and not any(c):
-            continue
-        seen[c] = seen.get(c, False) or s
-    return [(c, s) for c, s in seen.items()]
+        ray = [-x for x in ray]
+    g = gcd(*ray)
+    return tuple(x // g for x in ray)

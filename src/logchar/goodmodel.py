@@ -298,14 +298,16 @@ def clean_at_point(model: GoodModel, z: Mapping[str, object]):
     J + R + K, divisors through z first.  Cleanness asks for linearity of the
     sorted functions restricted to J, plus nonvanishing reduced theta;
     numerical cleanness asks for their linearity on the whole local octant.
-    Returns (clean, CleanCertificate).
+    The forms are the integer cover exponents -e_j, not the radii -e_j / h_j
+    of the Kummer degrees h_j: dividing coordinate j by h_j is a positive
+    diagonal change of coordinates of the octant, which keeps every
+    linearity verdict.  Returns (clean, CleanCertificate).
     """
     pt = _normalize_point(model, z)
     frame = _local_frame(model, pt)
     J, R, K = frame
     coords = J + R + K
-    kv = model.kummer_for_var()
-    forms = [[tuple(Fraction(-e[j], kv[j]) for j in coords)
+    forms = [[tuple(-e[j] for j in coords)
               for e in local_support(s.phi, model, pt, frame)] for s in model.summands]
 
     def profile(n):

@@ -28,6 +28,16 @@ class DimensionMismatch(ValueError):
     pass
 
 
+def _join(a: NumberField, b: NumberField) -> NumberField:
+    """The field of a sum or product of operands over ``a`` and ``b``, with or
+    without terms: QQ widens to a number field, distinct number fields clash."""
+    if a == b or b.is_rational:
+        return a
+    if a.is_rational:
+        return b
+    raise DimensionMismatch("fields differ")
+
+
 class LaurentPolynomial:
     __slots__ = ("vars", "terms", "field")
 
@@ -125,13 +135,7 @@ class LaurentPolynomial:
     def _check_same(self, other):
         if self.vars != other.vars:
             raise DimensionMismatch("variable lists differ")
-        if self.field != other.field:
-            if self.field.is_rational:
-                return other.field
-            if other.field.is_rational:
-                return self.field
-            raise DimensionMismatch("fields differ")
-        return self.field
+        return _join(self.field, other.field)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -173,11 +177,12 @@ class LaurentPolynomial:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):
             c0 = other if isinstance(other, Scalar) else self.field(other)
+            field = _join(self.field, c0.field)
             if c0.is_zero:
-                return LaurentPolynomial.zero(self.vars, self.field)
+                return LaurentPolynomial.zero(self.vars, field)
             if c0.field != self.field:
                 return LaurentPolynomial(self.vars, {e: c * c0 for e, c in self.terms.items()},
-                                         self.field)
+                                         field)
             # a trusted degree 5-6 modulus may be reducible: drop zero divisors' products
             return LaurentPolynomial._trusted(self.vars, {e: v for e, c in self.terms.items()
                                                           if not (v := c * c0).is_zero},
@@ -337,9 +342,10 @@ def _derivative(phi: LaurentPolynomial, j: int, shift) -> LaurentPolynomial:
     lexicographic order of the exponents, so the terms stay sorted.
     """
     if shift is None or not any(shift):
-        terms = {e: c * e[j] for e, c in phi.terms.items() if e[j]}
+        terms = {e: c._times_int(e[j]) for e, c in phi.terms.items() if e[j]}
     else:
-        terms = {tuple(map(add, e, shift)): c * e[j] for e, c in phi.terms.items() if e[j]}
+        terms = {tuple(map(add, e, shift)): c._times_int(e[j])
+                 for e, c in phi.terms.items() if e[j]}
     return LaurentPolynomial._trusted(phi.vars, terms, phi.field)
 
 

@@ -2,14 +2,17 @@
 
 A TropicalFn is max of finitely many linear forms <b, r> with b in Q^n, the
 zero form always present (radii are capped at 1, so the functions are
-nonnegative), and every coordinate ranges over [0, oo).  A restriction to
-some of the coordinates is a TropicalFn on those coordinates alone.
+nonnegative), and every coordinate ranges over [0, oo).  Integer entries
+stay ints; any other entry is made a Fraction.  A restriction to some of the
+coordinates is a TropicalFn on those coordinates alone.
 
 Linearity on the octant is decided exactly: a max of linear forms is linear
 iff one form dominates the others coordinatewise, and a failure is witnessed
 by two unit points.  Sorted profiles are checked at the vertex rays of the
-arrangement of their forms; each ray point is an exact Fourier-Motzkin
-feasibility witness, never a float.
+arrangement of their forms, in integer arithmetic: each ray is the integer
+kernel of n - 1 walls (``fme.feasible_point``), evaluated once however many
+choices of walls cut it out.  The number of such choices is bounded by
+``MAX_RAY_SUBSETS``; past it the check refuses with ``RayBudgetError``.
 """
 
 from __future__ import annotations
@@ -17,12 +20,23 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from operator import ge, mul
+from typing import Optional, Sequence, Tuple, Union
 
-from .fme import _primitive, feasible_point
+from .fme import feasible_point
 from .record import Record
 
-Form = Tuple[Fraction, ...]
+Form = Tuple[Union[int, Fraction], ...]
+
+# choices of n - 1 walls the vertex-ray check may enumerate: about 1 s at the
+# 15-20 us one choice costs on 3 or 4 coordinates (CPython 3.11 on one x86
+# core); more coordinates cost more per choice
+MAX_RAY_SUBSETS = 50_000
+
+
+class RayBudgetError(ValueError):
+    """The vertex-ray check would enumerate more than MAX_RAY_SUBSETS choices
+    of walls."""
 
 
 class TropicalFn:
@@ -31,11 +45,11 @@ class TropicalFn:
     def __init__(self, nvars: int, forms):
         cleaned = set()
         for f in forms:
-            f = tuple(Fraction(x) for x in f)
+            f = tuple(x if type(x) is int else Fraction(x) for x in f)
             if len(f) != nvars:
                 raise ValueError("form arity mismatch")
             cleaned.add(f)
-        cleaned.add((Fraction(0),) * nvars)
+        cleaned.add((0,) * nvars)
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "forms", tuple(sorted(cleaned)))
 
@@ -63,11 +77,11 @@ class LinearityWitness(Record):
     linear: bool
     dominating_form: Optional[Form] = None
     crossing_forms: Optional[Tuple[Form, Form]] = None
-    crossing_points: Optional[Tuple[Tuple[Fraction, ...], Tuple[Fraction, ...]]] = None
+    crossing_points: Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]] = None
 
 
 def _dominates(f: Form, g: Form) -> bool:
-    return all(a >= b for a, b in zip(f, g))
+    return all(map(ge, f, g))
 
 
 def is_linear_on_octant(f: TropicalFn):
@@ -90,7 +104,7 @@ def is_linear_on_octant(f: TropicalFn):
 def _axis_point(a: Form, b: Form):
     """Unit point of the first coordinate where <a,r> > <b,r>."""
     j = next(j for j, (x, y) in enumerate(zip(a, b)) if x > y)
-    return tuple(Fraction(int(k == j)) for k in range(len(a)))
+    return tuple(int(k == j) for k in range(len(a)))
 
 
 class RadiusProfile:
@@ -133,13 +147,14 @@ def sorted_profile_linear(profile: RadiusProfile):
     the walls f = g of incomparable forms.  On each cell of that arrangement
     the order of all forms is fixed, so g_i is one form there; each cell is
     the cone over its vertex rays, hence g_i is linear iff it agrees at every
-    vertex ray with c_i(r) = sum_j g_i(e_j) r_j.
-    That check runs on integers.  Every form is multiplied by the lcm L of
-    the denominators in the profile and each ray point by a positive number
-    that makes it a primitive integer vector.  g_i and c_i are positively
-    homogeneous in the point and both scale by L with the forms, so
-    g_i(p) = c_i(p) holds after the scaling exactly when it held before.
-    Returns (all_linear, per_index_verdicts).
+    vertex ray with c_i(r) = sum_j g_i(e_j) r_j.  Every vertex ray is cut
+    out by n - 1 independent walls, so the rays are the integer kernels of
+    the (n - 1)-subsets of walls that meet the octant, each a primitive
+    integer vector; a ray cut out by several subsets is evaluated once.
+    The check runs on integers: every form is multiplied by the lcm L of the
+    denominators in the profile, and g_i and c_i both scale by L.
+    Returns (all_linear, per_index_verdicts); raises RayBudgetError when the
+    walls have more than MAX_RAY_SUBSETS subsets of size n - 1.
     """
     fns = profile.entries
     rank = profile.rank
@@ -165,38 +180,48 @@ def sorted_profile_linear(profile: RadiusProfile):
     entries = [([tuple(x.numerator * (den // x.denominator) for x in f) for f in fn.forms], mult)
                for fn, mult in fns]
     eye = [tuple(int(k == j) for k in range(nvars)) for j in range(nvars)]
-    units = [_int_values(entries, e) for e in eye]
+    forms = sorted({f for fs, _ in entries for f in fs})
+    walls = _walls(forms, eye)
+    subsets = math.comb(len(walls), nvars - 1)
+    if subsets > MAX_RAY_SUBSETS:
+        raise RayBudgetError(
+            f"the vertex-ray check needs {subsets} choices of {nvars - 1} among "
+            f"{len(walls)} walls in {nvars} coordinates, more than {MAX_RAY_SUBSETS}")
+    position = {f: k for k, f in enumerate(forms)}
+    groups = [([position[f] for f in fs], mult) for fs, mult in entries]
+    # c_i(r) = <candidate_i, r>: the values of g_i at the unit points
+    candidates = list(zip(*(_int_values(forms, groups, e) for e in eye)))
     verdicts = [True] * rank
-    # the coordinates sum to more than 0: one point per ray, never the apex
-    base = [((1,) * nvars, True)]
-    for subset in itertools.combinations(_walls(entries, eye), nvars - 1):
-        rows = base + [(w, False) for w in subset] + [(tuple(-x for x in w), False) for w in subset]
-        pt = feasible_point(rows, nvars)
-        if pt is None:
+    seen = set()
+    for subset in itertools.combinations(walls, nvars - 1):
+        ray = feasible_point(subset, nvars)
+        if ray is None or ray in seen:
             continue
-        pt = _primitive(pt)
-        values = _int_values(entries, pt)
-        for i in range(rank):
-            if verdicts[i] and values[i] != sum(u[i] * x for u, x in zip(units, pt)):
+        seen.add(ray)
+        values = _int_values(forms, groups, ray)
+        for i, c in enumerate(candidates):
+            if verdicts[i] and values[i] != sum(map(mul, c, ray)):
                 verdicts[i] = False
         if not any(verdicts):
             break
     return all(verdicts), tuple(verdicts)
 
 
-def _int_values(entries, r):
-    """value_multiset at r of a profile with integer forms and an integer point."""
+def _int_values(forms, groups, r):
+    """value_multiset at the integer point r of a profile with integer forms:
+    each distinct form is evaluated once, and a group lists the positions of
+    one constituent's forms with its multiplicity."""
+    dots = [sum(map(mul, f, r)) for f in forms]
     out = []
-    for forms, mult in entries:
-        out.extend([max(sum(b * x for b, x in zip(f, r)) for f in forms)] * mult)
+    for ks, mult in groups:
+        out.extend([max(map(dots.__getitem__, ks))] * mult)
     return sorted(out, reverse=True)
 
 
-def _walls(entries, eye):
+def _walls(forms, eye):
     """Coordinate hyperplanes (the unit rows ``eye``) and primitive walls f - g
-    of incomparable integer forms."""
+    of incomparable integer ``forms``."""
     walls = list(eye)
-    forms = sorted({f for fs, _ in entries for f in fs})
     for f, g in itertools.combinations(forms, 2):
         if not (_dominates(f, g) or _dominates(g, f)):
             diff = [a - b for a, b in zip(f, g)]

@@ -305,6 +305,21 @@ def test_newton_refuses_to_factor_a_25_digit_residue(tmp_path, capsys):
     assert entry["slope"] == "1" and "trial divisions" in entry["error"]
 
 
+def test_clean_refuses_past_the_ray_budget(tmp_path, capsys):
+    # 1/x1 + ... + 1/x8 at the origin: 36 walls in 8 coordinates give C(36, 7)
+    # choices of vertex-ray walls, past the budget, so clean refuses at once
+    names = [f"x{i}" for i in range(1, 9)]
+    terms = {tuple(-int(k == j) for k in range(8)): 1 for j in range(8)}
+    f = write(tmp_path, "wide.json", monomial_model(names, names, terms))
+    point = ",".join(f"{v}=0" for v in names)
+    for extra in ((), ("--json",)):
+        start = perf_counter()
+        code, out, err = run(capsys, "clean", f, "--point", point, *extra)
+        assert perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert err.startswith("invalid input: the vertex-ray check needs 8347680 choices")
+
+
 def test_zcar_refuses_a_locus_beyond_trial_division(tmp_path, capsys):
     # theta_x = -(y - N) on D(x): its rational zeros need the divisors of N
     big = 10**24 + 7

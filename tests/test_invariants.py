@@ -27,9 +27,9 @@ def test_clean_verdicts_invariant_under_cover_rewriting():
     ]
     for terms, _ in cases:
         base = GoodModel(XY, (ModelSummand(L(XY.vars, terms)),))
-        for h in (2, 3):
-            scaled = {tuple(a * h for a in e): c for e, c in terms.items()}
-            cover = GoodModel(XY, (ModelSummand(L(XY.vars, scaled)),), (h, h))
+        for h in ((2, 2), (3, 3), (2, 3), (1, 4)):
+            scaled = {tuple(a * k for a, k in zip(e, h)): c for e, c in terms.items()}
+            cover = GoodModel(XY, (ModelSummand(L(XY.vars, scaled)),), h)
             for pt in ({"x": 0, "y": 0},):
                 assert clean_at_point(base, pt)[0] == clean_at_point(cover, pt)[0]
                 assert clean_at_point(base, pt)[1].numerically_clean == \

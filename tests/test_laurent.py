@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from logchar.field import QQ, NumberField, Scalar
 from logchar.laurent import (
+    DimensionMismatch,
     LaurentPolynomial,
     is_unit_in_R_n0,
     monomial_times_unit,
@@ -187,7 +188,7 @@ def test_trusted_results_hold_the_normal_form(polys):
     # Q x Q(sqrt 2): the result lives in the number field
     for out in (r + k, k + r, r * k, k * r, r - k):
         _assert_normal(out, Q2)
-    _assert_normal(r * Q2.gen())  # a zero r keeps its field
+    _assert_normal(r * Q2.gen(), Q2)  # also when r is zero
     for j in range(n):
         _assert_normal(p.partial(j), p.field)
         _assert_normal(p.log_partial(j), p.field)
@@ -197,6 +198,25 @@ def test_trusted_results_hold_the_normal_form(polys):
     got = monomial_times_unit(p, list(range(n)))
     if got is not None:
         _assert_normal(got[1], p.field)
+
+
+def test_field_of_a_product_is_the_join_of_the_operand_fields():
+    # with or without terms, QQ widens to the number field of the other operand
+    vs = ("x", "y")
+    zero, one = L.zero(vs), L.constant(vs, 1)
+    for p in (zero, one):
+        assert (p * Q2.gen()).field == Q2
+        assert (Q2.gen() * p).field == Q2
+        assert (p * Q2.zero()).field == Q2
+        assert (p + L.zero(vs, Q2)).field == Q2
+        assert (p * L.zero(vs, Q2)).field == Q2
+    assert (zero * Q2.gen()).is_zero and (one * Q2.gen()).terms == {(0, 0): Q2.gen()}
+    for p in (L.zero(vs, Q2), L.constant(vs, Q2.gen(), Q2)):
+        assert (p * 3).field == Q2 and (p * QQ(0)).field == Q2
+    Q3 = NumberField([-3, 0, 1])
+    for p in (zero, one):
+        with pytest.raises(DimensionMismatch):
+            (p * Q2.gen()) * Q3.gen()
 
 
 def test_scalar_product_drops_zero_divisor_products():

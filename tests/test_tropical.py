@@ -1,15 +1,18 @@
 import itertools
+import math
 import random
 import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from logchar.fme import feasible_point
+from logchar import fme
 from logchar.laurent import LaurentPolynomial
 from logchar.tropical import (
+    MAX_RAY_SUBSETS,
     RadiusProfile,
+    RayBudgetError,
     TropicalFn,
     is_linear_on_octant,
     sorted_profile_linear,
@@ -120,6 +123,77 @@ def test_sorted_profile_order_statistic_fallback():
     assert not ok and verdicts == (True, False)
 
 
+# -- reference: exact Fourier-Motzkin feasibility --------------------------------
+# The general elimination the engine used before its vertex rays became integer
+# kernels.  A constraint is (coeffs, strict) and reads <coeffs, r> >= 0 (> 0
+# when strict), with r >= 0 implied.  Rows are homogeneous, so each is brought
+# to a primitive integer vector and positive multiples merge; a feasible system
+# returns a rational witness built by back-substitution.
+
+
+def _primitive(coeffs):
+    """The positive multiple of a rational row with coprime integer entries."""
+    den = math.lcm(*(Fraction(c).denominator for c in coeffs))
+    ints = [int(Fraction(c) * den) for c in coeffs]
+    g = math.gcd(*ints)
+    return tuple(x // g for x in ints) if g > 1 else tuple(ints)
+
+
+def _dedupe(constraints):
+    seen = {}
+    for c, s in constraints:
+        if s or any(c):
+            seen[c] = seen.get(c, False) or s
+    return list(seen.items())
+
+
+def _fme_point(constraints, nvars):
+    """A rational point r >= 0 satisfying every constraint, or None."""
+    current = _dedupe([(_primitive(c), bool(s)) for c, s in constraints] +
+                      [(tuple(int(k == j) for k in range(nvars)), False) for j in range(nvars)])
+    stages = []  # per eliminated variable: the constraints mentioning it
+    for var in range(nvars - 1, -1, -1):
+        mentioning = [c for c in current if c[0][var]]
+        rest = [c for c in current if not c[0][var]]
+        stages.append((var, mentioning))
+        for pc, ps in (c for c in mentioning if c[0][var] > 0):
+            for nc, ns in (c for c in mentioning if c[0][var] < 0):
+                combo = [-nc[var] * x + pc[var] * y for x, y in zip(pc, nc)]
+                g = math.gcd(*combo) or 1
+                rest.append((tuple(x // g for x in combo), ps or ns))
+        current = _dedupe(rest)
+    if any(strict for _, strict in current):
+        return None  # only all-zero rows are left, and 0 > 0 fails
+    values = []
+    for var, mentioning in reversed(stages):
+        lo, hi = (None, False), (None, False)
+        for coeffs, strict in mentioning:
+            a = coeffs[var]
+            bound = Fraction(-sum(c * v for c, v in zip(coeffs, values)), a)
+            side = lo if a > 0 else hi
+            tighter = side[0] is None or (bound > side[0] if a > 0 else bound < side[0])
+            new = (bound, strict) if tighter else \
+                (side[0], side[1] or strict) if bound == side[0] else side
+            lo, hi = (new, hi) if a > 0 else (lo, new)
+        v = _pick(*lo, *hi)
+        if v is None:
+            return None
+        values.append(v)
+    return tuple(values)
+
+
+def _pick(lo, lo_strict, hi, hi_strict):
+    if lo is None and hi is None:
+        return Fraction(0)
+    if lo is None:
+        return hi - 1 if hi_strict else hi
+    if hi is None:
+        return lo + 1 if lo_strict else lo
+    if lo > hi or (lo == hi and (lo_strict or hi_strict)):
+        return None
+    return (lo + hi) / 2
+
+
 # -- reference oracle: the order-statistic enumeration --------------------------
 # An independent decision of sorted linearity, exponential in the rank: the
 # i-th sorted value is the form c everywhere iff nowhere do i constituents lie
@@ -145,7 +219,7 @@ def _some_above(fns, k, cand, pins):
         # a max of forms exceeds cand iff some form does
         for choice in itertools.product(*[fn.forms for fn in subset]):
             rows = [(tuple(a - b for a, b in zip(form, cand)), True) for form in choice]
-            if feasible_point(rows + pins, len(cand)) is not None:
+            if _fme_point(rows + pins, len(cand)) is not None:
                 return True
     return False
 
@@ -154,7 +228,7 @@ def _some_below(fns, k, cand, pins):
     for subset in itertools.combinations(fns, k):
         rows = [(tuple(b - a for a, b in zip(form, cand)), True)
                 for fn in subset for form in fn.forms]
-        if feasible_point(rows + pins, len(cand)) is not None:
+        if _fme_point(rows + pins, len(cand)) is not None:
             return True
     return False
 
@@ -207,6 +281,46 @@ def test_sorted_profile_agrees_with_reference_property(case):
     ok, verdicts = sorted_profile_linear(_project(prof, nlog))
     assert verdicts == _reference_verdicts(prof, nlog)
     assert ok == all(verdicts)
+
+
+@st.composite
+def _wide_profiles(draw):
+    """3-coordinate profiles with at least 8 distinct nonzero forms.  A form
+    with entries 4-6 dominates every other one, and a constituent of forms
+    with entries <= 0 is the zero function, so some sorted functions are
+    linear and the others are decided at the vertex rays."""
+    coeff = st.builds(Fraction, st.integers(-3, 3), st.sampled_from((1, 1, 2)))
+    form = st.tuples(coeff, coeff, coeff)
+    entries = draw(st.lists(st.lists(form, min_size=2, max_size=3), min_size=3, max_size=3))
+    if draw(st.booleans()):
+        entries.append([draw(st.tuples(*[st.integers(4, 6)] * 3))])
+    if draw(st.booleans()):
+        entries.append([draw(st.tuples(*[st.integers(-3, 0)] * 3))])
+    fns = [TropicalFn(3, forms) for forms in entries]
+    assume(len({f for fn in fns for f in fn.forms if any(f)}) >= 8)
+    return RadiusProfile([(fn, 1) for fn in fns])
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(_wide_profiles())
+def test_wide_profiles_agree_with_reference(prof):
+    ok, verdicts = sorted_profile_linear(prof)
+    assert verdicts == _reference_verdicts(prof, 3)
+    assert ok == all(verdicts)
+
+
+def test_sorted_profile_refuses_past_the_ray_budget():
+    # 1/x_1 + ... + 1/x_8: the unit forms are pairwise incomparable, so the
+    # 8 coordinate walls and 28 walls e_i - e_j give C(36, 7) choices
+    fn = TropicalFn(8, [tuple(int(k == j) for k in range(8)) for j in range(8)])
+    start = time.perf_counter()
+    with pytest.raises(RayBudgetError, match=str(math.comb(36, 7))):
+        sorted_profile_linear(RadiusProfile([(fn, 1)]))
+    assert time.perf_counter() - start < 0.5
+    # the same kind of profile on 4 coordinates has C(10, 3) = 120 choices
+    fn = TropicalFn(4, [tuple(int(k == j) for k in range(4)) for j in range(4)])
+    assert math.comb(10, 3) <= MAX_RAY_SUBSETS
+    assert sorted_profile_linear(RadiusProfile([(fn, 1)])) == (False, (False,))
 
 
 def test_sorted_profile_rank10_middle_block():
@@ -294,7 +408,7 @@ def test_full_mode_monotone_in_nonlog_coordinates():
             assert sum(v1[:i]) >= sum(v2[:i])
 
 
-# -- Fourier-Motzkin feasibility -------------------------------------------------
+# -- the reference Fourier-Motzkin feasibility ------------------------------------
 
 
 def _satisfies(rows, pt):
@@ -312,17 +426,17 @@ def test_feasible_point_integer_rows_and_positive_multiples():
         n = rng.randint(1, 4)
         rows = [(tuple(rng.randint(-3, 3) for _ in range(n)), rng.random() < 0.4)
                 for _ in range(rng.randint(1, 5))]
-        pt = feasible_point(rows, n)
+        pt = _fme_point(rows, n)
         # the same system with Fraction rows, each scaled by a positive number
         scales = [Fraction(rng.randint(1, 6), rng.randint(1, 6)) for _ in rows]
         scaled = [(tuple(Fraction(c) * k for c in coeffs), s)
                   for (coeffs, s), k in zip(rows, scales)]
-        assert feasible_point(scaled, n) == pt
+        assert _fme_point(scaled, n) == pt
         # and with every row repeated as a positive multiple
         repeated = rows + [(tuple(k * c for c in coeffs), s)
                            for (coeffs, s), k in zip(rows, scales)]
         rng.shuffle(repeated)
-        assert feasible_point(repeated, n) == pt
+        assert _fme_point(repeated, n) == pt
         if pt is not None:
             feasible += 1
             assert all(type(x) is Fraction for x in pt)
@@ -341,7 +455,61 @@ def test_feasible_point_infeasible_strict_systems():
         rows = [(w, True), (tuple(Fraction(-c, 2) for c in w), False)]
         rows += [(tuple(rng.randint(-3, 3) for _ in range(n)), rng.random() < 0.5)
                  for _ in range(rng.randint(0, 3))]
-        assert feasible_point(rows, n) is None
+        assert _fme_point(rows, n) is None
     # the free coordinates sum to more than 0 while both are pinned to 0
-    assert feasible_point([((1, 1), True), ((-1, 0), False), ((0, -1), False)], 2) is None
-    assert feasible_point([((0, 0), True)], 2) is None
+    assert _fme_point([((1, 1), True), ((-1, 0), False), ((0, -1), False)], 2) is None
+    assert _fme_point([((0, 0), True)], 2) is None
+
+
+# -- the vertex-ray kernel ---------------------------------------------------------
+
+
+def _laplace_det(m):
+    """Determinant by cofactor expansion along the first row."""
+    if not m:
+        return 1
+    return sum((-1) ** j * m[0][j] * _laplace_det([r[:j] + r[j + 1:] for r in m[1:]])
+               for j in range(len(m)) if m[0][j])
+
+
+def _signed_minors(walls, n):
+    return [(-1) ** j * _laplace_det([w[:j] + w[j + 1:] for w in walls]) for j in range(n)]
+
+
+def test_ray_of_no_walls_is_the_line():
+    assert fme.feasible_point([], 1) == (1,)
+
+
+def test_ray_of_dependent_walls_is_none():
+    assert fme.feasible_point([(1, 2, 3), (-2, -4, -6)], 3) is None
+    assert fme.feasible_point([(0, 0, 0), (1, -1, 0)], 3) is None
+    assert fme.feasible_point([(0, 0)], 2) is None
+
+
+def test_ray_of_mixed_sign_kernel_is_none():
+    # the kernel of x3 = 0 and x1 + x2 = 0 is spanned by (1, -1, 0)
+    assert fme.feasible_point([(1, 1, 0), (0, 0, 1)], 3) is None
+    assert fme.feasible_point([(1, 1)], 2) is None
+
+
+def test_ray_is_the_primitive_nonnegative_kernel():
+    assert fme.feasible_point([(2, -4)], 2) == (2, 1)
+    assert fme.feasible_point([(1, 0, 0), (0, 3, -6)], 3) == (0, 2, 1)
+    rng = random.Random(71)
+    found = 0
+    for _ in range(600):
+        n = rng.randint(2, 5)
+        walls = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(n - 1)]
+        ray = fme.feasible_point(walls, n)
+        minors = _signed_minors(walls, n)
+        if ray is None:
+            assert not any(minors) or (min(minors) < 0 < max(minors))
+            continue
+        found += 1
+        assert all(type(x) is int and x >= 0 for x in ray) and math.gcd(*ray) == 1
+        assert all(sum(a * b for a, b in zip(w, ray)) == 0 for w in walls)
+        # a positive or negative multiple of the signed maximal minors
+        g = math.gcd(*minors)
+        assert tuple(abs(m) // g for m in minors) == ray
+        assert len({m > 0 for m in minors if m}) == 1
+    assert found >= 100
