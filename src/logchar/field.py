@@ -383,6 +383,8 @@ class Scalar:
         return (-self) + other
 
     def __mul__(self, other):
+        if type(other) is int and self.field.modulus is None:
+            return Scalar._rational(self.field, self.coeffs[0] * other if self.coeffs else 0)
         xy = self._rational_operands(other)
         if xy is not None:
             return Scalar._rational(self.field, xy[0] * xy[1])
@@ -393,13 +395,6 @@ class Scalar:
         return Scalar(a.field, _poly_mul(list(a.coeffs), list(b.coeffs)))
 
     __rmul__ = __mul__
-
-    def _times_int(self, k: int) -> "Scalar":
-        """self * k for an int k; a rational self scales its one Fraction
-        directly, without the operand checks of ``__mul__``."""
-        if self.field.modulus is None:
-            return Scalar._rational(self.field, self.coeffs[0] * k if self.coeffs else 0)
-        return self * k
 
     def inverse(self) -> "Scalar":
         if self.is_zero:

@@ -342,10 +342,9 @@ def _derivative(phi: LaurentPolynomial, j: int, shift) -> LaurentPolynomial:
     lexicographic order of the exponents, so the terms stay sorted.
     """
     if shift is None or not any(shift):
-        terms = {e: c._times_int(e[j]) for e, c in phi.terms.items() if e[j]}
+        terms = {e: c * e[j] for e, c in phi.terms.items() if e[j]}
     else:
-        terms = {tuple(map(add, e, shift)): c._times_int(e[j])
-                 for e, c in phi.terms.items() if e[j]}
+        terms = {tuple(map(add, e, shift)): c * e[j] for e, c in phi.terms.items() if e[j]}
     return LaurentPolynomial._trusted(phi.vars, terms, phi.field)
 
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from operator import ge, mul
 from typing import Optional, Sequence, Tuple, Union
 
 from .fme import feasible_point
@@ -28,9 +27,10 @@ from .record import Record
 
 Form = Tuple[Union[int, Fraction], ...]
 
-# choices of n - 1 walls the vertex-ray check may enumerate: about 1 s at the
-# 15-20 us one choice costs on 3 or 4 coordinates (CPython 3.11 on one x86
-# core); more coordinates cost more per choice
+# choices of n - 1 walls the vertex-ray check may enumerate.  One choice costs
+# 16-21 us on 3 or 4 coordinates with up to 20 constituents (CPython 3.11 on
+# one core of a shared 2-core Xeon), so the bound is about 1 s there; it is
+# about 1.5 s with 30 constituents and 2-3 s on 7 coordinates (43-61 us each)
 MAX_RAY_SUBSETS = 50_000
 
 
@@ -81,7 +81,7 @@ class LinearityWitness(Record):
 
 
 def _dominates(f: Form, g: Form) -> bool:
-    return all(map(ge, f, g))
+    return all(a >= b for a, b in zip(f, g))
 
 
 def is_linear_on_octant(f: TropicalFn):
@@ -180,17 +180,13 @@ def sorted_profile_linear(profile: RadiusProfile):
     entries = [([tuple(x.numerator * (den // x.denominator) for x in f) for f in fn.forms], mult)
                for fn, mult in fns]
     eye = [tuple(int(k == j) for k in range(nvars)) for j in range(nvars)]
-    forms = sorted({f for fs, _ in entries for f in fs})
-    walls = _walls(forms, eye)
+    walls = _walls(entries, eye)
     subsets = math.comb(len(walls), nvars - 1)
     if subsets > MAX_RAY_SUBSETS:
         raise RayBudgetError(
             f"the vertex-ray check needs {subsets} choices of {nvars - 1} among "
             f"{len(walls)} walls in {nvars} coordinates, more than {MAX_RAY_SUBSETS}")
-    position = {f: k for k, f in enumerate(forms)}
-    groups = [([position[f] for f in fs], mult) for fs, mult in entries]
-    # c_i(r) = <candidate_i, r>: the values of g_i at the unit points
-    candidates = list(zip(*(_int_values(forms, groups, e) for e in eye)))
+    units = [_int_values(entries, e) for e in eye]
     verdicts = [True] * rank
     seen = set()
     for subset in itertools.combinations(walls, nvars - 1):
@@ -198,30 +194,28 @@ def sorted_profile_linear(profile: RadiusProfile):
         if ray is None or ray in seen:
             continue
         seen.add(ray)
-        values = _int_values(forms, groups, ray)
-        for i, c in enumerate(candidates):
-            if verdicts[i] and values[i] != sum(map(mul, c, ray)):
+        values = _int_values(entries, ray)
+        for i in range(rank):
+            if verdicts[i] and values[i] != sum(u[i] * x for u, x in zip(units, ray)):
                 verdicts[i] = False
         if not any(verdicts):
             break
     return all(verdicts), tuple(verdicts)
 
 
-def _int_values(forms, groups, r):
-    """value_multiset at the integer point r of a profile with integer forms:
-    each distinct form is evaluated once, and a group lists the positions of
-    one constituent's forms with its multiplicity."""
-    dots = [sum(map(mul, f, r)) for f in forms]
+def _int_values(entries, r):
+    """value_multiset at r of a profile with integer forms and an integer point."""
     out = []
-    for ks, mult in groups:
-        out.extend([max(map(dots.__getitem__, ks))] * mult)
+    for forms, mult in entries:
+        out.extend([max(sum(b * x for b, x in zip(f, r)) for f in forms)] * mult)
     return sorted(out, reverse=True)
 
 
-def _walls(forms, eye):
+def _walls(entries, eye):
     """Coordinate hyperplanes (the unit rows ``eye``) and primitive walls f - g
-    of incomparable integer ``forms``."""
+    of incomparable integer forms."""
     walls = list(eye)
+    forms = sorted({f for fs, _ in entries for f in fs})
     for f, g in itertools.combinations(forms, 2):
         if not (_dominates(f, g) or _dominates(g, f)):
             diff = [a - b for a, b in zip(f, g)]
