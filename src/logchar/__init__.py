@@ -15,8 +15,7 @@ from .cdvf import (DiffOperator, NewtonPolygon, RefinedClass, cyclic_vector,
 from .goodmodel import (Chart, GoodModel, ModelSummand, clean_at_point,
                         irregularity_divisor, nonclean_locus, refined_form,
                         validate_good_decomposition, zcar_prime)
-from .euler import (ChernData, Curve, Surface, chi_EP, chi_curve,
-                    chi_surface_kato, derham_oracle_curve, integrality_check,
-                    kashiwara_dubson)
+from .euler import (ChernData, Curve, Surface, chi_EP, derham_oracle_curve,
+                    integrality_check, kashiwara_dubson, reconcile_geometry)
 
 __version__ = "0.1.0"

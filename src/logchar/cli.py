@@ -1,9 +1,10 @@
 """Command-line interface: validate, irr, clean, zcar, chi, newton, oracle.
 
-Exit codes: 0 ok, 2 invalid input, 3 cleanness prerequisite unmet,
-4 internal assertion failure (integrality violations); ERRORS maps each
-error class to its code.  Output is deterministic; --json switches to
-machine-readable JSON with sorted keys.
+Exit codes: 0 ok, 2 invalid input or work past a budget (refused),
+3 cleanness prerequisite unmet, 4 internal assertion failure (integrality
+violations); ERRORS maps each error class to its code and message prefix.
+Output is deterministic; --json switches to machine-readable JSON with
+sorted keys.
 """
 
 from __future__ import annotations
@@ -11,13 +12,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .cdvf import FactorizationError, newton_polygon, orbit_integrality_violations, \
     refined_residue
 from .cycles import IntegralityError, hilbert_dim, monomial_char_cycle
-from .euler import Curve, GeometryError, Surface, WindowError, \
-    chi_EP, chi_curve, chi_surface_kato, derham_oracle_curve, kashiwara_dubson
+from .euler import GeometryError, WindowError, chi_EP, derham_oracle_curve, \
+    integrality_check, kashiwara_dubson, reconcile_geometry
 from .field import parse_rational
 from .goodmodel import (clean_at_point, irregularity_divisor, nonclean_locus, refined_form,
                         validate_good_decomposition, zcar_prime, CodimensionError)
@@ -34,8 +34,9 @@ EXIT_ASSERTION = 4
 # (error classes, exit code, message prefix); any other exception propagates
 ERRORS = (
     ((IntegralityError, CodimensionError), EXIT_ASSERTION, "internal assertion failure"),
-    ((SchemaError, GeometryError, FactorizationError, PrecisionError, WindowError,
-      RayBudgetError, ValueError), EXIT_INVALID, "invalid input"),
+    ((FactorizationError, RayBudgetError), EXIT_INVALID, "refused"),
+    ((SchemaError, GeometryError, PrecisionError, WindowError, ValueError),
+     EXIT_INVALID, "invalid input"),
 )
 
 
@@ -193,13 +194,17 @@ def cmd_clean(args) -> int:
         label = ",".join(f"{k}={pt[k]}" for k in doc.chart.vars)
         ok, cert = clean_at_point(doc.model, pt)
         num = cert.numerically_clean
+        verdict = "refused" if num is None else "yes" if num else "no"
         lines.append(f"at ({label}): clean: {'yes' if ok else 'no'}, "
-                     f"numerically clean: {'yes' if num else 'no'}")
+                     f"numerically clean: {verdict}")
         if not ok:
             lines.append(f"  reason: {cert.reason}")
-        results.append({"point": {k: str(pt[k]) for k in doc.chart.vars},
-                        "clean": ok, "numerically_clean": num,
-                        "reason": cert.reason})
+        result = {"point": {k: str(pt[k]) for k in doc.chart.vars},
+                  "clean": ok, "numerically_clean": num, "reason": cert.reason}
+        if num is None:
+            lines.append(f"  numerical cleanness refused: {cert.numerical_refusal}")
+            result["numerical_refusal"] = cert.numerical_refusal
+        results.append(result)
     _emit(args, {"command": "clean", "results": results}, lines)
     return EXIT_OK
 
@@ -252,36 +257,26 @@ def cmd_chi(args) -> int:
         raise SchemaError("chi needs a 'geometry' block")
     if doc.model is None:
         raise SchemaError("chi needs a 'model' block")
-    geom = doc.geometry
     clean, _ = _certified_clean(doc.model)
     if args.require_clean and not clean:
         _fail("model is not clean on the chart; refusing under --require-clean")
         return EXIT_NOT_CLEAN
     div = irregularity_divisor(doc.model)
-    if isinstance(geom, Curve):
-        geom = _curve_with_model_divisor(doc.model, div, geom)
+    rows, geom = reconcile_geometry(div, doc.geometry)
     if args.formula == "kato":
-        if isinstance(geom, Curve):
-            value = chi_curve(doc.model.rank, geom)
-            provenance = "curve formula: rank*chi(U) - total irregularity"
-        else:
-            value = chi_surface_kato(div.rows, _surface_for_chart(doc.model, geom))
-            provenance = "surface formula with per-row irregularity divisors"
+        value = chi_EP(rows, geom)
+        provenance = "curve formula: rank*chi(U) - total irregularity" if geom.n == 1 \
+            else "surface formula with per-row irregularity divisors"
     elif args.formula == "ep":
-        if isinstance(geom, Curve):
-            value = chi_EP(_curve_rows(doc.model.rank, geom), geom)
-        else:
-            value = chi_EP(div.rows, _surface_for_chart(doc.model, geom), doc.chern)
+        value = chi_EP(rows, geom, doc.chern)
         provenance = "Chern-class evaluation, degree-n truncation with (-1)^n"
     else:
-        cycle = zcar_prime(doc.model)
-        if isinstance(geom, Curve):
-            # off-chart punctures enter through their declared totals
-            other = _other_puncture_total(doc.model, geom)
-            value = kashiwara_dubson(cycle, geom, doc.chern) - other
-        else:
-            value = kashiwara_dubson(cycle, _surface_for_chart(doc.model, geom),
-                                     doc.chern)
+        value = kashiwara_dubson(zcar_prime(doc.model), geom, doc.chern)
+        if geom.n == 1:
+            # off-chart punctures enter through their declared totals: all the
+            # irregularity of the rows but the chart divisor's
+            value -= integrality_check(sum(rank * sum(row) for rank, row in rows)
+                                       - sum(div.per_divisor[0]))
         provenance = "intersection of the zero section with the cycle, times (-1)^n"
         if not clean:
             provenance += " [cycle is conjectural: cleanness not certified]"
@@ -290,70 +285,6 @@ def cmd_chi(args) -> int:
                "provenance": provenance, "clean": clean}
     _emit(args, payload, lines)
     return EXIT_OK
-
-
-def _chart_puncture_index(model, geom: Curve) -> int:
-    chart_div = model.chart.log_vars[0]
-    for j, (name, _) in enumerate(geom.punctures):
-        if name == chart_div:
-            return j
-    raise SchemaError(f"geometry lists no puncture named {chart_div!r}")
-
-
-def _curve_with_model_divisor(model, div, geom: Curve) -> Curve:
-    """Substitute the computed irregularities ``div`` at the chart's own puncture.
-
-    A nonempty multiset supplied at the chart puncture must agree with the
-    model; other punctures keep their declared multisets, which may hold at
-    most rank values each.
-    """
-    col = _chart_puncture_index(model, geom)
-    name, irrs = geom.punctures[col]
-    computed = div.per_divisor[0]
-    if irrs and tuple(sorted(irrs, reverse=True)) != computed:
-        raise GeometryError(f"declared irregularities at {name} disagree with the model")
-    punctures = list(geom.punctures)
-    punctures[col] = (name, computed)
-    for name, irrs in punctures:
-        if len(irrs) > model.rank:
-            raise GeometryError(f"more irregularities than the rank at {name}")
-    return Curve(geom.genus, tuple(punctures))
-
-
-def _other_puncture_total(model, geom: Curve) -> int:
-    col = _chart_puncture_index(model, geom)
-    total = Fraction(0)
-    for j, (_, irrs) in enumerate(geom.punctures):
-        if j != col:
-            total += sum(Fraction(v) for v in irrs)
-    if total.denominator != 1:
-        raise IntegralityError(f"non-integral off-chart irregularity total {total}")
-    return total.numerator
-
-
-def _curve_rows(rank, curve: Curve):
-    """Rank-expanded irregularity rows over every puncture of the curve.
-
-    ``curve`` comes from ``_curve_with_model_divisor``.  The declared
-    multisets are distributed over the rows in sorted order (any
-    distribution yields the same Euler characteristic).
-    """
-    cols = []
-    for _, irrs in curve.punctures:
-        vals = sorted((Fraction(v) for v in irrs), reverse=True)
-        cols.append(vals + [Fraction(0)] * (rank - len(vals)))
-    return [(1, tuple(col[i] for col in cols)) for i in range(rank)]
-
-
-def _surface_for_chart(model, geom: Surface) -> Surface:
-    """Match geometry components to chart log divisors positionally."""
-    if len(geom.components) != model.chart.m:
-        raise SchemaError(
-            "surface needs one component per chart log divisor "
-            f"({len(geom.components)} vs {model.chart.m})")
-    comps = tuple((name, chi) for name, (_, chi)
-                  in zip(model.chart.log_vars, geom.components))
-    return Surface(geom.chi_U, comps, geom.intersections)
 
 
 def cmd_newton(args) -> int:

@@ -30,6 +30,17 @@ class IntegralityError(AssertionError):
     pass
 
 
+def line_multiplicity(rank: int, b: Fraction, divisor: str) -> Fraction:
+    """rank * b, the multiplicity of a summand's line over D(divisor),
+    asserted integral."""
+    mult = Fraction(rank) * b
+    if mult.denominator != 1:
+        raise IntegralityError(
+            f"non-integral line multiplicity {mult} over D({divisor}): "
+            "rank does not clear the orbit normalization")
+    return mult
+
+
 class ChartStamp(Record):
     """Ambient chart marker: variable names and which ones carry the log pole."""
     vars: Tuple[str, ...]

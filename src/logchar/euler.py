@@ -1,5 +1,6 @@
-"""Euler characteristics: curve and surface formulas, intersection evaluation,
-and the brute-force curve cohomology oracle.
+"""Euler characteristics: the geometry reconciled with the model once,
+Chern-class evaluation, intersection with the cycle, and the brute-force
+curve cohomology oracle.
 
 Sign convention: the degree-n evaluation carries the factor (-1)^n, which is
 pinned by the curve formula rank * chi(U) - sum of irregularities and by the
@@ -12,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
-from .cycles import IntegralityError, LogCycle
+from .cycles import IntegralityError, LogCycle, line_multiplicity
 from .laurent import LaurentPolynomial
 from .record import Record
 
@@ -83,57 +84,72 @@ class ChernData(Record):
                    tuple(Fraction(-chi) for _, chi in geom.components), True)
 
 
-def chi_curve(rank: int, geom: Curve) -> int:
-    """rank * chi(U) minus the total irregularity over the punctures."""
-    total = Fraction(rank * geom.chi_U)
-    for name, irrs in geom.punctures:
-        local = sum(Fraction(v) for v in irrs)
-        if local < 0:
-            raise GeometryError(f"negative irregularity at {name}")
-        if local.denominator != 1:
-            raise IntegralityError(f"non-integral total irregularity at {name}: {local}")
-        total -= local
-    return integrality_check(total)
+def reconcile_geometry(div, geom):
+    """The rank-expanded irregularity rows over every component of ``geom``,
+    and ``geom`` reconciled with the irregularity divisor ``div`` of the model.
 
-
-def chi_surface_kato(rows: Sequence[Tuple[int, Sequence[Fraction]]],
-                     geom: Surface) -> int:
-    """Surface formula: per irregularity row,
-    chi(U) - sum_j b_j chi(D_j^o) + sum_{j,j'} b_j b_j' (D_j . D_j').
-
-    rows are (rank, b-vector) pairs; the rank expands a summand into that
-    many identical rows.  With deg c_2 = chi(U) and deg(c_1 . D_j) =
-    -chi(D_j^o) this is the Chern-class evaluation of chi_EP.
+    Every Euler-characteristic formula reads these, so all of them accept and
+    refuse the same documents.  On a curve the puncture named after the
+    chart's first log divisor gets the computed irregularities, and a nonempty
+    multiset declared there must agree with them; every other puncture keeps
+    its declared multiset, of at most rank nonnegative values with an integral
+    total.  The multisets are distributed over rank rows of rank 1 in sorted
+    order (any distribution yields the same Euler characteristic).  A
+    surface's components are matched to the chart log divisors positionally
+    and renamed after them; its rows are the (rank, b-vector) rows of ``div``.
+    On both, rank * b_j must be integral for every summand.
     """
-    return _surface_sum(rows, geom, ChernData.from_topology(geom))
-
-
-def _surface_sum(rows, geom: Surface, chern: ChernData) -> int:
-    """Sum over rows of rank * (deg c_2 + deg(c_1 . R) + deg(R^2))."""
-    k = len(geom.components)
-    total = Fraction(0)
-    for rank, row in rows:
-        row = [Fraction(b) for b in row]
-        if len(row) != k:
-            raise GeometryError("row length must match the divisor count")
-        val = Fraction(chern.c2)
-        for j, b in enumerate(row):
-            val += b * chern.c1_dot_D[j]
-        for j in range(k):
-            for jp in range(k):
-                val += row[j] * row[jp] * geom.intersections[j][jp]
-        total += rank * val
-    return integrality_check(total)
+    rank = sum(r for r, _ in div.rows)
+    if geom.n == 1:
+        names = [name for name, _ in geom.punctures]
+        if div.log_vars[0] not in names:
+            raise GeometryError(f"geometry lists no puncture named {div.log_vars[0]!r}")
+        chart = names.index(div.log_vars[0])
+        punctures = []
+        for j, (name, irrs) in enumerate(geom.punctures):
+            irrs = tuple(sorted(irrs, reverse=True))
+            if j == chart:
+                if irrs and irrs != div.per_divisor[0]:
+                    raise GeometryError(
+                        f"declared irregularities at {name} disagree with the model")
+                irrs = div.per_divisor[0]
+            elif len(irrs) > rank:
+                raise GeometryError(f"more irregularities than the rank at {name}")
+            elif irrs and irrs[-1] < 0:
+                raise GeometryError(f"negative irregularity at {name}")
+            elif sum(irrs).denominator != 1:
+                raise IntegralityError(
+                    f"non-integral total irregularity at {name}: {sum(irrs)}")
+            punctures.append((name, irrs))
+        cols = [irrs + (Fraction(0),) * (rank - len(irrs)) for _, irrs in punctures]
+        rows = tuple((1, row) for row in zip(*cols))
+        geom = Curve(geom.genus, tuple(punctures))
+    else:
+        if len(geom.components) != len(div.log_vars):
+            raise GeometryError(
+                "surface needs one component per chart log divisor "
+                f"({len(geom.components)} vs {len(div.log_vars)})")
+        rows = div.rows
+        geom = Surface(geom.chi_U, tuple(
+            (name, chi) for name, (_, chi) in zip(div.log_vars, geom.components)),
+            geom.intersections)
+    for r, row in div.rows:
+        for name, b in zip(div.log_vars, row):
+            line_multiplicity(r, b, name)
+    return rows, geom
 
 
 def chi_EP(rows: Sequence[Tuple[int, Sequence[Fraction]]], geom,
            chern: Optional[ChernData] = None) -> int:
     """Chern-class evaluation (-1)^n sum_i deg(c(Omega^1(log D)) (1 - R_i)^{-1}).
 
-    Implemented for curves (n = 1) and surfaces (n = 2); the expansion
-    truncates at degree n, so each row contributes
+    rows are (rank, b-vector) pairs; the rank expands a summand into that
+    many identical rows.  Implemented for curves (n = 1) and surfaces
+    (n = 2); the expansion truncates at degree n, so each row contributes
     deg c_1 + deg R_i on a curve and deg c_2 + deg(c_1 . R_i) + deg(R_i^2)
-    on a surface.
+    on a surface.  Without ``chern`` a surface takes the topology-derived
+    Chern numbers, which makes this the surface formula
+    chi(U) - sum_j b_j chi(D_j^o) + sum_{j,j'} b_j b_j' (D_j . D_j') per row.
     """
     if geom.n == 1:
         c1 = Fraction(-geom.chi_U)
@@ -143,7 +159,21 @@ def chi_EP(rows: Sequence[Tuple[int, Sequence[Fraction]]], geom,
             total += rank * (c1 + deg_R)
         return integrality_check(-total)
     if geom.n == 2:
-        return _surface_sum(rows, geom, chern or ChernData.from_topology(geom))
+        chern = chern or ChernData.from_topology(geom)
+        k = len(geom.components)
+        total = Fraction(0)
+        for rank, row in rows:
+            row = [Fraction(b) for b in row]
+            if len(row) != k:
+                raise GeometryError("row length must match the divisor count")
+            val = Fraction(chern.c2)
+            for j, b in enumerate(row):
+                val += b * chern.c1_dot_D[j]
+            for j in range(k):
+                for jp in range(k):
+                    val += row[j] * row[jp] * geom.intersections[j][jp]
+            total += rank * val
+        return integrality_check(total)
     raise GeometryError("Chern-class evaluation implemented for n <= 2 only")
 
 

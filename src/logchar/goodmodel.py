@@ -19,12 +19,12 @@ import itertools
 from fractions import Fraction
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
-from .cycles import (ChartStamp, CycleError, Direction, DivisorLine,
-                     IntegralityError, LogCycle, ZeroSection)
+from .cycles import (ChartStamp, CycleError, Direction, DivisorLine, LogCycle,
+                     ZeroSection, line_multiplicity)
 from .field import QQ, NumberField, Scalar, rational_roots
 from .laurent import LaurentPolynomial, monomial_times_unit, pole_orders, twisted_differential
 from .record import Record
-from .tropical import RadiusProfile, TropicalFn, sorted_profile_linear
+from .tropical import RadiusProfile, RayBudgetError, TropicalFn, sorted_profile_linear
 
 
 class ModelError(ValueError):
@@ -285,10 +285,11 @@ def _recenter_support(rterms, names, values, field):
 
 class CleanCertificate(Record):
     clean: bool
-    numerically_clean: bool
+    numerically_clean: Optional[bool]  # None when its check is refused
     sharp_linear: Tuple[bool, ...]
     theta_reductions: Tuple[Tuple[int, Tuple[str, ...]], ...]
     reason: str
+    numerical_refusal: Optional[str] = None  # the RayBudgetError message
 
 
 def clean_at_point(model: GoodModel, z: Mapping[str, object]):
@@ -298,6 +299,8 @@ def clean_at_point(model: GoodModel, z: Mapping[str, object]):
     J + R + K, divisors through z first.  Cleanness asks for linearity of the
     sorted functions restricted to J, plus nonvanishing reduced theta;
     numerical cleanness asks for their linearity on the whole local octant.
+    When only the second check is past the ray budget, the cleanness verdict
+    stands and numerical cleanness is None, with the refusal message.
     The forms are the integer cover exponents -e_j, not the radii -e_j / h_j
     of the Kummer degrees h_j: dividing coordinate j by h_j is a positive
     diagonal change of coordinates of the octant, which keeps every
@@ -316,7 +319,12 @@ def clean_at_point(model: GoodModel, z: Mapping[str, object]):
                               for fs, s in zip(forms, model.summands)])
 
     ok, verdicts = sorted_profile_linear(profile(len(J)))
-    numerically = ok if not R and not K else sorted_profile_linear(profile(len(coords)))[0]
+    refusal = None
+    try:
+        numerically = ok if not R and not K else \
+            sorted_profile_linear(profile(len(coords)))[0]
+    except RayBudgetError as exc:
+        numerically, refusal = None, str(exc)
     thetas = []
     theta_ok = True
     for idx, s in enumerate(model.summands):
@@ -332,7 +340,8 @@ def clean_at_point(model: GoodModel, z: Mapping[str, object]):
         reason = "a sorted sharp radius function is not linear at the point"
     else:
         reason = "a reduced twisted differential vanishes at the point"
-    return clean, CleanCertificate(clean, numerically, verdicts, tuple(thetas), reason)
+    return clean, CleanCertificate(clean, numerically, verdicts, tuple(thetas), reason,
+                                   refusal)
 
 
 # -- non-clean locus ------------------------------------------------------------
@@ -451,10 +460,6 @@ def zcar_prime(model: GoodModel) -> LogCycle:
             if entries[j].is_zero:
                 raise CycleError(
                     f"leading refined coefficient of D({name}) vanishes")
-            mult = Fraction(s.rank) * b
-            if mult.denominator != 1:
-                raise IntegralityError(
-                    f"non-integral line multiplicity {mult} over D({name}): "
-                    "rank does not clear the orbit normalization")
-            parts.append((DivisorLine(name, Direction(entries), 1, row), mult))
+            parts.append((DivisorLine(name, Direction(entries), 1, row),
+                          line_multiplicity(s.rank, b, name)))
     return LogCycle(stamp, parts).finalize()

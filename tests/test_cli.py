@@ -173,22 +173,46 @@ def test_chi_curve_all_formulas(tmp_path, capsys):
         assert "chi = -3" in out
 
 
+def _curve_geometry(at_x, *off_chart):
+    return {"kind": "curve", "genus": 0,
+            "punctures": [{"name": "x", "irregularities": at_x}] + [
+                {"name": "inf", "irregularities": irrs} for irrs in off_chart]}
+
+
+# x^-1/2 and 2 x^-1/2: a good decomposition whose rank-1 summands leave the
+# line multiplicity 1/2 over D(x), although the total irregularity is 1
+HALF_PAIR = [{"phi": [{"coeff": c, "exp": ["-1/2"] + [-1] * k}], "rank": 1}
+             for k in (0, 1) for c in ("1", "2")]
+
+
+def _same_refusal_from_all_formulas(capsys, f, code, message):
+    for formula in ("kato", "ep", "kd"):
+        got, out, err = run(capsys, "chi", f, "--formula", formula)
+        assert (got, out) == (code, ""), (formula, out)
+        assert err == message + "\n", (formula, err)
+
+
 def test_chi_formulas_accept_the_same_curves(tmp_path, capsys):
-    # every formula reads one reconciled curve, so a declared multiset that
-    # holds more values than the rank, or one that disagrees with the model at
-    # the chart puncture, is refused by all three alike
-    cases = [(["1", "1"], [], "more irregularities than the rank at inf"),
-             (["1"], ["3"], "declared irregularities at x disagree with the model")]
-    for inf, at_x, message in cases:
-        doc = dict(monomial_model(("x",), ("x",), {(-2,): 1}),
-                   geometry={"kind": "curve", "genus": 0,
-                             "punctures": [{"name": "x", "irregularities": at_x},
-                                           {"name": "inf", "irregularities": inf}]})
-        f = write(tmp_path, "curve.json", doc)
-        for formula in ("kato", "ep", "kd"):
-            code, out, err = run(capsys, "chi", f, "--formula", formula)
-            assert (code, out) == (2, ""), (formula, inf, at_x, out)
-            assert message in err, (formula, err)
+    # every formula reads one reconciled curve, so each document is refused
+    # by all three alike, with one message
+    x2 = monomial_model(("x",), ("x",), {(-2,): 1})
+    half_pair = dict(x2, model=HALF_PAIR[:2])
+    cases = [
+        (x2, _curve_geometry([], ["1", "1"]), 2,
+         "invalid input: more irregularities than the rank at inf"),
+        (x2, _curve_geometry(["3"], ["1"]), 2,
+         "invalid input: declared irregularities at x disagree with the model"),
+        (x2, _curve_geometry([], ["-1"]), 2, "invalid input: negative irregularity at inf"),
+        (x2, dict(_curve_geometry([]), punctures=[{"name": "p"}]), 2,
+         "invalid input: geometry lists no puncture named 'x'"),
+        (x2, _curve_geometry([], ["1/2"], ["1/2"]), 4,
+         "internal assertion failure: non-integral total irregularity at inf: 1/2"),
+        (half_pair, _curve_geometry([]), 4,
+         "internal assertion failure: non-integral line multiplicity 1/2 over D(x): "
+         "rank does not clear the orbit normalization")]
+    for model, geometry, code, message in cases:
+        f = write(tmp_path, "curve.json", dict(model, geometry=geometry))
+        _same_refusal_from_all_formulas(capsys, f, code, message)
 
 
 def test_chi_surface_all_formulas(tmp_path, capsys):
@@ -197,6 +221,17 @@ def test_chi_surface_all_formulas(tmp_path, capsys):
         code, out, _ = run(capsys, "chi", f, "--formula", formula)
         assert code == 0
         assert "chi = 8" in out
+    # x^-1/2 y^-1 and 2 x^-1/2 y^-1: every formula refuses the multiplicity 1/2
+    f = write(tmp_path, "half.json", dict(KATO_SURFACE, model=HALF_PAIR[2:]))
+    _same_refusal_from_all_formulas(
+        capsys, f, 4, "internal assertion failure: non-integral line multiplicity 1/2 "
+        "over D(x): rank does not clear the orbit normalization")
+    one = dict(KATO_SURFACE["geometry"], components=[{"name": "D", "chi_open": 1}],
+               intersections=[[0]])
+    f = write(tmp_path, "one.json", dict(KATO_SURFACE, geometry=one))
+    _same_refusal_from_all_formulas(
+        capsys, f, 2, "invalid input: surface needs one component per chart log divisor "
+        "(1 vs 2)")
 
 
 def test_chi_integrality_exit4(tmp_path, capsys):
@@ -317,7 +352,34 @@ def test_clean_refuses_past_the_ray_budget(tmp_path, capsys):
         code, out, err = run(capsys, "clean", f, "--point", point, *extra)
         assert perf_counter() - start < 1
         assert code == 2 and out == ""
-        assert err.startswith("invalid input: the vertex-ray check needs 8347680 choices")
+        assert err.startswith("refused: the vertex-ray check needs 8347680 choices")
+
+
+def test_clean_keeps_the_verdict_when_only_numerical_cleanness_is_refused(tmp_path,
+                                                                           capsys):
+    # x_k / x1 for k = 2..8 with x1 the only log variable: the cleanness
+    # profile at the origin has one coordinate, the numerical one eight
+    names = [f"x{i}" for i in range(1, 9)]
+    doc = dict(monomial_model(names, ["x1"], {}), model=[
+        {"phi": [{"coeff": "1", "exp": [-1] + [int(j == k) for j in range(1, 8)]}],
+         "rank": 1} for k in range(1, 8)])
+    f = write(tmp_path, "x8.json", doc)
+    point = ",".join(f"{v}=0" for v in names)
+    refusal = "the vertex-ray check needs 8347680 choices of 7 among 36 walls"
+    code, out, err = run(capsys, "clean", f, "--point", point)
+    assert code == 0 and err == ""
+    first, second = out.splitlines()
+    assert first.endswith("clean: yes, numerically clean: refused")
+    assert second.startswith(f"  numerical cleanness refused: {refusal}")
+    code, out, err = run(capsys, "clean", f, "--point", point, "--json")
+    assert code == 0 and err == ""
+    (result,) = json.loads(out)["results"]
+    assert result["clean"] is True and result["numerically_clean"] is None
+    assert result["numerical_refusal"].startswith(refusal)
+    # a numerical verdict within the budget carries no refusal key
+    f = write(tmp_path, "kato.json", KATO_SURFACE)
+    code, out, _ = run(capsys, "clean", f, "--point", "x=0,y=0", "--json")
+    assert code == 0 and "numerical_refusal" not in json.loads(out)["results"][0]
 
 
 def test_zcar_refuses_a_locus_beyond_trial_division(tmp_path, capsys):

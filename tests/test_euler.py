@@ -12,12 +12,12 @@ from logchar.euler import (
     Surface,
     WindowError,
     chi_EP,
-    chi_curve,
-    chi_surface_kato,
     derham_oracle_curve,
     integrality_check,
     kashiwara_dubson,
+    reconcile_geometry,
 )
+from logchar.goodmodel import IrregularityDivisor
 from logchar.laurent import LaurentPolynomial
 
 L = LaurentPolynomial
@@ -26,28 +26,48 @@ F = Fraction
 P1_MINUS_TWO = Curve(0, (("0", (F(3),)), ("inf", (F(0),))))
 
 
+def _divisor(name, rows):
+    """The irregularity divisor of a model on a one-divisor chart."""
+    return IrregularityDivisor((name,), tuple(rows), (tuple(sorted(
+        (b for rank, (b,) in rows for _ in range(rank)), reverse=True)),))
+
+
 def test_chi_curve_examples():
-    assert chi_curve(1, P1_MINUS_TWO) == -3
-    assert chi_curve(1, Curve(1, ())) == 0
-    assert chi_curve(2, Curve(0, (("0", (F(1, 2), F(1, 2))),))) == 1
+    assert chi_EP([(1, (F(3), F(0)))], P1_MINUS_TWO) == -3
+    assert chi_EP([(1, ())], Curve(1, ())) == 0
+    assert chi_EP([(1, (F(1, 2),))] * 2, Curve(0, (("0", (F(1, 2), F(1, 2))),))) == 1
+    # the curve formula rank * chi(U) - total irregularity on reconciled rows
+    rows, geom = reconcile_geometry(_divisor("0", [(1, (F(3),))]),
+                                    Curve(0, (("0", ()), ("inf", (F(0),)))))
+    assert geom == P1_MINUS_TWO
+    assert chi_EP(rows, geom) == -3
+    rows, geom = reconcile_geometry(_divisor("0", [(2, (F(1, 2),))]),
+                                    Curve(0, (("0", ()),)))
+    assert rows == ((1, (F(1, 2),)), (1, (F(1, 2),)))
+    assert chi_EP(rows, geom) == 1
 
 
 def test_chi_curve_integrality_guard():
     with pytest.raises(IntegralityError):
-        chi_curve(1, Curve(0, (("0", (F(1, 2),)),)))
+        chi_EP([(1, (F(1, 2),))], Curve(0, (("0", (F(1, 2),)),)))
+    with pytest.raises(IntegralityError, match="line multiplicity 1/2 over D"):
+        reconcile_geometry(_divisor("0", [(1, (F(1, 2),))]), Curve(0, (("0", ()),)))
+    with pytest.raises(IntegralityError, match="total irregularity at inf: 1/2"):
+        reconcile_geometry(_divisor("0", [(1, (F(1),))]),
+                           Curve(0, (("0", ()), ("inf", (F(1, 2),)))))
 
 
 def test_chi_surface_kato_example():
     geom = Surface(1, (("D1", 1), ("D2", 1)), ((0, 1), (1, 0)))
     rows = [(1, (F(2), F(3)))]
-    assert chi_surface_kato(rows, geom) == 1 - 5 + 12 == 8
+    assert chi_EP(rows, geom) == 1 - 5 + 12 == 8
 
 
 def test_chi_surface_regular_and_selfintersection():
     geom = Surface(3, (("D", 2),), ((-1,),))
-    assert chi_surface_kato([(1, (F(1),))], geom) == 3 - 2 - 1 == 0
+    assert chi_EP([(1, (F(1),))], geom) == 3 - 2 - 1 == 0
     geom2 = Surface(4, (("D", 1),), ((0,),))
-    assert chi_surface_kato([(5, (F(0),))], geom2) == 20
+    assert chi_EP([(5, (F(0),))], geom2) == 20
 
 
 def test_chi_EP_matches_curve():
@@ -63,9 +83,12 @@ def test_chi_EP_matches_curve():
         for j in range(npunct):
             punctures.append((f"p{j}", tuple(row[j] for _, row in rows)))
         geom = Curve(g, tuple(punctures))
-        assert chi_EP(rows, geom) == chi_curve(rank, geom) - \
-            sum(sum(r) for _, r in rows) + sum(sum(r) for _, r in rows)
         assert chi_EP(rows, geom) == rank * geom.chi_U - sum(sum(r) for _, r in rows)
+        # the reconciled rows redistribute each puncture's values in sorted
+        # order, which keeps the Euler characteristic
+        chart = _divisor("p0", [(1, row[:1]) for _, row in rows])
+        declared = Curve(g, (("p0", ()),) + tuple(punctures[1:]))
+        assert chi_EP(*reconcile_geometry(chart, declared)) == chi_EP(rows, geom)
 
 
 def test_chi_EP_matches_kato_on_random_surfaces():
@@ -80,7 +103,13 @@ def test_chi_EP_matches_kato_on_random_surfaces():
         geom = Surface(rng.randint(-3, 4), comps, tuple(tuple(r) for r in inter))
         rows = [(1, tuple(F(rng.randint(0, 5)) for _ in range(k)))
                 for _ in range(rng.randint(1, 3))]
-        assert chi_EP(rows, geom) == chi_surface_kato(rows, geom)
+        # Kato's surface formula, chi(U) - sum_j b_j chi(D_j^o)
+        # + sum_{j,j'} b_j b_j' (D_j . D_j') per row
+        kato = sum(geom.chi_U - sum(b * chi for b, (_, chi) in zip(row, comps))
+                   + sum(row[j] * row[jp] * inter[j][jp]
+                         for j in range(k) for jp in range(k))
+                   for _, row in rows)
+        assert chi_EP(rows, geom) == kato
 
 
 def test_chi_EP_chern_override():
@@ -160,7 +189,8 @@ def test_derham_oracle_matches_curve_formula():
     for terms, irr0, irrinf in cases:
         phi = L(x, terms)
         geom = Curve(0, (("0", (F(irr0),)), ("inf", (F(irrinf),))))
-        want = chi_curve(1, geom)
+        want = chi_EP([(1, (F(irr0), F(irrinf)))], geom)
+        assert want == -irr0 - irrinf
         got = derham_oracle_curve(phi, window=2 * max(irr0, irrinf, 1) + 7)
         assert got.chi == want, (terms, got)
 

@@ -9,7 +9,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from logchar.euler import Curve, Surface, chi_curve, chi_surface_kato
+from logchar.euler import Curve, Surface, chi_EP
 from logchar.goodmodel import Chart, GoodModel, ModelSummand, clean_at_point
 from logchar.laurent import LaurentPolynomial
 
@@ -40,10 +40,9 @@ def test_chi_additive_over_direct_sums():
     geom = Surface(2, (("D1", 1), ("D2", -1)), ((1, 2), (2, 0)))
     rows_a = [(1, (F(2), F(1)))]
     rows_b = [(2, (F(3), F(0)))]
-    assert chi_surface_kato(rows_a + rows_b, geom) == \
-        chi_surface_kato(rows_a, geom) + chi_surface_kato(rows_b, geom)
+    assert chi_EP(rows_a + rows_b, geom) == chi_EP(rows_a, geom) + chi_EP(rows_b, geom)
     curve = Curve(1, (("0", ()),))
-    assert chi_curve(3, curve) == 3 * chi_curve(1, curve)
+    assert chi_EP([(1, (F(0),))] * 3, curve) == 3 * chi_EP([(1, (F(0),))], curve)
 
 
 def test_console_script_smoke(tmp_path):

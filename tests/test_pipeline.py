@@ -9,8 +9,8 @@ import random
 from fractions import Fraction
 
 from logchar.cdvf import refined_residue
-from logchar.euler import Curve, Surface, chi_EP, chi_curve, chi_surface_kato, \
-    derham_oracle_curve, kashiwara_dubson
+from logchar.euler import ChernData, Curve, Surface, chi_EP, derham_oracle_curve, \
+    kashiwara_dubson, reconcile_geometry
 from logchar.goodmodel import Chart, GoodModel, ModelSummand, irregularity_divisor, \
     nonclean_locus, zcar_prime
 from logchar.laurent import LaurentPolynomial
@@ -60,11 +60,11 @@ def test_surface_pipeline_kd_equals_formulas():
         geom = Surface(rng.randint(-3, 4),
                        (("x", rng.randint(-3, 3)), ("y", rng.randint(-3, 3))),
                        _random_symmetric(rng, 2))
-        rows = [(rank, row) for rank, row in irregularity_divisor(model).rows]
+        rows, geom = reconcile_geometry(irregularity_divisor(model), geom)
         cycle = zcar_prime(model)
         kd = kashiwara_dubson(cycle, geom)
-        kato = chi_surface_kato(rows, geom)
-        ep = chi_EP(rows, geom)
+        kato = chi_EP(rows, geom)
+        ep = chi_EP(rows, geom, ChernData.from_topology(geom))
         assert kd == kato == ep, (model.summands, kd, kato, ep)
         checked += 1
 
@@ -84,10 +84,12 @@ def test_curve_pipeline_kd_equals_formula_and_oracle():
         c = rng.choice([1, 2, -3, F(1, 2)])
         rank = rng.randint(1, 3)
         model = GoodModel(X1, (ModelSummand(L(("x",), {(-b,): c}), rank),))
-        geom = Curve(0, (("0", tuple([F(b)] * rank)), ("inf", (F(0),))))
+        rows, geom = reconcile_geometry(irregularity_divisor(model),
+                                        Curve(0, (("x", ()), ("inf", (F(0),)))))
+        assert geom.punctures[0] == ("x", tuple([F(b)] * rank))
         cycle = zcar_prime(model)
         kd = kashiwara_dubson(cycle, geom)
-        formula = chi_curve(rank, geom)
+        formula = chi_EP(rows, geom)
         assert kd == formula == -rank * (b - 0)
         if rank == 1 and b > 0:
             oracle = derham_oracle_curve(model.summands[0].phi, window=2 * b + 5)
@@ -102,8 +104,10 @@ def test_half_slope_pushforward_chi_loop():
     cycle = zcar_prime(model)
     (line, mult), = cycle.lines()
     assert mult == 1
-    geom = Curve(0, (("0", (F(1, 2), F(1, 2))), ("inf", (F(0), F(0)))))
-    assert chi_curve(2, geom) == kashiwara_dubson(cycle, geom) == 2 * 0 - 1
+    rows, geom = reconcile_geometry(irregularity_divisor(model),
+                                    Curve(0, (("x", ()), ("inf", (F(0), F(0))))))
+    assert geom.punctures[0] == ("x", (F(1, 2), F(1, 2)))
+    assert chi_EP(rows, geom) == kashiwara_dubson(cycle, geom) == 2 * 0 - 1
 
 
 def test_mixed_log_surface_chart_all_formulas():
@@ -114,8 +118,8 @@ def test_mixed_log_surface_chart_all_formulas():
     assert nonclean_locus(model).is_empty
     geom = Surface(2, (("y", 1),), ((-1,),))
     rows = [(rank, row) for rank, row in irregularity_divisor(model).rows]
-    kato = chi_surface_kato(rows, geom)
-    ep = chi_EP(rows, geom)
+    kato = chi_EP(rows, geom)
+    ep = chi_EP(rows, geom, ChernData.from_topology(geom))
     kd = kashiwara_dubson(zcar_prime(model), geom)
     # chi(U) - 2 chi(D^o) + 4 (D.D) = 2 - 2 - 4
     assert kato == ep == kd == -4

@@ -9,9 +9,11 @@ and runs it in-process: CLI ops through ``logchar.cli.main`` on documents
 written to a temporary directory, ``cyclic`` ops through
 ``logchar.cdvf.cyclic_vector``.  An op's record is its exit code, stdout,
 stderr and, for ``cyclic``, the ``repr`` of the returned operator (an
-exception is recorded by its type and message).  The first op whose record
-differs between the two roots is reported, and the exit status is 1; it is
-0 when every op matches.  Nothing is written under either checkout.
+exception is recorded by its type and message).  Every op whose record
+differs between the two roots is reported with each differing field, then
+their count, and the exit status is 1; it is 0 when every op matches.  Two
+roots whose op lists differ are reported as such.  Nothing is written under
+either checkout.
 """
 
 from __future__ import annotations
@@ -97,16 +99,17 @@ def _records(root):
 
 def compare(old_root, new_root):
     old, new = _records(old_root), _records(new_root)
+    if [r["op"] for r in old] != [r["op"] for r in new]:
+        print(f"op lists differ: {len(old)} vs {len(new)} ops")
+        return 1
+    differing = 0
     for a, b in zip(old, new):
-        if a["op"] != b["op"]:
-            print(f"op lists differ: {a['op']} vs {b['op']}")
-            return 1
-        for field in FIELDS:
-            if a[field] != b[field]:
-                print(f"{a['op']}: {field} differs\n  old: {a[field]!r}\n  new: {b[field]!r}")
-                return 1
-    if len(old) != len(new):
-        print(f"op counts differ: {len(old)} vs {len(new)}")
+        fields = [field for field in FIELDS if a[field] != b[field]]
+        differing += bool(fields)
+        for field in fields:
+            print(f"{a['op']}: {field} differs\n  old: {a[field]!r}\n  new: {b[field]!r}")
+    if differing:
+        print(f"{differing} of {len(old)} ops differ")
         return 1
     print(f"{len(old)} ops identical (exit code, stdout, stderr, returned operator)")
     return 0
