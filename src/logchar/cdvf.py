@@ -1,8 +1,10 @@
-"""One-variable engine over k((t)): operators, Newton polygons, refined data.
+"""One-variable engine over Q((t)): operators, Newton polygons, refined data.
 
-Conventions.  A DiffOperator is monic of order d with coefficients c_1..c_d,
-either in the derivation d/dt ("d/dt" gauge) or in the logarithmic derivation
-t d/dt ("t*d/dt" gauge).  Gauge changes use the exact identities
+Conventions.  Operators and connection matrices have their coefficients in
+Q((t)), as LaurentSeries in t; a constant given in their place becomes the
+constant series.  A DiffOperator is monic of order d with coefficients
+c_1..c_d, either in the derivation d/dt ("d/dt" gauge) or in the logarithmic
+derivation t d/dt ("t*d/dt" gauge).  Gauge changes use the exact identities
 t^k (d/dt)^k = D(D-1)..(D-k+1) for D = t d/dt, so only constant-coefficient
 Stirling data enters.
 
@@ -24,7 +26,7 @@ from functools import cache
 from fractions import Fraction
 from typing import Sequence, Tuple
 
-from .field import QQ, FactorizationError, factor_over_Q
+from .field import FactorizationError, factor_over_Q
 from .record import Record
 from .series import LaurentSeries, PrecisionError
 
@@ -40,22 +42,16 @@ class DiffOperator:
     """Monic operator of order d; coeffs[i] is the coefficient of the
     (d-1-i)-th power of the derivation, i.e. c_1 first."""
 
-    __slots__ = ("gauge", "order", "coeffs", "var", "field")
+    __slots__ = ("gauge", "order", "coeffs")
 
-    def __init__(self, gauge: str, coeffs: Sequence[LaurentSeries], var: str = "t",
-                 field=QQ):
+    def __init__(self, gauge: str, coeffs: Sequence[LaurentSeries]):
         if gauge not in (GAUGE_PARTIAL, GAUGE_LOG):
             raise OperatorError(f"unknown gauge {gauge!r}")
-        cs = []
-        for c in coeffs:
-            if not isinstance(c, LaurentSeries):
-                c = LaurentSeries.constant(c, var, field)
-            cs.append(c)
+        cs = tuple(c if isinstance(c, LaurentSeries) else LaurentSeries.constant(c)
+                   for c in coeffs)
         object.__setattr__(self, "gauge", gauge)
         object.__setattr__(self, "order", len(cs))
-        object.__setattr__(self, "coeffs", tuple(cs))
-        object.__setattr__(self, "var", var)
-        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "coeffs", cs)
 
     def __setattr__(self, *a):
         raise AttributeError("DiffOperator is immutable")
@@ -70,7 +66,7 @@ class DiffOperator:
     def coefficient_of_power(self, k: int) -> LaurentSeries:
         """Coefficient of the k-th power of the derivation, with c_0 = 1."""
         if k == self.order:
-            return LaurentSeries.constant(1, self.var, self.field)
+            return LaurentSeries.constant(1)
         return self.coeffs[self.order - 1 - k]
 
     def to_log_gauge(self) -> "DiffOperator":
@@ -82,7 +78,7 @@ class DiffOperator:
         d = self.order
         stir1 = _signed_stirling_first(d)
         # sum_i c_i t^{i} * falling_factorial_{d-i}(D), already multiplied by t^d
-        acc = [LaurentSeries.zero(self.var, self.field) for _ in range(d + 1)]
+        acc = [LaurentSeries.zero() for _ in range(d + 1)]
         for i in range(d + 1):
             c_i = self.coefficient_of_power(d - i)  # c_0 = 1, then c_1..c_d
             factor = c_i.shift(i)
@@ -93,7 +89,7 @@ class DiffOperator:
                     acc[j] = acc[j] + factor * s
         # acc[d] = t^d * t^{-d} = 1 exactly
         coeffs = [acc[d - i] for i in range(1, d + 1)]
-        return DiffOperator(GAUGE_LOG, coeffs, self.var, self.field)
+        return DiffOperator(GAUGE_LOG, coeffs)
 
     def kummer(self, h: int) -> "DiffOperator":
         """Substitute t -> t^h in log gauge: coefficients pull back and the
@@ -105,7 +101,7 @@ class DiffOperator:
         op = self.to_log_gauge()
         coeffs = [c.substitute_power(h) * (h ** i)
                   for i, c in enumerate(op.coeffs, start=1)]
-        return DiffOperator(GAUGE_LOG, coeffs, self.var, self.field)
+        return DiffOperator(GAUGE_LOG, coeffs)
 
 
 @cache
@@ -312,7 +308,7 @@ def refined_residue(op: DiffOperator, b: Fraction) -> RefinedClass:
     lead = qs[0]
     if lead == 0:
         raise OperatorError("face leading coefficient vanished")
-    q = tuple(Fraction(x) / Fraction(lead) for x in qs)
+    q = tuple(x / lead for x in qs)
     if q[-1] == 0:
         raise OperatorError("residue polynomial vanishes at 0 on a positive slope")
     orbits = _orbit_classes(factor_rational(q), h, B)
@@ -321,10 +317,9 @@ def refined_residue(op: DiffOperator, b: Fraction) -> RefinedClass:
 
 def _series_coeff(c: LaurentSeries, e: int) -> Fraction:
     try:
-        s = c.coefficient(e)
+        return c.coefficient(e)
     except PrecisionError:
         raise PrecisionError(f"face coefficient at t^{e} beyond known precision")
-    return s.rational_value()
 
 
 def factor_rational(q: Sequence[Fraction]):
@@ -403,8 +398,7 @@ def orbit_integrality_violations(refined: RefinedClass):
 
 def _mat_vec(A, v):
     n = len(v)
-    return [sum((A[i][j] * v[j] for j in range(n)),
-                LaurentSeries.zero(v[0].var, v[0].field)) for i in range(n)]
+    return [sum((A[i][j] * v[j] for j in range(n)), LaurentSeries.zero()) for i in range(n)]
 
 
 def _apply_derivation(A, v):
@@ -420,8 +414,7 @@ def _maximal_minors(M):
     without column m.
     """
     d = len(M)
-    var, field = M[0][0].var, M[0][0].field
-    minors = {0: LaurentSeries.constant(1, var, field)}
+    minors = {0: LaurentSeries.constant(1)}
     for k, row in enumerate(M):
         nxt = {}
         for cols, minor in minors.items():
@@ -437,11 +430,11 @@ def _maximal_minors(M):
                 nxt[key] = term if key not in nxt else nxt[key] + term
         minors = nxt
     full = (1 << (d + 1)) - 1
-    zero = LaurentSeries.zero(var, field)
+    zero = LaurentSeries.zero()
     return [minors.get(full ^ 1 << m, zero) for m in range(d + 1)]
 
 
-def cyclic_vector(A, var: str = "t", field=QQ) -> DiffOperator:
+def cyclic_vector(A) -> DiffOperator:
     """Monic annihilator of a cyclic vector of the connection matrix A.
 
     A is the matrix of the derivation d/dt on a chosen basis, of any rank d.
@@ -451,12 +444,11 @@ def cyclic_vector(A, var: str = "t", field=QQ) -> DiffOperator:
     for W u = v^(d) are the maximal minors of [W | v^(d)].
     """
     d = len(A)
-    A = [[c if isinstance(c, LaurentSeries) else LaurentSeries.constant(c, var, field)
-          for c in row] for row in A]
-    zero = LaurentSeries.zero(var, field)
+    A = [[c if isinstance(c, LaurentSeries) else LaurentSeries.constant(c) for c in row]
+         for row in A]
+    zero = LaurentSeries.zero()
     for ncand in range(1, d + 1):
-        v = [LaurentSeries.monomial(k, 1, var, field) if k < ncand else zero
-             for k in range(d)]
+        v = [LaurentSeries.monomial(k) if k < ncand else zero for k in range(d)]
         iterates = [v]
         for _ in range(d):
             iterates.append(_apply_derivation(A, iterates[-1]))
@@ -476,5 +468,5 @@ def cyclic_vector(A, var: str = "t", field=QQ) -> DiffOperator:
         det_inv = det.inverse()
         cs = [(minors[j] if (d - j) % 2 == 0 else -minors[j]) * det_inv
               for j in reversed(range(d))]
-        return DiffOperator(GAUGE_PARTIAL, cs, var, field)
+        return DiffOperator(GAUGE_PARTIAL, cs)
     raise OperatorError("no deterministic candidate is cyclic at the working precision")

@@ -18,11 +18,10 @@ from .cdvf import FactorizationError, newton_polygon, orbit_integrality_violatio
 from .cycles import IntegralityError, hilbert_dim, monomial_char_cycle
 from .euler import GeometryError, WindowError, chi_EP, derham_oracle_curve, \
     integrality_check, kashiwara_dubson, reconcile_geometry
-from .field import parse_rational
 from .goodmodel import (clean_at_point, irregularity_divisor, nonclean_locus, refined_form,
                         validate_good_decomposition, zcar_prime, CodimensionError)
 from .modeldoc import SchemaError, load_json, parse_model_document, \
-    parse_operator_document
+    parse_operator_document, parse_point
 from .series import PrecisionError
 from .tropical import RayBudgetError
 
@@ -165,19 +164,16 @@ def cmd_irr(args) -> int:
 
 
 def _parse_point_arg(text, chart):
-    pt = {}
+    spec = {}
     for item in text.split(","):
         if "=" not in item:
             raise SchemaError(f"bad point coordinate {item!r}")
         name, val = item.split("=", 1)
         name = name.strip()
-        if name not in chart.vars:
-            raise SchemaError(f"unknown coordinate {name!r}")
-        pt[name] = parse_rational(val)
-    for name in chart.vars:
-        if name not in pt:
-            raise SchemaError(f"point misses coordinate {name}")
-    return pt
+        if name in spec:
+            raise SchemaError(f"repeated coordinate {name!r}")
+        spec[name] = val
+    return parse_point(spec, chart)
 
 
 def cmd_clean(args) -> int:

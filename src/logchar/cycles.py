@@ -17,7 +17,6 @@ import itertools
 from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
 
-from .field import QQ
 from .laurent import LaurentPolynomial
 from .record import Record
 
@@ -61,34 +60,18 @@ class ChartStamp(Record):
         return len(self.log_vars)
 
 
-def _as_poly(entry, vars, field=QQ):
-    if isinstance(entry, LaurentPolynomial):
-        return entry
-    return LaurentPolynomial.constant(vars, entry, field)
-
-
 class Direction:
     """Projective class [theta_1 : ... : theta_n] with polynomial entries."""
 
     __slots__ = ("entries",)
 
-    def __init__(self, entries: Sequence):
+    def __init__(self, entries: Sequence[LaurentPolynomial]):
         es = tuple(entries)
         if not es:
             raise CycleError("empty direction")
-        self_entries = []
-        vars = None
-        for e in es:
-            if isinstance(e, LaurentPolynomial):
-                vars = e.vars
-        for e in es:
-            if isinstance(e, LaurentPolynomial):
-                self_entries.append(e)
-            else:
-                self_entries.append(_as_poly(e, vars if vars is not None else ()))
-        if all(p.is_zero for p in self_entries):
+        if all(p.is_zero for p in es):
             raise CycleError("direction must not vanish identically")
-        object.__setattr__(self, "entries", tuple(self_entries))
+        object.__setattr__(self, "entries", es)
 
     def __setattr__(self, *a):
         raise AttributeError("Direction is immutable")

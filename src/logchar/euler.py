@@ -38,6 +38,11 @@ class Curve(Record):
     genus: int
     punctures: Tuple[Tuple[str, Tuple[Fraction, ...]], ...]  # (name, irregularities)
 
+    def __post_init__(self):
+        names = [name for name, _ in self.punctures]
+        if len(set(names)) != len(names):
+            raise GeometryError("puncture names must be distinct")
+
     @property
     def chi_U(self):
         return 2 - 2 * self.genus - len(self.punctures)

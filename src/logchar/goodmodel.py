@@ -46,6 +46,8 @@ class Chart(Record):
     def __post_init__(self):
         if len(set(self.vars)) != len(self.vars):
             raise ModelError("chart variables must be distinct")
+        if len(set(self.log_vars)) != len(self.log_vars):
+            raise ModelError("log variables must be distinct")
         if not self.log_vars:
             raise ModelError("a chart needs at least one log divisor")
         if not set(self.log_vars) <= set(self.vars):

@@ -58,7 +58,7 @@ def parse_model_document(doc: dict) -> ModelDocument:
             "document needs a 'model' or a 'monomial_module' block")
     geometry = _parse_geometry(doc.get("geometry"))
     chern = _parse_chern(doc.get("chern"), geometry)
-    points = tuple(_parse_point(p, chart) for p in doc.get("points", []))
+    points = tuple(parse_point(p, chart) for p in doc.get("points", []))
     return ModelDocument(chart, model, monomial, geometry, chern, points)
 
 
@@ -220,8 +220,12 @@ def _parse_chern(spec, geometry):
     return ChernData(c2, tuple(parse_rational(v) for v in c1), False)
 
 
-def _parse_point(spec, chart: Chart):
+def parse_point(spec, chart: Chart) -> dict:
+    """The point named by a coordinate -> value map: each chart coordinate
+    exactly once, and no other name."""
     _expect(isinstance(spec, dict), "each point must be an object")
+    for name in spec:
+        _expect(name in chart.vars, f"unknown coordinate {name!r}")
     pt = {}
     for name in chart.vars:
         _expect(name in spec, f"point misses coordinate {name}")

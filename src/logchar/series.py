@@ -5,16 +5,19 @@ bound ``prec``: terms of exponent >= prec are unknown.  ``prec = None`` marks
 a series that is exactly its stored finite sum (polynomial-born); such series
 stay exact under ring operations, and only inversion forces a finite window.
 
-Coefficients are Scalars.
+The series are over Q: coefficients are stored as Fractions, and any other
+value given (an int or a "p/q" string) is converted once, on construction.
+``zero``, ``constant`` and ``monomial`` build series in t; the variable name
+is only compared and printed.  ``inverse`` works to a fixed window of 32
+terms.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Mapping, Optional
 
-from .field import QQ, Scalar
-
-_DEFAULT_WINDOW = 32
+_WINDOW = 32
 
 
 class PrecisionError(ArithmeticError):
@@ -22,22 +25,21 @@ class PrecisionError(ArithmeticError):
 
 
 class LaurentSeries:
-    __slots__ = ("var", "terms", "prec", "field")
+    __slots__ = ("var", "terms", "prec")
 
-    def __init__(self, var: str, terms: Mapping[int, object], prec: Optional[int] = None,
-                 field=QQ):
+    def __init__(self, var: str, terms: Mapping[int, object], prec: Optional[int] = None):
         clean = {}
         for e, c in terms.items():
             e = int(e)
             if prec is not None and e >= prec:
                 continue
-            cc = c if isinstance(c, Scalar) else field(c)
-            if not cc.is_zero:
-                clean[e] = cc
+            if type(c) is not Fraction:
+                c = Fraction(c)
+            if c:
+                clean[e] = c
         object.__setattr__(self, "var", var)
         object.__setattr__(self, "terms", dict(sorted(clean.items())))
         object.__setattr__(self, "prec", prec)
-        object.__setattr__(self, "field", field)
 
     def __setattr__(self, *a):
         raise AttributeError("LaurentSeries is immutable")
@@ -45,16 +47,16 @@ class LaurentSeries:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, var="t", field=QQ):
-        return cls(var, {}, None, field)
+    def zero(cls):
+        return cls("t", {})
 
     @classmethod
-    def constant(cls, value, var="t", field=QQ):
-        return cls(var, {0: value}, None, field)
+    def constant(cls, value):
+        return cls("t", {0: value})
 
     @classmethod
-    def monomial(cls, exp: int, coeff=1, var="t", field=QQ):
-        return cls(var, {exp: coeff}, None, field)
+    def monomial(cls, exp: int, coeff=1):
+        return cls("t", {exp: coeff})
 
     # -- structure ---------------------------------------------------------
 
@@ -87,8 +89,7 @@ class LaurentSeries:
     def coefficient(self, e: int):
         if self.prec is not None and e >= self.prec:
             raise PrecisionError(f"coefficient of {self.var}^{e} beyond precision {self.prec}")
-        c = self.terms.get(e)
-        return c if c is not None else self.field.zero()
+        return self.terms.get(e, Fraction(0))
 
     def _check(self, other):
         if self.var != other.var:
@@ -107,7 +108,7 @@ class LaurentSeries:
     def _coerce(self, other):
         if isinstance(other, LaurentSeries):
             return other
-        return LaurentSeries.constant(other, self.var, self.field)
+        return LaurentSeries(self.var, {0: other})
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -116,18 +117,13 @@ class LaurentSeries:
         out = dict(self.terms)
         for e, c in o.terms.items():
             s = out.get(e)
-            s = c if s is None else s + c
-            if s.is_zero:
-                out.pop(e, None)
-            else:
-                out[e] = s
-        return LaurentSeries(self.var, out, prec, self.field)
+            out[e] = c if s is None else s + c
+        return LaurentSeries(self.var, out, prec)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentSeries(self.var, {e: -c for e, c in self.terms.items()}, self.prec,
-                             self.field)
+        return LaurentSeries(self.var, {e: -c for e, c in self.terms.items()}, self.prec)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -143,24 +139,24 @@ class LaurentSeries:
         zero series, whatever the precision of self.
         """
         if not isinstance(o, LaurentSeries):
-            c = o if isinstance(o, Scalar) else self.field(o)
-            if c.is_zero:
-                return LaurentSeries.zero(self.var, self.field)
+            c = o if isinstance(o, (int, Fraction)) else Fraction(o)
+            if not c:
+                return LaurentSeries(self.var, {})
             return LaurentSeries(self.var, {e: t * c for e, t in self.terms.items()},
-                                 self.prec, self.field)
+                                 self.prec)
         self._check(o)
         v1, v2 = self.low_bound(), o.low_bound()
         if (self.is_exactly_zero and o.prec is None) or (o.is_exactly_zero and self.prec is None):
-            return LaurentSeries.zero(self.var, self.field)
+            return LaurentSeries(self.var, {})
         # unknown tail of one factor times the lowest term of the other
         cands = []
         if self.prec is not None:
             if v2 is None:
-                return LaurentSeries.zero(self.var, self.field)
+                return LaurentSeries(self.var, {})
             cands.append(self.prec + v2)
         if o.prec is not None:
             if v1 is None:
-                return LaurentSeries.zero(self.var, self.field)
+                return LaurentSeries(self.var, {})
             cands.append(o.prec + v1)
         prec = min(cands) if cands else None
         out = {}
@@ -171,47 +167,40 @@ class LaurentSeries:
                     continue
                 c = c1 * c2
                 s = out.get(e)
-                s = c if s is None else s + c
-                if s.is_zero:
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return LaurentSeries(self.var, out, prec, self.field)
+                out[e] = c if s is None else s + c
+        return LaurentSeries(self.var, out, prec)
 
     __rmul__ = __mul__
 
     def shift(self, k: int) -> "LaurentSeries":
         """Multiply by t^k."""
         return LaurentSeries(self.var, {e + k: c for e, c in self.terms.items()},
-                             None if self.prec is None else self.prec + k, self.field)
+                             None if self.prec is None else self.prec + k)
 
     def derivative(self) -> "LaurentSeries":
         out = {e - 1: c * e for e, c in self.terms.items() if e != 0}
         prec = None if self.prec is None else self.prec - 1
-        return LaurentSeries(self.var, out, prec, self.field)
+        return LaurentSeries(self.var, out, prec)
 
     def truncate(self, prec: int) -> "LaurentSeries":
         p = self._min_prec(self.prec, prec)
-        return LaurentSeries(self.var, {e: c for e, c in self.terms.items() if e < p}, p,
-                             self.field)
+        return LaurentSeries(self.var, {e: c for e, c in self.terms.items() if e < p}, p)
 
-    def inverse(self, window: Optional[int] = None) -> "LaurentSeries":
+    def inverse(self) -> "LaurentSeries":
         """Multiplicative inverse up to a finite window of terms.
 
-        Requires a certified valuation v and an invertible leading coefficient;
-        the result has finite precision w - v even for exact input, with w the
-        window (default 32), capped at prec - v.  Writing self = t^v sum a_k t^k,
-        the coefficients of t^v / self come from the triangular recurrence
-        b_0 = 1/a_0, b_n = -(1/a_0) sum_{k=1..n} a_k b_{n-k}, for n < w.
+        Requires a certified valuation v; the result has finite precision
+        w - v even for exact input, with w the window of 32 terms, capped at
+        prec - v.  Writing self = t^v sum a_k t^k, the coefficients of
+        t^v / self come from the triangular recurrence b_0 = 1/a_0,
+        b_n = -(1/a_0) sum_{k=1..n} a_k b_{n-k}, for n < w.
         """
         v = self.valuation()
         if v is None:
             raise ZeroDivisionError("inverse of zero series")
         lead = self.terms[v]
-        w = window if window is not None else _DEFAULT_WINDOW
-        if self.prec is not None:
-            w = min(w, self.prec - v)
-        inv_lead = lead.inverse()
+        w = _WINDOW if self.prec is None else min(_WINDOW, self.prec - v)
+        inv_lead = 1 / lead
         tail = [(e - v, c) for e, c in self.terms.items() if 0 < e - v < w]
         b = [inv_lead]
         for n in range(1, w):
@@ -224,7 +213,7 @@ class LaurentSeries:
                     acc = term if acc is None else acc + term
             b.append(None if acc is None else -(acc * inv_lead))
         return LaurentSeries(self.var, {n - v: c for n, c in enumerate(b) if c is not None},
-                             w - v, self.field)
+                             w - v)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -258,7 +247,7 @@ class LaurentSeries:
         if h < 1:
             raise ValueError("power must be positive")
         return LaurentSeries(self.var, {e * h: c for e, c in self.terms.items()},
-                             None if self.prec is None else self.prec * h, self.field)
+                             None if self.prec is None else self.prec * h)
 
     def __repr__(self):
         return f"LaurentSeries({self})"

@@ -174,9 +174,12 @@ def test_chi_curve_all_formulas(tmp_path, capsys):
 
 
 def _curve_geometry(at_x, *off_chart):
+    """A genus-0 curve with the chart puncture x and off-chart punctures
+    inf, p1, p2, ..."""
     return {"kind": "curve", "genus": 0,
             "punctures": [{"name": "x", "irregularities": at_x}] + [
-                {"name": "inf", "irregularities": irrs} for irrs in off_chart]}
+                {"name": f"p{k}" if k else "inf", "irregularities": irrs}
+                for k, irrs in enumerate(off_chart)]}
 
 
 # x^-1/2 and 2 x^-1/2: a good decomposition whose rank-1 summands leave the
@@ -187,9 +190,10 @@ HALF_PAIR = [{"phi": [{"coeff": c, "exp": ["-1/2"] + [-1] * k}], "rank": 1}
 
 def _same_refusal_from_all_formulas(capsys, f, code, message):
     for formula in ("kato", "ep", "kd"):
-        got, out, err = run(capsys, "chi", f, "--formula", formula)
-        assert (got, out) == (code, ""), (formula, out)
-        assert err == message + "\n", (formula, err)
+        for extra in ((), ("--json",)):
+            got, out, err = run(capsys, "chi", f, "--formula", formula, *extra)
+            assert (got, out) == (code, ""), (formula, extra, out)
+            assert err == message + "\n", (formula, extra, err)
 
 
 def test_chi_formulas_accept_the_same_curves(tmp_path, capsys):
@@ -205,6 +209,11 @@ def test_chi_formulas_accept_the_same_curves(tmp_path, capsys):
         (x2, _curve_geometry([], ["-1"]), 2, "invalid input: negative irregularity at inf"),
         (x2, dict(_curve_geometry([]), punctures=[{"name": "p"}]), 2,
          "invalid input: geometry lists no puncture named 'x'"),
+        # a second x would enter as an off-chart puncture
+        (x2, dict(_curve_geometry([]), punctures=[
+            {"name": "x", "irregularities": []}, {"name": "x", "irregularities": ["3"]},
+            {"name": "inf", "irregularities": []}]), 2,
+         "invalid input: puncture names must be distinct"),
         (x2, _curve_geometry([], ["1/2"], ["1/2"]), 4,
          "internal assertion failure: non-integral total irregularity at inf: 1/2"),
         (half_pair, _curve_geometry([]), 4,
@@ -213,6 +222,19 @@ def test_chi_formulas_accept_the_same_curves(tmp_path, capsys):
     for model, geometry, code, message in cases:
         f = write(tmp_path, "curve.json", dict(model, geometry=geometry))
         _same_refusal_from_all_formulas(capsys, f, code, message)
+
+
+def test_chart_refuses_repeated_log_variables(tmp_path, capsys):
+    # D(x) listed twice would count the x^-2 summand's line twice
+    doc = dict(monomial_model(("x",), ("x", "x"), {(-2,): 1}),
+               geometry=_curve_geometry([], []))
+    f = write(tmp_path, "xx.json", doc)
+    for argv in (("validate",), ("irr",), ("zcar",), ("chi", "--formula", "kato"),
+                 ("chi", "--formula", "kd")):
+        for extra in ((), ("--json",)):
+            code, out, err = run(capsys, argv[0], f, *argv[1:], *extra)
+            assert (code, out) == (2, ""), (argv, extra)
+            assert err == "invalid input: bad chart: log variables must be distinct\n"
 
 
 def test_chi_surface_all_formulas(tmp_path, capsys):
@@ -431,6 +453,21 @@ def test_point_from_file_block(tmp_path, capsys):
     f = write(tmp_path, "pts.json", doc)
     code, out, _ = run(capsys, "clean", f)
     assert code == 0 and "clean: yes, numerically clean: no" in out
+
+
+def test_point_names_each_coordinate_once(tmp_path, capsys):
+    # a points block and --point go through one parser: an unknown or a
+    # repeated coordinate is refused on both
+    block = write(tmp_path, "xyz.json", dict(XY2_MODEL, points=[{"x": 0, "y": 0, "z": 7}]))
+    plain = write(tmp_path, "xy.json", XY2_MODEL)
+    cases = [((block,), "invalid input: unknown coordinate 'z'"),
+             ((plain, "--point", "x=0,y=0,z=7"), "invalid input: unknown coordinate 'z'"),
+             ((plain, "--point", "x=0,y=0,x=1"), "invalid input: repeated coordinate 'x'"),
+             ((plain, "--point", "x=0"), "invalid input: point misses coordinate y")]
+    for args, message in cases:
+        for extra in ((), ("--json",)):
+            code, out, err = run(capsys, "clean", *args, *extra)
+            assert (code, out, err) == (2, "", message + "\n"), (args, extra)
 
 
 def test_chi_on_single_log_divisor_surface(tmp_path, capsys):

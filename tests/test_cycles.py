@@ -13,7 +13,6 @@ from logchar.cycles import (
     LowerDim,
     MonomialLogModule,
     ZeroSection,
-    _as_poly,
     hilbert_dim,
     monomial_char_cycle,
 )
@@ -157,7 +156,7 @@ def gr_extract_structured(chart, b_vector, theta, rank, row=None):
         raise CycleError("pole orders must be nonnegative")
     parts = [(ZeroSection(), Fraction(rank))]
     if any(bs):
-        entries = [_as_poly(e, chart.vars) for e in theta]
+        entries = [e if isinstance(e, L) else L.constant(chart.vars, e) for e in theta]
         if len(entries) != chart.n:
             raise CycleError("one direction coordinate per chart variable required")
         row_t = tuple(Fraction(x) for x in (row if row is not None else bs))

@@ -20,7 +20,7 @@ import pytest
 
 import logchar
 from logchar.cycles import ChartStamp, CycleError, MonomialLogModule
-from logchar.euler import GeometryError, Surface
+from logchar.euler import Curve, GeometryError, Surface
 from logchar.goodmodel import Chart, ModelError, ModelSummand
 from logchar.record import Record
 
@@ -85,6 +85,13 @@ def _surface_fields(rng):
             tuple(tuple(r) for r in m))
 
 
+def _curve_fields(rng):
+    names = rng.sample(["x", "y", "inf", "p"], rng.randint(0, 3))
+    return (rng.randint(0, 2), tuple((name, tuple(Fraction(rng.randint(0, 4), rng.randint(1, 2))
+                                                  for _ in range(rng.randint(0, 2))))
+                                     for name in names))
+
+
 def _module_fields(rng):
     chart = ChartStamp(*_chart_vars(rng, False))
     gens = tuple(rng.randint(0, 2) for _ in range(rng.randint(1, 2)))
@@ -99,6 +106,7 @@ def _module_fields(rng):
 VALIDATED = {
     Chart: lambda rng: _chart_vars(rng, True),
     ChartStamp: lambda rng: _chart_vars(rng, False),
+    Curve: _curve_fields,
     ModelSummand: lambda rng: (_value(rng), rng.randint(1, 3)),
     MonomialLogModule: _module_fields,
     Surface: _surface_fields,
@@ -200,6 +208,8 @@ def test_post_init_raises_typed_errors():
     with pytest.raises(ModelError):
         Chart(("x",), ())
     with pytest.raises(ModelError):
+        Chart(("x",), ("x", "x"))
+    with pytest.raises(ModelError):
         ModelSummand(None, 0)
     with pytest.raises(ModelError):
         ModelSummand(None, rank=0)
@@ -213,6 +223,8 @@ def test_post_init_raises_typed_errors():
         MonomialLogModule(ChartStamp(("x",), ("x",)), (0,), ((1, (0,), (0,)),))
     with pytest.raises(GeometryError):
         Surface(0, (("D", 0), ("E", 0)), ((1, 2), (3, 1)))
+    with pytest.raises(GeometryError):
+        Curve(0, (("x", ()), ("inf", ()), ("x", (Fraction(3),))))
 
 
 def test_field_order_and_defaults_checked_at_class_creation():
