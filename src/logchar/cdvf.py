@@ -16,7 +16,10 @@ attached to t^{-b} (irregularity b) and by Euler operators (irregularity 0).
 
 Refined residues along a face of positive slope b are face polynomials of the
 monic annihilator: their roots are the leading twisted eigenvalues theta, the
-reductions of t^{b+1} phi' for a rank-1 twist by phi.
+reductions of t^{b+1} phi' for a rank-1 twist by phi.  For b = B/h the face
+lives on the cover t = s^h, whose polygon is the base polygon stretched
+vertically by h; it is read on the base operator, and no operator is pulled
+back.
 """
 
 from __future__ import annotations
@@ -77,30 +80,25 @@ class DiffOperator:
             return self
         d = self.order
         stir1 = _signed_stirling_first(d)
-        # sum_i c_i t^{i} * falling_factorial_{d-i}(D), already multiplied by t^d
-        acc = [LaurentSeries.zero() for _ in range(d + 1)]
-        for i in range(d + 1):
-            c_i = self.coefficient_of_power(d - i)  # c_0 = 1, then c_1..c_d
-            factor = c_i.shift(i)
-            k = d - i
-            for j in range(k + 1):
-                s = stir1[k][j]
-                if s:
-                    acc[j] = acc[j] + factor * s
-        # acc[d] = t^d * t^{-d} = 1 exactly
-        coeffs = [acc[d - i] for i in range(1, d + 1)]
-        return DiffOperator(GAUGE_LOG, coeffs)
-
-    def kummer(self, h: int) -> "DiffOperator":
-        """Substitute t -> t^h in log gauge: coefficients pull back and the
-        log derivation rescales by 1/h, so c_i picks up h^i."""
-        if h < 1:
-            raise OperatorError("cover degree must be positive")
-        if h == 1:
-            return self.to_log_gauge()
-        op = self.to_log_gauge()
-        coeffs = [c.substitute_power(h) * (h ** i)
-                  for i, c in enumerate(op.coeffs, start=1)]
+        cs = (LaurentSeries.constant(1),) + self.coeffs
+        # times t^d, the coefficient of D^j is sum_i s(d-i, j) t^i c_i, built
+        # as one exponent map and one precision per j
+        coeffs = []
+        for j in reversed(range(d)):
+            terms, prec = {}, None
+            for i in range(d - j + 1):
+                s = stir1[d - i][j]
+                if not s:
+                    continue
+                c = cs[i]
+                if c.prec is not None and (prec is None or c.prec + i < prec):
+                    prec = c.prec + i
+                for e, x in c.terms.items():
+                    if s != 1:
+                        x *= s
+                    old = terms.get(e + i)
+                    terms[e + i] = x if old is None else old + x
+            coeffs.append(LaurentSeries("t", terms, prec))
         return DiffOperator(GAUGE_LOG, coeffs)
 
 
@@ -120,7 +118,7 @@ def _signed_stirling_first(n):
 
 
 class NewtonPolygon(Record):
-    vertices: Tuple[Tuple[int, Fraction], ...]
+    vertices: Tuple[Tuple[int, int], ...]
     slopes: Tuple[Tuple[Fraction, int], ...]          # (slope, width), +inf tail omitted
     irregularities: Tuple[Tuple[Fraction, int], ...]  # (value, multiplicity), sorted desc
     order: int
@@ -145,28 +143,26 @@ def newton_polygon(op: DiffOperator) -> NewtonPolygon:
     """
     logop = op.to_log_gauge()
     d = logop.order
-    points = [(0, Fraction(0))]
+    points = [(0, 0)]
     uncertain = []
-    for i in range(1, d + 1):
-        c = logop.coeffs[i - 1]
+    for i, c in enumerate(logop.coeffs, start=1):
         try:
             v = c.valuation()
         except PrecisionError:
-            uncertain.append((i, Fraction(c.prec)))
+            uncertain.append((i, c.prec))
             continue
-        if v is None:
-            continue  # exactly zero: no point
-        points.append((i, Fraction(v)))
+        if v is not None:  # an exact zero gives no point
+            points.append((i, v))
     hull = _lower_hull(points)
     for i, bound in uncertain:
-        if _hull_height(hull, i, d) > bound:
+        if _hull_height(hull, i) > bound:
             raise PrecisionError(
                 f"coefficient {i} is zero to O(t^{bound}) but the polygon needs it")
     slopes = []
     irregularities = {}
     for (i0, v0), (i1, v1) in zip(hull, hull[1:]):
-        sigma = (v1 - v0) / (i1 - i0)
         width = i1 - i0
+        sigma = Fraction(v1 - v0, width)
         slopes.append((sigma, width))
         irr = max(Fraction(0), -sigma)
         irregularities[irr] = irregularities.get(irr, 0) + width
@@ -181,21 +177,22 @@ def newton_polygon(op: DiffOperator) -> NewtonPolygon:
 
 
 def _lower_hull(points):
-    pts = sorted(points)
+    """Vertices of the lower convex hull of integer points in increasing
+    abscissa order."""
     hull = []
-    for p in pts:
+    for x, y in points:
         while len(hull) >= 2:
             (x1, y1), (x2, y2) = hull[-2], hull[-1]
-            # drop hull[-1] if it lies on or above the segment hull[-2] -> p
-            if (y2 - y1) * (p[0] - x1) >= (p[1] - y1) * (x2 - x1):
+            # drop hull[-1] if it lies on or above the segment hull[-2] -> (x, y)
+            if (y2 - y1) * (x - x1) >= (y - y1) * (x2 - x1):
                 hull.pop()
             else:
                 break
-        hull.append(p)
+        hull.append((x, y))
     return hull
 
 
-def _hull_height(hull, i, d):
+def _hull_height(hull, i):
     """Height below which a point at abscissa i would change the irregularities.
 
     Between vertices this is the hull itself; past the last vertex any point
@@ -268,58 +265,44 @@ def _poly_str(coeffs):
     return out
 
 
-def refined_residue(op: DiffOperator, b: Fraction) -> RefinedClass:
+def refined_residue(op: DiffOperator, poly: NewtonPolygon, b: Fraction) -> RefinedClass:
     """Residue polynomial along the irregularity-b face, with orbit data.
 
-    Accepts either gauge and converts once: the log-gauge operator is used
-    for the polygon and, for fractional b, pulled back along t -> t^h with h
-    the denominator of b.  The face polynomial of the monic annihilator has
-    the leading twisted eigenvalues as roots.
+    ``poly`` is ``newton_polygon(op)``; ``op`` may be in either gauge.  The
+    face polynomial of the monic annihilator, read on the cover t = s^h with
+    h the denominator of b, has the leading twisted eigenvalues as roots.
     """
     b = Fraction(b)
+    q = _face_polynomial(op, poly, b)
+    orbits = _orbit_classes(factor_rational(q), b.denominator)
+    return RefinedClass(b, b.denominator, q, tuple(orbits))
+
+
+def _face_polynomial(op, poly, b):
+    """Monic face polynomial of slope -B on the cover t = s^h, b = B/h.
+
+    The cover's log-gauge coefficients are h^i c_i(s^h), so its polygon is
+    ``poly`` stretched vertically by h, and the face is read on the base
+    operator: the s^(h v0 - B l) coefficient is h^(i0+l) times the
+    t^(v0 - B l/h) coefficient of c_(i0+l) when h | l, and 0 otherwise.  It
+    is known below s^(h prec), as on the pulled-back series.
+    """
     if b <= 0:
         raise OperatorError("refined residues require a positive slope")
-    op = op.to_log_gauge()
-    poly = newton_polygon(op)
-    if not any(v == b and m > 0 for v, m in poly.irregularities):
-        raise OperatorError(f"{b} is not an irregularity slope of the operator")
-    h = b.denominator
-    logop = op.kummer(h)
-    B = int(b * h)
-    # on an integral slope the cover is the base itself: op.kummer(1) is op
-    cover_poly = poly if h == 1 else newton_polygon(logop)
-    hull = cover_poly.vertices
-    target = Fraction(-B)
-    face = None
-    for (i0, v0), (i1, v1) in zip(hull, hull[1:]):
-        if (v1 - v0) / (i1 - i0) == target:
-            face = (i0, v0, i1, v1)
-            break
+    face = next((k for k, (sigma, _) in enumerate(poly.slopes) if sigma == -b), None)
     if face is None:
-        raise OperatorError("face not found on the cover polygon")
-    i0, v0, i1, v1 = face
-    w = i1 - i0
+        raise OperatorError(f"{b} is not an irregularity slope of the operator")
+    op = op.to_log_gauge()
+    h, B = b.denominator, b.numerator
+    (i0, v0), (i1, _) = poly.vertices[face:face + 2]
     qs = []
-    for l in range(w + 1):
-        i = i0 + l
-        c = logop.coefficient_of_power(logop.order - i)
-        want = int(v0 - B * l)
-        qs.append(_series_coeff(c, want))
-    lead = qs[0]
-    if lead == 0:
-        raise OperatorError("face leading coefficient vanished")
-    q = tuple(x / lead for x in qs)
-    if q[-1] == 0:
-        raise OperatorError("residue polynomial vanishes at 0 on a positive slope")
-    orbits = _orbit_classes(factor_rational(q), h, B)
-    return RefinedClass(b, h, q, tuple(orbits))
-
-
-def _series_coeff(c: LaurentSeries, e: int) -> Fraction:
-    try:
-        return c.coefficient(e)
-    except PrecisionError:
-        raise PrecisionError(f"face coefficient at t^{e} beyond known precision")
+    for l in range(i1 - i0 + 1):
+        c = op.coefficient_of_power(op.order - i0 - l)
+        e = h * v0 - B * l
+        if c.prec is not None and e >= h * c.prec:
+            raise PrecisionError(f"face coefficient at t^{e} beyond known precision")
+        qs.append(h ** (i0 + l) * c.terms.get(e // h, 0) if e % h == 0 else 0)
+    return tuple(x / qs[0] for x in qs)
 
 
 def factor_rational(q: Sequence[Fraction]):
@@ -339,7 +322,7 @@ def factor_rational(q: Sequence[Fraction]):
     return sorted(Counter(tuple(f[::-1]) for f in factors).items())
 
 
-def _orbit_classes(factors, h: int, B: int):
+def _orbit_classes(factors, h: int):
     """Group irreducible factors into Galois-orbit classes.
 
     The residue-field Galois orbit of a factor is the factor itself (size =
@@ -350,7 +333,7 @@ def _orbit_classes(factors, h: int, B: int):
     items = [list(f) for f, _ in factors]
     mults = [m for _, m in factors]
     n = len(items)
-    if h == 1 or B % h == 0:
+    if h == 1:
         pairing = list(range(n))
     elif h == 2:
         pairing = []
@@ -384,12 +367,21 @@ def _orbit_classes(factors, h: int, B: int):
 
 
 def orbit_integrality_violations(refined: RefinedClass):
-    """Hasse-Arf style check: (dimension * slope) / r must be integral."""
+    """Descent and integrality of a refined class, as a list of messages.
+
+    On the cover t = s^h the coefficients are series in s^h, so the face
+    polynomial q lies in Q[X^h] (descent).  Its roots then form
+    mu_h-orbits, each class is a union of them, and dim * slope is an
+    integer (Turrittin-Levelt).
+    """
+    h, q = refined.kummer, refined.residue_poly
     bad = []
+    if any(c for k, c in enumerate(reversed(q)) if k % h):
+        bad.append(f"q is not in Q[X^{h}]")
     for orb in refined.orbits:
-        val = Fraction(orb.dimension) * refined.slope / orb.residue_degree
+        val = orb.dimension * refined.slope
         if val.denominator != 1:
-            bad.append((orb, val))
+            bad.append(f"dim*slope = {val}")
     return bad
 
 

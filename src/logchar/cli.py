@@ -299,7 +299,7 @@ def cmd_newton(args) -> int:
         if v <= 0:
             continue
         try:
-            ref = refined_residue(op, v)
+            ref = refined_residue(op, poly, v)
         except FactorizationError as exc:
             lines.append(f"slope {v}: residue factorization unavailable ({exc})")
             refined_payload.append({"slope": str(v), "error": str(exc)})
@@ -308,12 +308,12 @@ def cmd_newton(args) -> int:
         for orb in ref.orbits:
             lines.append(f"  {orb.describe()}")
         bad = orbit_integrality_violations(ref)
-        for orb, val in bad:
-            lines.append(f"  INTEGRALITY VIOLATION: dim*slope/r = {val}")
+        for msg in bad:
+            lines.append(f"  INTEGRALITY VIOLATION: {msg}")
         refined_payload.append({"slope": str(v), "q": [str(c) for c in ref.residue_poly],
                                 "kummer": ref.kummer,
                                 "orbits": [orb.describe() for orb in ref.orbits],
-                                "violations": [str(val) for _, val in bad]})
+                                "violations": bad})
         if bad:
             _fail("orbit integrality violated")
             status = EXIT_ASSERTION

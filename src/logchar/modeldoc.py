@@ -261,6 +261,18 @@ def parse_operator_document(doc: dict) -> DiffOperator:
 def load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_object)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"invalid JSON: {exc}")
+
+
+def _object(pairs) -> dict:
+    """A JSON object; a key given twice is refused, not overwritten."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise SchemaError(f"repeated key {key!r}")
+            seen.add(key)
+    return obj

@@ -242,13 +242,6 @@ class LaurentSeries:
     def __hash__(self):
         return hash((self.var, tuple(self.terms.items()), self.prec))
 
-    def substitute_power(self, h: int) -> "LaurentSeries":
-        """Substitute t -> t^h (Kummer pullback of the coefficient field)."""
-        if h < 1:
-            raise ValueError("power must be positive")
-        return LaurentSeries(self.var, {e * h: c for e, c in self.terms.items()},
-                             None if self.prec is None else self.prec * h)
-
     def __repr__(self):
         return f"LaurentSeries({self})"
 

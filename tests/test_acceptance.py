@@ -308,7 +308,7 @@ def test_criterion_10_integrality_battery():
         (DiffOperator("t*d/dt", [S("t", {0: 0}), S("t", {-2: -2})]), F(1)),
     ]
     for op, slope in suite:
-        ref = refined_residue(op, slope)
+        ref = refined_residue(op, newton_polygon(op), slope)
         assert not orbit_integrality_violations(ref)
         assert ref.residue_poly[-1] != 0  # q(0) != 0
 

@@ -4,7 +4,7 @@ import os
 import random
 from collections import Counter
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 
@@ -15,6 +15,7 @@ from logchar.cdvf import (
     FactorizationError,
     NewtonPolygon,
     OperatorError,
+    OrbitClass,
     RefinedClass,
     cyclic_vector,
     factor_rational,
@@ -22,7 +23,8 @@ from logchar.cdvf import (
     orbit_integrality_violations,
     refined_residue,
 )
-from logchar.cdvf import _apply_derivation, _maximal_minors, _signed_stirling_first
+from logchar.cdvf import (_apply_derivation, _face_polynomial, _maximal_minors,
+                          _signed_stirling_first)
 from logchar.cycles import ChartStamp, CycleError, Direction, DivisorLine, LogCycle, ZeroSection
 from logchar.laurent import LaurentPolynomial, twisted_differential
 from logchar.modeldoc import load_json, parse_operator_document
@@ -44,6 +46,10 @@ def E_phi(exp, coeff=1):
 
 def irr(op):
     return newton_polygon(op).irregularity_multiset()
+
+
+def residue(op, b):
+    return refined_residue(op, newton_polygon(op), b)
 
 
 # -- the d/dt gauge: reference inverse of DiffOperator.to_log_gauge ----------
@@ -237,7 +243,8 @@ def _polygon_and_refined(op):
     poly = attempt(newton_polygon, op)
     if not isinstance(poly, NewtonPolygon):
         return [poly]
-    return [poly] + [attempt(refined_residue, op, v) for v, _ in poly.irregularities if v > 0]
+    return [poly] + [attempt(refined_residue, op, poly, v)
+                     for v, _ in poly.irregularities if v > 0]
 
 
 GOLDEN_OPS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "golden", "op_*.json")))
@@ -292,7 +299,7 @@ def test_polygon_precision_audit():
 
 def test_refined_residue_rank1():
     # twist by t^{-2}: theta_1 = reduction of t^{b+1} phi' = -2
-    ref = refined_residue(E_phi(-2), 2)
+    ref = residue(E_phi(-2), 2)
     assert ref.residue_poly == (1, 2)  # X + 2, root -2
     assert ref.theta_values() == [-2]
     assert len(ref.orbits) == 1
@@ -307,7 +314,7 @@ def test_refined_residue_direct_sum():
     p1 = E_phi(-1)        # d + t^-2
     p2 = E_phi(-1, -1)    # d - t^-2
     prod = _compose(p1, p2)
-    ref = refined_residue(prod, 1)
+    ref = residue(prod, 1)
     assert ref.residue_poly == (1, 0, -1)  # X^2 - 1
     assert sorted(ref.theta_values()) == [-1, 1]
     assert len(ref.orbits) == 2
@@ -315,7 +322,7 @@ def test_refined_residue_direct_sum():
 
 
 def test_refined_residue_kummer():
-    ref = refined_residue(op_partial({}, {-3: -1}), F(1, 2))
+    ref = residue(op_partial({}, {-3: -1}), F(1, 2))
     assert ref.kummer == 2
     assert ref.residue_poly == (1, 0, -4)  # X^2 - 4 after t -> t^2
     assert sorted(ref.theta_values()) == [-2, 2]
@@ -326,8 +333,8 @@ def test_refined_residue_kummer():
 
 
 def test_refined_residue_polygon_count(monkeypatch):
-    # on an integral slope the cover is the operator itself: one polygon;
-    # a fractional slope adds the polygon of the cover operator
+    # the face is read on the base polygon the caller passes: no polygon is
+    # computed, neither of the operator nor of a pulled-back one
     import logchar.cdvf as cdvf
     calls = []
 
@@ -336,21 +343,120 @@ def test_refined_residue_polygon_count(monkeypatch):
         return newton_polygon(op)
 
     monkeypatch.setattr(cdvf, "newton_polygon", counting)
-    for op, b, expected in [(E_phi(-2), F(2), 1),
-                            (_compose(E_phi(-1), E_phi(-3, 2)), F(3), 1),
-                            (op_partial({}, {-3: -1}), F(1, 2), 2),
-                            (op_partial({}, {-5: 1}), F(3, 2), 2)]:
-        calls.clear()
-        ref = refined_residue(op, b)
-        assert len(calls) == expected
-        assert ref == refined_residue(op.to_log_gauge(), b)
+    for op, b in [(E_phi(-2), F(2)), (_compose(E_phi(-1), E_phi(-3, 2)), F(3)),
+                  (op_partial({}, {-3: -1}), F(1, 2)), (op_partial({}, {-5: 1}), F(3, 2))]:
+        poly = newton_polygon(op)
+        ref = refined_residue(op, poly, b)
+        assert calls == []
+        assert ref == refined_residue(op.to_log_gauge(), poly, b)
+
+
+# -- the Kummer pullback: reference for the face read on the base ------------
+
+
+def substitute_power(f, h):
+    """Substitute t -> t^h (Kummer pullback of the coefficient field)."""
+    return S(f.var, {e * h: c for e, c in f.terms.items()},
+             None if f.prec is None else f.prec * h)
+
+
+def kummer(op, h):
+    """Substitute t -> t^h in log gauge: coefficients pull back and the
+    log derivation rescales by 1/h, so c_i picks up h^i."""
+    op = op.to_log_gauge()
+    return DiffOperator(GAUGE_LOG, [substitute_power(c, h) * h ** i
+                                    for i, c in enumerate(op.coeffs, start=1)])
+
+
+def face_on_cover(op, b):
+    """The face polynomial of slope -B read on the explicitly pulled-back
+    operator and its own polygon, b = B/h; also returns that polygon."""
+    h, B = b.denominator, b.numerator
+    cover = kummer(op, h)
+    poly = newton_polygon(cover)
+    k = next(k for k, (sigma, _) in enumerate(poly.slopes) if sigma == -B)
+    (i0, v0), (i1, _) = poly.vertices[k:k + 2]
+    qs = [cover.coefficient_of_power(cover.order - i0 - l).coefficient(v0 - B * l)
+          for l in range(i1 - i0 + 1)]
+    return poly, tuple(x / qs[0] for x in qs)
+
+
+def test_substitute_power():
+    f = S("t", {-2: 1, 1: 3})
+    assert substitute_power(f, 3).terms == {-6: 1, 3: 3}
+    assert substitute_power(S("t", {0: 1}, prec=2), 3).prec == 6
+
+
+def _face_or_error(read, *args):
+    try:
+        return read(*args)
+    except PrecisionError:
+        return PrecisionError
+
+
+def test_face_read_on_base_matches_pulled_back_operator():
+    # log-gauge operators of order 1-6, some coefficients known only to a
+    # finite precision: the face polynomial read on the base equals the one
+    # read on the cover t = s^h, or both reads raise PrecisionError
+    rng = random.Random(14)
+    seen = Counter()
+    for _ in range(400):
+        coeffs = _random_log_coeffs(rng)
+        try:
+            poly = newton_polygon(DiffOperator(GAUGE_LOG, coeffs))
+        except PrecisionError:
+            continue
+        # a coefficient inside a face known only up to the face itself keeps
+        # the polygon and leaves the face read short of one coefficient
+        inside = [(i, v0 + sigma * (i - i0))
+                  for (i0, v0), (sigma, w) in zip(poly.vertices, poly.slopes)
+                  for i in range(i0 + 1, i0 + w)]
+        inside = [(i, int(y)) for i, y in inside if y.denominator == 1]
+        if inside and rng.random() < 0.5:
+            i, y = rng.choice(inside)
+            coeffs[i - 1] = S("t", {}, y + rng.randint(0, 1))
+        op = DiffOperator(GAUGE_LOG, coeffs)
+        assert newton_polygon(op) == poly
+        for b, _ in poly.irregularities:
+            if b <= 0:
+                continue
+            h = b.denominator
+            want = _face_or_error(face_on_cover, op, b)
+            if want is not PrecisionError:
+                cover_poly, want = want
+                # the cover polygon is the base polygon stretched by h
+                assert cover_poly.vertices == tuple((i, h * v) for i, v in poly.vertices)
+            assert _face_or_error(_face_polynomial, op, poly, b) == want, (op, b)
+            seen[h, want is PrecisionError] += 1
+    assert all(seen[h, False] >= 10 for h in range(1, 7)), seen
+    assert all(seen[h, True] >= 3 for h in range(1, 7)), seen
+
+
+def _random_log_coeffs(rng):
+    """Half the draws: order 1-6, sparse coefficients, some known to a finite
+    precision.  The other half: one face of slope -B/h, h in 2..6, from (0, 0)
+    with width h or 2h, every point on or above it."""
+    def value():
+        return F(rng.choice([-5, -3, -2, -1, 1, 2, 3, 5]), rng.randint(1, 3))
+
+    if rng.random() < 0.5:
+        return [S("t", {e: value() for e in range(-8, 3) if rng.random() < 0.3},
+                  rng.randint(-6, 2) if rng.random() < 0.3 else None)
+                for _ in range(rng.randint(1, 6))]
+    h = rng.randint(2, 6)
+    B = rng.choice([B for B in range(1, 8) if gcd(B, h) == 1])
+    w = h * rng.randint(1, 2)
+    coeffs = [S("t", {e: value() for e in range(-(B * i // h), 2 - (B * i // h))
+                      if rng.random() < 0.4})
+              for i in range(1, w)]
+    return coeffs + [S("t", {-B * w // h: value(), 1 - B * w // h: value()})]
 
 
 def test_refined_residue_irrational_orbit():
     # twists by +-sqrt(2)/t descend to X^2 - 2: one orbit of size 2
     # annihilator with q(X) = X^2 - 2: D^2 + c1 D + c2 with face values
     op = DiffOperator(GAUGE_LOG, [S("t", {0: 0}), S("t", {-2: -2})])
-    ref = refined_residue(op, 1)
+    ref = residue(op, 1)
     assert ref.residue_poly == (1, 0, -2)
     assert len(ref.orbits) == 1
     assert ref.orbits[0].residue_degree == 2
@@ -358,11 +464,27 @@ def test_refined_residue_irrational_orbit():
     assert not orbit_integrality_violations(ref)
 
 
+def test_integrality_violations_flag_descent_and_dim_slope():
+    half = F(1, 2)
+    pair = OrbitClass(((F(1), F(0), F(-80)),), 1, 2, 2)
+    assert orbit_integrality_violations(RefinedClass(half, 2, (1, 0, -80), (pair,))) == []
+    # X^2 + X - 2 = (X - 1)(X + 2) has odd terms: it is no face polynomial of
+    # an operator over Q((t)) on the cover t = s^2
+    roots = OrbitClass(((F(1), F(-1)), (F(1), F(2))), 1, 1, 2)
+    assert orbit_integrality_violations(RefinedClass(half, 2, (1, 1, -2), (roots,))) \
+        == ["q is not in Q[X^2]"]
+    single = OrbitClass(((F(1), F(-1)),), 1, 1, 1)
+    assert orbit_integrality_violations(RefinedClass(half, 2, (1, -1), (single,))) \
+        == ["q is not in Q[X^2]", "dim*slope = 1/2"]
+    cube = OrbitClass(((F(1), F(0), F(0), F(-2)),), 1, 3, 3)
+    assert orbit_integrality_violations(RefinedClass(F(2, 3), 3, (1, 0, 0, -2), (cube,))) == []
+
+
 def test_refined_residue_errors():
     with pytest.raises(OperatorError):
-        refined_residue(E_phi(-2), 3)
+        residue(E_phi(-2), 3)
     with pytest.raises(OperatorError):
-        refined_residue(op_partial({-1: 1}), 0)
+        residue(op_partial({-1: 1}), 0)
 
 
 def test_factor_rational():

@@ -320,17 +320,20 @@ def test_newton_huge_coefficient(tmp_path, capsys):
 
 
 def test_newton_json_payload_on_integrality_violation(tmp_path, capsys):
+    # d^2 - 20 t^-3: the residue X^2 - 80 is its own sign twist, so its two
+    # roots form one class of dim 2, and dim * slope = 2 * 1/2 is an integer
     op = {"schema": 1, "gauge": "d/dt", "order": 2,
           "coeffs": [[], [[-3, "-20"]]]}
     f = write(tmp_path, "op.json", op)
     code, out, err = run(capsys, "newton", f, "--json")
-    assert code == 4
-    assert "orbit integrality violated" in err
+    assert (code, err) == (0, "")
     payload = json.loads(out)
     assert {"vertices", "irregularities", "total", "refined"} <= set(payload)
     assert payload["total"] == "1"
-    assert payload["refined"][0]["slope"] == "1/2"
-    assert payload["refined"][0]["violations"] == ["1/2"]
+    (entry,) = payload["refined"]
+    assert (entry["slope"], entry["kummer"], entry["q"]) == ("1/2", 2, ["1", "0", "-80"])
+    assert entry["orbits"] == ["orbit r=2 dim=2 factors=['X^2 - 80']"]
+    assert entry["violations"] == []
 
 
 def test_newton_json_keeps_slope_without_factorization(tmp_path, capsys):
@@ -470,6 +473,22 @@ def test_point_names_each_coordinate_once(tmp_path, capsys):
             assert (code, out, err) == (2, "", message + "\n"), (args, extra)
 
 
+def test_repeated_json_keys_are_refused(tmp_path, capsys):
+    # json keeps the last of repeated keys: x = 1 would be checked, and a
+    # second "model" or "order" would replace the first without a word
+    point = json.dumps(XY2_MODEL)[:-1] + ', "points": [{"x": "0", "y": "0", "x": "1"}]}'
+    model = json.dumps(XY2_MODEL)[:-1] + ', "model": []}'
+    operator = '{"schema": 1, "gauge": "d/dt", "order": 1, "coeffs": [[]], "order": 2}'
+    cases = [("point.json", point, ("clean",), "x"), ("model.json", model, ("validate",), "model"),
+             ("op.json", operator, ("newton",), "order")]
+    for name, text, (command, *rest), key in cases:
+        p = tmp_path / name
+        p.write_text(text)
+        for extra in ((), ("--json",)):
+            code, out, err = run(capsys, command, str(p), *rest, *extra)
+            assert (code, out, err) == (2, "", f"invalid input: repeated key {key!r}\n"), name
+
+
 def test_chi_on_single_log_divisor_surface(tmp_path, capsys):
     doc = dict(
         XY2_MODEL,
@@ -580,8 +599,8 @@ def test_newton_fuzz_exit_codes_and_json(tmp_path_factory, doc):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(["newton", str(path), *extra])
-        assert code in (0, 2, 3, 4), (doc, err.getvalue())
-        if code in (2, 3):
+        assert code in (0, 2), (doc, err.getvalue())
+        if code == 2:
             assert out.getvalue() == "" and err.getvalue().count("\n") == 1, doc
         elif extra:
             lines = out.getvalue().splitlines()

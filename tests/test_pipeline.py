@@ -8,7 +8,7 @@ match the cycle directions.
 import random
 from fractions import Fraction
 
-from logchar.cdvf import refined_residue
+from logchar.cdvf import newton_polygon, refined_residue
 from logchar.euler import ChernData, Curve, Surface, chi_EP, derham_oracle_curve, \
     kashiwara_dubson, reconcile_geometry
 from logchar.goodmodel import Chart, GoodModel, ModelSummand, irregularity_divisor, \
@@ -137,5 +137,5 @@ def test_residue_roots_match_cycle_directions_rank1():
         theta1 = cycle_dir.entries[0].constant_term().rational_value()
         assert theta1 == -b * c  # reduction of t^b (t d/dt) phi
         op = rank1_operator(LaurentSeries("t", {-b: c}))
-        ref = refined_residue(op, F(b))
+        ref = refined_residue(op, newton_polygon(op), F(b))
         assert ref.theta_values() == [theta1]

@@ -64,11 +64,6 @@ def test_division_round_trip():
     assert (q * g).agrees_with(f, upto=10)
 
 
-def test_rescale_and_substitute():
-    f = S("t", {-2: 1, 1: 3})
-    assert f.substitute_power(3).terms == {-6: 1, 3: 3}
-
-
 def test_never_reports_more_precision_than_inputs():
     f = S("t", {0: 1}, prec=5)
     g = S("t", {0: 1}, prec=7)
