@@ -16,8 +16,8 @@ import sys
 from .cdvf import FactorizationError, newton_polygon, orbit_integrality_violations, \
     refined_residue
 from .cycles import IntegralityError, hilbert_dim, monomial_char_cycle
-from .euler import GeometryError, WindowError, chi_EP, derham_oracle_curve, \
-    integrality_check, kashiwara_dubson, reconcile_geometry
+from .euler import GeometryError, OracleBudgetError, WindowError, chi_EP, \
+    derham_oracle_curve, integrality_check, kashiwara_dubson, reconcile_geometry
 from .goodmodel import (clean_at_point, irregularity_divisor, nonclean_locus, refined_form,
                         validate_good_decomposition, zcar_prime, CodimensionError)
 from .modeldoc import SchemaError, load_json, parse_model_document, \
@@ -33,7 +33,7 @@ EXIT_ASSERTION = 4
 # (error classes, exit code, message prefix); any other exception propagates
 ERRORS = (
     ((IntegralityError, CodimensionError), EXIT_ASSERTION, "internal assertion failure"),
-    ((FactorizationError, RayBudgetError), EXIT_INVALID, "refused"),
+    ((FactorizationError, RayBudgetError, OracleBudgetError), EXIT_INVALID, "refused"),
     ((SchemaError, GeometryError, PrecisionError, WindowError, ValueError),
      EXIT_INVALID, "invalid input"),
 )

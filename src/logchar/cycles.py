@@ -259,23 +259,21 @@ def _minimal_covers(supports, nvars):
     return covers
 
 
-def _standard_monomial_count(gens, subset):
-    """Count monomials in the subset variables outside the localized ideal."""
-    # localize: drop variables outside subset from each generator
-    local = [tuple(e[i] if i in subset else 0 for i in range(len(e))) for e in gens]
-    local = [g for g in local if any(g)]
-    if not local:
-        return None  # not finite: localized ideal is zero
-    count = 0
-    bounds = [max(g[i] for g in local) if any(g[i] for g in local) else 1
-              for i in range(len(local[0]))]
-    for exp in itertools.product(*[range(max(b, 1)) for b in bounds]):
-        e = tuple(exp[i] if i in subset else 0 for i in range(len(exp)))
-        if any(i not in subset and exp[i] > 0 for i in range(len(exp))):
-            continue
-        if not any(all(e[i] >= g[i] for i in range(len(e))) for g in local):
-            count += 1
-    return count
+def _standard_monomial_count(gens, k):
+    """The number of monomials in k variables outside the ideal of the
+    exponent vectors ``gens`` (None when infinite), slicing the staircase at
+    the last variable's exponents 0 = c_0 < ... < c_r: for c_i <= t < c_(i+1)
+    the slice at t is the ideal of the generators with last exponent <= c_i."""
+    if k == 0:
+        return 0 if gens else 1
+    cuts = sorted({g[-1] for g in gens} | {0})
+    total = 0
+    for lo, hi in zip(cuts, cuts[1:]):
+        part = _standard_monomial_count({g[:-1] for g in gens if g[-1] <= lo}, k - 1)
+        if part is None:
+            return None
+        total += (hi - lo) * part
+    return total if _standard_monomial_count({g[:-1] for g in gens}, k - 1) == 0 else None
 
 
 def monomial_char_cycle(M: MonomialLogModule) -> LogCycle:
@@ -298,11 +296,12 @@ def monomial_char_cycle(M: MonomialLogModule) -> LogCycle:
             continue
         supports = [set(i for i, a in enumerate(g) if a) for g in gens]
         for cover in _minimal_covers(supports, total_vars):
-            subset = set(cover)
-            length = _standard_monomial_count(gens, subset)
-            if length is None or length == 0:
+            # localizing at the prime of the cover sets the other variables to 1
+            length = _standard_monomial_count({tuple(g[i] for i in cover) for g in gens},
+                                              len(cover))
+            if not length:
                 continue
-            comp = _classify_subspace(chart, subset, n)
+            comp = _classify_subspace(chart, cover, n)
             parts.append((comp, Fraction(length)))
     return LogCycle(chart, parts)
 

@@ -22,8 +22,15 @@ class GeometryError(ValueError):
     pass
 
 
+MAX_ORACLE_CELLS = 100_000  # cells of the recheck matrix; about window 150
+
+
 class WindowError(ArithmeticError):
     pass
+
+
+class OracleBudgetError(ValueError):
+    """The oracle's recheck matrix would pass MAX_ORACLE_CELLS cells."""
 
 
 def integrality_check(value) -> int:
@@ -70,23 +77,15 @@ class Surface(Record):
     def n(self):
         return 2
 
-    def index_of(self, name: str) -> int:
-        for i, (nm, _) in enumerate(self.components):
-            if nm == name:
-                return i
-        raise GeometryError(f"unknown divisor component {name}")
-
 
 class ChernData(Record):
     """Surface Chern numbers of the log cotangent bundle."""
     c2: Fraction
     c1_dot_D: Tuple[Fraction, ...]
-    derived_from_topology: bool = False
 
     @classmethod
     def from_topology(cls, geom: Surface) -> "ChernData":
-        return cls(Fraction(geom.chi_U),
-                   tuple(Fraction(-chi) for _, chi in geom.components), True)
+        return cls(Fraction(geom.chi_U), tuple(Fraction(-chi) for _, chi in geom.components))
 
 
 def reconcile_geometry(div, geom):
@@ -144,42 +143,49 @@ def reconcile_geometry(div, geom):
     return rows, geom
 
 
+def _chern_table(geom, chern=None):
+    """The component names of ``geom`` and the degrees
+    deg(c_(n-k)(Omega^1(log D)) . D_J) for every ordered tuple J of k <= n
+    component indices: on a curve deg c_1 = -chi(U) and 1 per puncture; on
+    a surface the Chern numbers of ``chern`` (by default from the topology),
+    then D_j . D_k."""
+    if geom.n == 1:
+        names = [name for name, _ in geom.punctures]
+        return names, {(): -geom.chi_U, **{(j,): 1 for j in range(len(names))}}
+    chern = chern or ChernData.from_topology(geom)
+    table = {(): chern.c2, **{(j,): c for j, c in enumerate(chern.c1_dot_D)}}
+    table.update({(j, k): d for j, row in enumerate(geom.intersections)
+                  for k, d in enumerate(row)})
+    return [name for name, _ in geom.components], table
+
+
+def _degree(table, n, row, J=()):
+    """deg(c(Omega^1(log D)) (1 - R)^{-1} . D_J) truncated at degree n, with
+    R = sum_k b_k D_k for the row b."""
+    out = table[J]
+    if len(J) < n:
+        for k, b in enumerate(row):
+            out += b * _degree(table, n, row, J + (k,))
+    return out
+
+
 def chi_EP(rows: Sequence[Tuple[int, Sequence[Fraction]]], geom,
            chern: Optional[ChernData] = None) -> int:
     """Chern-class evaluation (-1)^n sum_i deg(c(Omega^1(log D)) (1 - R_i)^{-1}).
 
-    rows are (rank, b-vector) pairs; the rank expands a summand into that
-    many identical rows.  Implemented for curves (n = 1) and surfaces
-    (n = 2); the expansion truncates at degree n, so each row contributes
-    deg c_1 + deg R_i on a curve and deg c_2 + deg(c_1 . R_i) + deg(R_i^2)
-    on a surface.  Without ``chern`` a surface takes the topology-derived
-    Chern numbers, which makes this the surface formula
+    rows are (rank, b-vector) pairs, one b per geometry component; the rank
+    expands a summand into that many identical rows.  The expansion
+    truncates at degree n: each row contributes deg c_1 + deg R_i on a curve
+    and deg c_2 + deg(c_1 . R_i) + deg(R_i^2) on a surface.  Without
+    ``chern`` a surface takes the topology-derived Chern numbers, which
+    makes this the surface formula
     chi(U) - sum_j b_j chi(D_j^o) + sum_{j,j'} b_j b_j' (D_j . D_j') per row.
     """
-    if geom.n == 1:
-        c1 = Fraction(-geom.chi_U)
-        total = Fraction(0)
-        for rank, row in rows:
-            deg_R = sum(Fraction(b) for b in row)
-            total += rank * (c1 + deg_R)
-        return integrality_check(-total)
-    if geom.n == 2:
-        chern = chern or ChernData.from_topology(geom)
-        k = len(geom.components)
-        total = Fraction(0)
-        for rank, row in rows:
-            row = [Fraction(b) for b in row]
-            if len(row) != k:
-                raise GeometryError("row length must match the divisor count")
-            val = Fraction(chern.c2)
-            for j, b in enumerate(row):
-                val += b * chern.c1_dot_D[j]
-            for j in range(k):
-                for jp in range(k):
-                    val += row[j] * row[jp] * geom.intersections[j][jp]
-            total += rank * val
-        return integrality_check(total)
-    raise GeometryError("Chern-class evaluation implemented for n <= 2 only")
+    names, table = _chern_table(geom, chern)
+    if any(len(row) != len(names) for _, row in rows):
+        raise GeometryError("row length must match the divisor count")
+    return integrality_check((-1) ** geom.n * sum(
+        rank * _degree(table, geom.n, row) for rank, row in rows))
 
 
 def kashiwara_dubson(cycle: LogCycle, geom, chern: Optional[ChernData] = None) -> int:
@@ -187,32 +193,22 @@ def kashiwara_dubson(cycle: LogCycle, geom, chern: Optional[ChernData] = None) -
 
     The zero-section self-intersection contributes deg c_n per unit of
     multiplicity; a line over D_j contributes, per unit, its cover degree
-    times 1 on a curve, and times deg(c_1 . D_j) + (R . D_j) on a surface,
-    which needs the line's irregularity-row annotation.  Lower-dimensional
-    components contribute zero.
+    times deg(c(Omega^1(log D)) (1 - R)^{-1} . D_j) truncated at degree n:
+    1 on a curve, deg(c_1 . D_j) + (R . D_j) on a surface, which needs the
+    line's irregularity-row annotation.  Lower-dimensional components
+    contribute zero.
     """
-    n = geom.n
-    d = cycle.zero_section_multiplicity()
-    if n == 1:
-        total = d * Fraction(-geom.chi_U)
-        for line, mult in cycle.lines():
-            total += mult * line.cover_degree
-        return integrality_check(-total)
-    if n == 2:
-        if chern is None:
-            chern = ChernData.from_topology(geom)
-        total = d * Fraction(chern.c2)
-        for line, mult in cycle.lines():
-            j = geom.index_of(line.divisor)
-            if line.row is None:
-                raise GeometryError(
-                    "surface evaluation needs the irregularity row on each line")
-            val = Fraction(chern.c1_dot_D[j])
-            for jp, b in enumerate(line.row):
-                val += Fraction(b) * geom.intersections[j][jp]
-            total += mult * line.cover_degree * val
-        return integrality_check(total)
-    raise GeometryError("intersection evaluation implemented for n <= 2 only")
+    names, table = _chern_table(geom, chern)
+    total = cycle.zero_section_multiplicity() * table[()]
+    for line, mult in cycle.lines():
+        if line.divisor not in names:
+            raise GeometryError(f"unknown divisor component {line.divisor}")
+        if geom.n > 1 and line.row is None:
+            raise GeometryError(
+                "surface evaluation needs the irregularity row on each line")
+        total += mult * line.cover_degree * _degree(
+            table, geom.n, line.row, (names.index(line.divisor),))
+    return integrality_check((-1) ** geom.n * total)
 
 
 # -- brute-force de Rham oracle on the punctured line --------------------------
@@ -234,7 +230,9 @@ def derham_oracle_curve(phi: LaurentPolynomial, window: int,
     |i| <= window, against the full reachable target span, by exact Gaussian
     elimination; outside the window the map is triangular with invertible
     leading terms, so the dimensions stabilize.  Stability is asserted by
-    recomputing at window + 3.
+    recomputing at window + 3.  A recheck matrix of more than
+    MAX_ORACLE_CELLS cells is refused with OracleBudgetError before any
+    matrix is built.
     """
     if len(phi.vars) != 1:
         raise GeometryError("the oracle works on one-variable twists")
@@ -246,6 +244,11 @@ def derham_oracle_curve(phi: LaurentPolynomial, window: int,
     dphi = phi.partial(0)
     shifts = sorted({e[0] for e in dphi.terms} | {-1})
     s_lo, s_hi = min(shifts), max(shifts)
+    top = window + 3 if _recheck else window
+    cells = (2 * top + 1) * (2 * top + 1 + s_hi - s_lo)
+    if cells > MAX_ORACLE_CELLS:
+        raise OracleBudgetError(f"the recheck matrix at window {top} has {cells} cells, "
+                                f"more than {MAX_ORACLE_CELLS}")
     cols = list(range(-window, window + 1))
     rows = list(range(-window + s_lo, window + s_hi + 1))
     row_index = {e: i for i, e in enumerate(rows)}

@@ -21,7 +21,7 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from .cycles import (ChartStamp, CycleError, Direction, DivisorLine, LogCycle,
                      ZeroSection, line_multiplicity)
-from .field import QQ, NumberField, Scalar, rational_roots
+from .field import QQ, NumberField, Scalar, _poly_divmod
 from .laurent import LaurentPolynomial, monomial_times_unit, pole_orders, twisted_differential
 from .record import Record
 from .tropical import RadiusProfile, RayBudgetError, TropicalFn, sorted_profile_linear
@@ -367,7 +367,8 @@ class NonCleanLocus(Record):
 def nonclean_locus(model: GoodModel) -> NonCleanLocus:
     """Vanishing loci of reduced theta vectors plus failing crossing strata.
 
-    For charts of dimension <= 2 the locus is enumerated pointwise; the
+    For charts of dimension <= 2 the locus on each divisor is the common
+    zero set of each summand's theta entries, named by their gcd; the
     codimension >= 2 assertion fails when a theta vector vanishes along a
     whole divisor.
     """
@@ -375,7 +376,7 @@ def nonclean_locus(model: GoodModel) -> NonCleanLocus:
     per = []
     for k, name in enumerate(chart.log_vars):
         j = chart.vars.index(name)
-        gens = []
+        gens, points = [], set()
         for s in model.summands:
             if model.cover_pole_vector(s)[k] == 0:
                 continue
@@ -385,55 +386,47 @@ def nonclean_locus(model: GoodModel) -> NonCleanLocus:
                 raise CodimensionError(
                     f"theta vector of a summand vanishes along D({name})")
             gens.append(entries)
-        points = []
-        if chart.n == 2 and gens:
-            other = 1 - j
-            points = _common_zeros_on_divisor(gens, other, chart)
+            if chart.n == 2:
+                points.update(_common_zeros_on_divisor(entries, 1 - j, chart))
         per.append(DivisorLocus(name, tuple(
-            ", ".join(str(e) for e in entry) for entry in gens), tuple(points)))
+            ", ".join(str(e) for e in entry) for entry in gens), tuple(sorted(points))))
     bad = []
-    if chart.n == 2 and chart.m == 2:
-        origin = {v: 0 for v in chart.vars}
-        ok, _ = clean_at_point(model, origin)
-        if not ok:
+    if chart.n == 1 or chart.n == chart.m == 2:
+        # on a curve the origin is codimension 1: a failure would violate the bound
+        if not clean_at_point(model, {v: 0 for v in chart.vars})[0]:
+            if chart.n == 1:
+                raise CodimensionError("non-clean point on a curve chart")
             bad.append("origin")
-    if chart.n == 1:
-        # a curve point is codimension 1: any failure would violate the bound
-        origin = {chart.vars[0]: 0}
-        ok, _ = clean_at_point(model, origin)
-        if not ok:
-            raise CodimensionError("non-clean point on a curve chart")
     return NonCleanLocus(tuple(per), tuple(bad))
 
 
-def _common_zeros_on_divisor(gens, other_index, chart):
-    """Rational common zeros of all theta entries of some summand on D_j.
+def _common_zeros_on_divisor(entries, other, chart):
+    """The common zeros of a summand's theta entries on D_j, as labels.
 
-    The entries are univariate Laurent polynomials in the other variable;
-    their poles are cleared before the roots are taken.
+    The entries are univariate Laurent polynomials in the other coordinate
+    y; their poles are cleared, and when y is a log variable its whole power
+    is divided out, since the crossing point is a stratum of its own.  Their
+    gcd g, folded by Euclid, gives no label when constant, y=r when it is
+    y - r up to a unit, and otherwise names the zeros itself (monic g = 0).
     """
-    points = []
-    for entries in gens:
-        roots = None
-        for en in entries:
-            if en.is_zero:
-                continue
-            if not all(c.is_rational_value() for c in en.terms.values()):
-                roots = set()
-                break
-            low = min(0, en.min_exponent(other_index))
-            coeffs = [0] * (en.max_exponent(other_index) - low + 1)
-            for e, c in en.terms.items():
-                coeffs[e[other_index] - low] = c.rational_value()
-            rs = set(rational_roots(coeffs))
-            roots = rs if roots is None else roots & rs
-            if not roots:
-                break
-        for r in sorted(roots or ()):
-            if r == 0 and other_index in chart.log_indices:
-                continue  # crossing point, handled as a stratum
-            points.append(f"{chart.vars[other_index]}={r}")
-    return sorted(set(points))
+    log = other in chart.log_indices
+    g = []
+    for en in entries:
+        if en.is_zero:
+            continue
+        low = en.min_exponent(other) if log else 0
+        coeffs = [0] * (en.max_exponent(other) - low + 1)
+        for e, c in en.terms.items():
+            coeffs[e[other] - low] = c.rational_value() if c.is_rational_value() else c
+        while g and coeffs:
+            g, coeffs = coeffs, _poly_divmod(g, coeffs)[1]
+        g = g or coeffs
+        if len(g) == 1:
+            return ()
+    y = chart.vars[other]
+    if len(g) == 2:
+        return (f"{y}={-g[0] / g[1]}",)
+    return (f"{LaurentPolynomial((y,), {(i,): c / g[-1] for i, c in enumerate(g)})}=0",)
 
 
 # -- conjectural cycle ----------------------------------------------------------

@@ -217,7 +217,7 @@ def _parse_chern(spec, geometry):
     c1 = spec.get("c1_dot_D")
     _expect(isinstance(c1, list) and len(c1) == len(geometry.components),
             "c1_dot_D must list one value per divisor component")
-    return ChernData(c2, tuple(parse_rational(v) for v in c1), False)
+    return ChernData(c2, tuple(parse_rational(v) for v in c1))
 
 
 def parse_point(spec, chart: Chart) -> dict:
@@ -264,6 +264,8 @@ def load_json(path: str) -> dict:
             return json.load(fh, object_pairs_hook=_object)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"invalid JSON: {exc}")
+        except RecursionError:
+            raise SchemaError("invalid JSON: nested too deeply") from None
 
 
 def _object(pairs) -> dict:

@@ -6,6 +6,7 @@ from time import perf_counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from logchar import field
 from logchar.cli import main
 from logchar.modeldoc import parse_model_document, SchemaError
 
@@ -165,6 +166,19 @@ def test_zcar_monomial_module_caution(tmp_path, capsys):
     assert "hilbert dimension: 0" in out
 
 
+def test_zcar_monomial_module_counts_without_walking_the_box(tmp_path, capsys):
+    # x^3000 and xi^3000 bound a box of 9 * 10^6 standard monomials
+    doc = dict(CAUTION_MODULE, monomial_module={
+        "generators": [{"degree": 0}],
+        "relations": [{"gen": 0, "x_exp": [3000], "xi_exp": [0]},
+                      {"gen": 0, "x_exp": [0], "xi_exp": [3000]}]})
+    f = write(tmp_path, "box.json", doc)
+    start = perf_counter()
+    code, out, _ = run(capsys, "zcar", f)
+    assert perf_counter() - start < 1.0
+    assert code == 0 and "LowerDim dim=0 mult=9000000" in out
+
+
 def test_chi_curve_all_formulas(tmp_path, capsys):
     f = write(tmp_path, "ex3.json", E_X3_CURVE)
     for formula in ("kato", "ep", "kd"):
@@ -284,6 +298,18 @@ def test_oracle_window_below_bound_exit2(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "invalid input: window 3 below the stable bound" in err
+
+
+def test_oracle_refuses_a_window_past_the_work_bound(tmp_path, capsys):
+    f = write(tmp_path, "ex3.json", E_X3_CURVE)
+    for extra in ((), ("--json",)):
+        start = perf_counter()
+        code, out, err = run(capsys, "oracle", "chi-curve", f, "--window", "10000000000",
+                             *extra)
+        assert perf_counter() - start < 0.5
+        assert code == 2 and out == ""
+        assert err.startswith("refused: the recheck matrix at window 10000000003 has ")
+        assert err.count("\n") == 1
 
 
 def test_oracle_refuses_kummer_cover(tmp_path, capsys):
@@ -407,15 +433,34 @@ def test_clean_keeps_the_verdict_when_only_numerical_cleanness_is_refused(tmp_pa
     assert code == 0 and "numerical_refusal" not in json.loads(out)["results"][0]
 
 
-def test_zcar_refuses_a_locus_beyond_trial_division(tmp_path, capsys):
-    # theta_x = -(y - N) on D(x): its rational zeros need the divisors of N
+def test_irrational_common_zeros_are_not_clean(tmp_path, capsys):
+    # phi = (y^2 - 2)^2 / x: theta = (-(y^2 - 2)^2, 4y(y^2 - 2)) on D(x)
+    # vanishes at y = +-sqrt(2), which have no rational coordinate
+    doc = monomial_model(("x", "y"), ("x",), {(-1, 4): 1, (-1, 2): -4, (-1, 0): 4},
+                         geometry={"kind": "surface", "chi_U": 1,
+                                   "components": [{"name": "D", "chi_open": 1}],
+                                   "intersections": [[0]]})
+    f = write(tmp_path, "sqrt2.json", doc)
+    for command in ("zcar", "chi"):
+        code, out, err = run(capsys, command, f, "--json")
+        assert code == 0 and err == "" and json.loads(out)["clean"] is False
+        code, out, err = run(capsys, command, f, "--require-clean")
+        assert code == 3 and out == "" and "not clean" in err
+
+
+def test_zcar_decides_a_locus_with_a_large_constant(tmp_path, capsys, monkeypatch):
+    # the locus is a gcd of the theta entries, so no constant is factored:
+    # y/x - N/x has theta_y = 1 on D(x), and (y - N)^2/x vanishes at y = N
+    def no_trial_division(n):
+        raise AssertionError("trial division")
+    monkeypatch.setattr(field, "_divisors", no_trial_division)
     big = 10**24 + 7
-    doc = monomial_model(("x", "y"), ("x",), {(-1, 1): 1, (-1, 0): -big})
-    f = write(tmp_path, "big.json", doc)
-    for extra in ((), ("--json",)):
-        code, out, err = run(capsys, "zcar", f, *extra)
-        assert code == 2 and out == ""
-        assert err.count("\n") == 1 and "25-digit integer" in err
+    for terms, clean in (({(-1, 1): 1, (-1, 0): -big}, True),
+                         ({(-1, 2): 1, (-1, 1): -2 * big, (-1, 0): big**2}, False)):
+        f = write(tmp_path, "big.json", monomial_model(("x", "y"), ("x",), terms))
+        code, out, err = run(capsys, "zcar", f, "--json")
+        assert code == 0 and err == ""
+        assert json.loads(out)["clean"] is clean
 
 
 def test_newton_command(tmp_path, capsys):
@@ -487,6 +532,20 @@ def test_repeated_json_keys_are_refused(tmp_path, capsys):
         for extra in ((), ("--json",)):
             code, out, err = run(capsys, command, str(p), *rest, *extra)
             assert (code, out, err) == (2, "", f"invalid input: repeated key {key!r}\n"), name
+
+
+def test_deeply_nested_json_is_refused(tmp_path, capsys):
+    # the decoder recurses once per level; 200,000 levels would end in a
+    # RecursionError traceback
+    deep = "[" * 200_000 + "]" * 200_000
+    model = '{"schema": 1, "chart": {"vars": ["x"], "log_vars": ["x"]}, "model": %s}' % deep
+    operator = '{"schema": 1, "gauge": "d/dt", "order": 1, "coeffs": %s}' % deep
+    for name, text, command in (("model.json", model, "zcar"), ("op.json", operator, "newton")):
+        p = tmp_path / name
+        p.write_text(text)
+        for extra in ((), ("--json",)):
+            code, out, err = run(capsys, command, str(p), *extra)
+            assert (code, out, err) == (2, "", "invalid input: invalid JSON: nested too deeply\n")
 
 
 def test_chi_on_single_log_divisor_surface(tmp_path, capsys):

@@ -1,8 +1,10 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from logchar import cycles
 from logchar.cycles import (
     ChartStamp,
     CycleError,
@@ -321,6 +323,37 @@ def _exps_upto(nvars, budget):
     for head in range(budget + 1):
         for rest in _exps_upto(nvars - 1, budget - head):
             yield (head,) + rest
+
+
+def _enumerated_count(gens, subset):
+    """Reference length: walks every monomial in the subset variables below
+    the largest exponents of the localized generators."""
+    local = [tuple(e[i] if i in subset else 0 for i in range(len(e))) for e in gens]
+    bounds = [max(g[i] for g in local) for i in range(len(local[0]))]
+    count = 0
+    for e in itertools.product(*[range(b) if i in subset else (0,)
+                                 for i, b in enumerate(bounds)]):
+        if not any(all(a >= b for a, b in zip(e, g)) for g in local):
+            count += 1
+    return count
+
+
+def test_standard_monomial_count_matches_enumeration():
+    rng = random.Random(41)
+    checked = 0
+    for _ in range(300):
+        nvars = rng.choice((2, 4))
+        gens = [tuple(rng.choice((0, 0, 1, 2, 3, 5)) for _ in range(nvars))
+                for _ in range(rng.randint(1, 5))]
+        supports = [{i for i, a in enumerate(g) if a} for g in gens]
+        for cover in cycles._minimal_covers(supports, nvars):
+            local = {tuple(g[i] for i in cover) for g in gens}
+            got = cycles._standard_monomial_count(local, len(cover))
+            assert got == _enumerated_count(gens, set(cover)), (gens, cover)
+            checked += 1
+    assert checked > 300
+    # no pure power of the second variable: infinitely many standard monomials
+    assert cycles._standard_monomial_count({(2, 0), (1, 1)}, 2) is None
 
 
 def test_monomial_cycle_skyscraper():

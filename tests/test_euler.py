@@ -1,14 +1,18 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
+from logchar import euler
 from logchar.cycles import ChartStamp, Direction, DivisorLine, LogCycle, LowerDim, ZeroSection
 from logchar.euler import (
     ChernData,
     Curve,
     GeometryError,
     IntegralityError,
+    MAX_ORACLE_CELLS,
+    OracleBudgetError,
     Surface,
     WindowError,
     chi_EP,
@@ -127,8 +131,11 @@ def test_kashiwara_dubson_curve():
     one = L.constant(("x",), 1)
     cyc = LogCycle(chart, [(ZeroSection(), 1),
                            (DivisorLine("x", Direction([one * -3]), 1, (F(3),)), 3)])
-    geom = Curve(0, (("0", (F(3),)), ("inf", (F(0),))))
+    geom = Curve(0, (("x", (F(3),)), ("inf", (F(0),))))
     assert kashiwara_dubson(cyc, geom) == -3
+    # a line over a divisor the geometry does not name is refused
+    with pytest.raises(GeometryError, match="unknown divisor component x"):
+        kashiwara_dubson(cyc, P1_MINUS_TWO)
     # d [X] alone on genus g with punctures
     for d, g, k in [(1, 0, 2), (3, 1, 1), (2, 2, 3)]:
         c = LogCycle(chart, [(ZeroSection(), d)])
@@ -198,3 +205,22 @@ def test_derham_oracle_matches_curve_formula():
 def test_derham_oracle_window_guard():
     with pytest.raises(WindowError):
         derham_oracle_curve(L(("x",), {(-4,): 1}), window=6)
+
+
+def test_derham_oracle_work_bound(monkeypatch):
+    # a huge window is refused before any matrix is built
+    phi = L(("x",), {(-3,): 1})
+    tracemalloc.start()
+    try:
+        with pytest.raises(OracleBudgetError, match=f"more than {MAX_ORACLE_CELLS}"):
+            derham_oracle_curve(phi, window=10**12)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20_000
+    # window 150 stays inside the bound (a full-rank stand-in for the
+    # elimination keeps the check fast); window 160 does not
+    monkeypatch.setattr(euler, "_rank", lambda mat: len(mat[0]))
+    assert derham_oracle_curve(phi, window=150).recheck_window == 153
+    with pytest.raises(OracleBudgetError):
+        derham_oracle_curve(phi, window=160)

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from logchar.cycles import IntegralityError
+from logchar.field import QQ, NumberField
 from logchar.goodmodel import (
     Chart,
     GoodModel,
@@ -281,6 +282,57 @@ def test_nonclean_locus_theta_zero_point():
     assert not clean_at_point(m, {"x": 1, "y": 0})[1].numerically_clean
     ok, _ = clean_at_point(m, {"x": 2, "y": 0})
     assert ok
+
+
+def test_nonclean_locus_over_a_number_field():
+    # phi = (y - a)^2 / x over Q(a), a^2 = 2: theta = (-(y - a)^2, 2(y - a))
+    # on D(x) vanishes at the irrational point y = a
+    K = NumberField([-2, 0, 1])
+    a = K.gen()
+    chart = Chart(("x", "y"), ("x",))
+    phi = L(chart.vars, {(-1, 2): 1, (-1, 1): -2 * a, (-1, 0): a * a}, K)
+    locus = nonclean_locus(GoodModel(chart, [ModelSummand(phi)], field=K))
+    assert locus.per_divisor[0].points == ("y=a",) and not locus.is_empty
+
+
+def test_nonclean_locus_finds_a_prescribed_common_factor():
+    # phi = c f^e u / x^b with f a rational or Q(a)-linear factor, an
+    # irreducible quadratic or 1, and u a product of distinct rational linear
+    # factors prime to f: the theta entries on D(x), -b f^e u and (f^e u)',
+    # have the gcd f^(e-1), so the locus is empty iff f = 1, and it is the
+    # point y = r when f = y - r and e = 2
+    rng = random.Random(61)
+    K = NumberField([-2, 0, 1])
+    a = K.gen()
+    vars = ("x", "y")
+    y = L.variable(vars, "y")
+    seen = set()
+    for _ in range(80):
+        field = rng.choice((QQ, K))
+        kind = rng.choice(("linear", "quadratic", "none"))
+        root = F(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 2)))
+        if kind == "linear" and field is K:
+            root = root + rng.choice((-1, 1, 2)) * a
+        f = {"linear": y - root, "none": L.constant(vars, 1),
+             "quadratic": y * y - (rng.choice((2, 3, 5, -1)) if field is QQ
+                                   else rng.choice((3, -1, a)))}[kind]
+        u = L.constant(vars, rng.choice((1, -2, F(3, 2))))
+        for s in rng.sample([s for s in (-4, -3, -2, -1, 1, 2, 3, 4) if s != root],
+                            rng.randint(1, 2)):
+            u = u * (y - s)
+        b = rng.randint(1, 3)
+        e = rng.randint(2, 3)
+        phi = f ** e * u * L.monomial(vars, (-b, 0))
+        chart = rng.choice((Chart(vars, ("x",)), Chart(vars, vars)))
+        locus = nonclean_locus(GoodModel(chart, [ModelSummand(phi)], field=field))
+        points = locus.per_divisor[0].points
+        assert locus.bad_strata == () and locus.is_empty == (kind == "none"), phi
+        if kind == "linear" and e == 2:
+            assert points == (f"y={root}",), phi
+        elif kind != "none":
+            assert len(points) == 1 and points[0].endswith("=0"), phi
+        seen.add((field, kind))
+    assert len(seen) == 6
 
 
 def test_zcar_prime_monomial_models():
