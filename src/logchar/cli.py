@@ -206,18 +206,20 @@ def cmd_clean(args) -> int:
 
 
 def _certified_clean(model):
-    """Chart-level cleanness from the non-clean locus (dimension <= 2).
+    """Chart-level cleanness from the non-clean locus (dimension <= 2), with
+    the reason --require-clean gives when it is not certified.
 
-    Higher-dimensional charts only get ideal generators from the locus, so
-    cleanness is never certified there and cycles stay labeled conjectural.
+    Nothing decides the locus on charts with more than 2 coordinates, so
+    cleanness is never certified there and cycles stay labeled conjectural;
+    the refusal then says so rather than calling the model not clean.
     """
     if model.chart.n > 2:
-        return False, None
+        return False, "cleanness is not certified on charts with more than 2 coordinates"
     try:
-        locus = nonclean_locus(model)
+        clean = nonclean_locus(model).is_empty
     except CodimensionError:
-        return False, None
-    return locus.is_empty, locus
+        clean = False
+    return clean, "model is not clean on the chart"
 
 
 def cmd_zcar(args) -> int:
@@ -232,9 +234,9 @@ def cmd_zcar(args) -> int:
                    "components": cycle.report_lines()}
         _emit(args, payload, lines)
         return EXIT_OK
-    clean, _ = _certified_clean(doc.model)
+    clean, why = _certified_clean(doc.model)
     if args.require_clean and not clean:
-        _fail("model is not clean on the chart; refusing under --require-clean")
+        _fail(f"{why}; refusing under --require-clean")
         return EXIT_NOT_CLEAN
     cycle = zcar_prime(doc.model)
     status = "log-characteristic cycle" if clean else \
@@ -253,9 +255,9 @@ def cmd_chi(args) -> int:
         raise SchemaError("chi needs a 'geometry' block")
     if doc.model is None:
         raise SchemaError("chi needs a 'model' block")
-    clean, _ = _certified_clean(doc.model)
+    clean, why = _certified_clean(doc.model)
     if args.require_clean and not clean:
-        _fail("model is not clean on the chart; refusing under --require-clean")
+        _fail(f"{why}; refusing under --require-clean")
         return EXIT_NOT_CLEAN
     div = irregularity_divisor(doc.model)
     rows, geom = reconcile_geometry(div, doc.geometry)

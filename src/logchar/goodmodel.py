@@ -22,7 +22,8 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 from .cycles import (ChartStamp, CycleError, Direction, DivisorLine, LogCycle,
                      ZeroSection, line_multiplicity)
 from .field import QQ, NumberField, Scalar, _poly_divmod
-from .laurent import LaurentPolynomial, monomial_times_unit, pole_orders, twisted_differential
+from .laurent import (LaurentPolynomial, log_gradient, monomial_times_unit, pole_orders,
+                      twist, twisted_differential)
 from .record import Record
 from .tropical import RadiusProfile, RayBudgetError, TropicalFn, sorted_profile_linear
 
@@ -52,6 +53,9 @@ class Chart(Record):
             raise ModelError("a chart needs at least one log divisor")
         if not set(self.log_vars) <= set(self.vars):
             raise ModelError("log variables must be chart variables")
+        # positions of the log variables, read by every certificate: set once
+        object.__setattr__(self, "log_indices",
+                           tuple(self.vars.index(v) for v in self.log_vars))
 
     @property
     def n(self):
@@ -60,10 +64,6 @@ class Chart(Record):
     @property
     def m(self):
         return len(self.log_vars)
-
-    @property
-    def log_indices(self):
-        return tuple(self.vars.index(v) for v in self.log_vars)
 
     def stamp(self) -> ChartStamp:
         return ChartStamp(self.vars, self.log_vars)
@@ -79,7 +79,13 @@ class ModelSummand(Record):
 
 
 class GoodModel:
-    __slots__ = ("chart", "summands", "kummer", "field")
+    """A direct sum of twists on a chart.
+
+    ``poles[i]`` is the exponent vector of summand i's pole monomial: the
+    cover pole order of phi along each log variable, 0 on the others; it is
+    read off while the exponents are checked.
+    """
+    __slots__ = ("chart", "summands", "kummer", "field", "poles", "_gradients")
 
     def __init__(self, chart: Chart, summands: Sequence[ModelSummand],
                  kummer: Optional[Sequence[int]] = None, field: NumberField = QQ):
@@ -89,17 +95,24 @@ class GoodModel:
         if len(ks) != chart.m or any(h < 1 for h in ks):
             raise ModelError("one positive Kummer denominator per log divisor required")
         log = set(chart.log_indices)
+        poles = []
         for s in summands:
             if s.phi.vars != chart.vars:
                 raise ModelError("summand variables must match the chart")
+            pole = [0] * chart.n
             for e in s.phi.terms:
                 for j, a in enumerate(e):
-                    if a < 0 and j not in log:
-                        raise ModelError("negative exponent on a non-log variable")
+                    if a < 0:
+                        if j not in log:
+                            raise ModelError("negative exponent on a non-log variable")
+                        pole[j] = max(pole[j], -a)
+            poles.append(tuple(pole))
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "summands", tuple(summands))
         object.__setattr__(self, "kummer", ks)
         object.__setattr__(self, "field", field)
+        object.__setattr__(self, "poles", tuple(poles))
+        object.__setattr__(self, "_gradients", None)
 
     def __setattr__(self, *a):
         raise AttributeError("GoodModel is immutable")
@@ -115,12 +128,22 @@ class GoodModel:
             out[self.chart.vars.index(name)] = h
         return tuple(out)
 
-    def cover_pole_vector(self, s: ModelSummand) -> Tuple[int, ...]:
-        """Pole order of phi along each log divisor in cover coordinates."""
-        return pole_orders(s.phi, self.chart.log_indices)
+    def log_gradients(self) -> Tuple[Tuple[LaurentPolynomial, ...], ...]:
+        """Each summand's (x_l d/dx_l phi)_l over every chart variable.
 
-    def base_pole_vector(self, s: ModelSummand) -> Tuple[Fraction, ...]:
-        return tuple(Fraction(p, h) for p, h in zip(self.cover_pole_vector(s), self.kummer))
+        Built on first use and kept with the model, so the locus, the origin
+        check and the cycle of one call differentiate each phi once; every
+        theta they need is an exponent shift of it (``laurent.twist``).
+        """
+        if self._gradients is None:
+            object.__setattr__(self, "_gradients",
+                               tuple(log_gradient(s.phi) for s in self.summands))
+        return self._gradients
+
+    def base_pole_vector(self, i: int) -> Tuple[Fraction, ...]:
+        """Pole order of summand i along each log divisor in base coordinates."""
+        pole = self.poles[i]
+        return tuple(Fraction(pole[j], h) for j, h in zip(self.chart.log_indices, self.kummer))
 
 
 # -- validation ---------------------------------------------------------------
@@ -172,7 +195,7 @@ class IrregularityDivisor(Record):
 
 
 def irregularity_divisor(model: GoodModel) -> IrregularityDivisor:
-    rows = tuple((s.rank, model.base_pole_vector(s)) for s in model.summands)
+    rows = tuple((s.rank, model.base_pole_vector(i)) for i, s in enumerate(model.summands))
     per = []
     for j in range(model.chart.m):
         vals = []
@@ -244,8 +267,11 @@ def local_support(phi: LaurentPolynomial, model: GoodModel, z: Mapping[str, Scal
     ``_local_frame``.  Coordinates with nonzero value are shifted exactly;
     negative powers of shifted variables are units there and only saturate
     the support upward, which never changes the attached max-plus function.
+    With no shifted coordinate (z is the origin) this is the support of phi.
     """
     J, R, K = frame
+    if not R:
+        return phi.support()
     chart = model.chart
     groups: Dict[Tuple[int, ...], Dict[Tuple[int, ...], Scalar]] = {}
     for e, c in phi.terms.items():
@@ -329,10 +355,13 @@ def clean_at_point(model: GoodModel, z: Mapping[str, object]):
         numerically, refusal = None, str(exc)
     thetas = []
     theta_ok = True
-    for idx, s in enumerate(model.summands):
-        if not any(pole_orders(s.phi, J)):
+    for idx, (pole, gradient) in enumerate(zip(model.poles, model.log_gradients())):
+        if not any(pole[j] for j in J):
             continue  # no pole through z: nothing to reduce
-        vals = [t.evaluate(pt) for t in twisted_differential(s.phi, J, J)]
+        # the twisted differential along J; its entries are power series in
+        # the coordinates J + K, so at the origin each value is a constant term
+        theta = twist(gradient, [p if j in J else 0 for j, p in enumerate(pole)], J)
+        vals = [t.evaluate(pt) for t in theta] if R else [t.constant_term() for t in theta]
         thetas.append((idx, tuple(str(v) for v in vals)))
         theta_ok = theta_ok and any(not v.is_zero for v in vals)
     clean = ok and theta_ok
@@ -351,7 +380,7 @@ def clean_at_point(model: GoodModel, z: Mapping[str, object]):
 
 class DivisorLocus(Record):
     divisor: str
-    generators: Tuple[str, ...]
+    generators: Tuple[Tuple[LaurentPolynomial, ...], ...]  # theta entries on the divisor
     points: Tuple[str, ...]
 
 
@@ -370,26 +399,27 @@ def nonclean_locus(model: GoodModel) -> NonCleanLocus:
     For charts of dimension <= 2 the locus on each divisor is the common
     zero set of each summand's theta entries, named by their gcd; the
     codimension >= 2 assertion fails when a theta vector vanishes along a
-    whole divisor.
+    whole divisor.  Each entry is the summand's log gradient shifted by its
+    pole along the divisor (``GoodModel``), restricted to it.
     """
     chart = model.chart
+    log = chart.log_indices
     per = []
-    for k, name in enumerate(chart.log_vars):
-        j = chart.vars.index(name)
+    for j, name in zip(log, chart.log_vars):
         gens, points = [], set()
-        for s in model.summands:
-            if model.cover_pole_vector(s)[k] == 0:
+        for pole, gradient in zip(model.poles, model.log_gradients()):
+            if pole[j] == 0:
                 continue
-            entries = [t.restrict_to_zero(j)
-                       for t in twisted_differential(s.phi, chart.log_indices, (j,))]
+            along = [0] * chart.n
+            along[j] = pole[j]
+            entries = tuple(t.restrict_to_zero(j) for t in twist(gradient, along, log))
             if all(en.is_zero for en in entries):
                 raise CodimensionError(
                     f"theta vector of a summand vanishes along D({name})")
             gens.append(entries)
             if chart.n == 2:
                 points.update(_common_zeros_on_divisor(entries, 1 - j, chart))
-        per.append(DivisorLocus(name, tuple(
-            ", ".join(str(e) for e in entry) for entry in gens), tuple(sorted(points))))
+        per.append(DivisorLocus(name, tuple(gens), tuple(sorted(points))))
     bad = []
     if chart.n == 1 or chart.n == chart.m == 2:
         # on a curve the origin is codimension 1: a failure would violate the bound
@@ -436,22 +466,23 @@ def zcar_prime(model: GoodModel) -> LogCycle:
     """Zero section plus irregularity-weighted refined-direction lines.
 
     Fractional pole orders must clear against the summand rank; the
-    orbit-normalized multiplicity rank * b_j is asserted integral.
+    orbit-normalized multiplicity rank * b_j is asserted integral.  The
+    direction over D_j is the refined form's theta restricted to D_j, read
+    as the log gradient shifted by the whole pole vector.
     """
     chart = model.chart
+    log = chart.log_indices
     stamp = chart.stamp()
     parts = [(ZeroSection(), Fraction(model.rank))]
-    for s in model.summands:
-        row = model.base_pole_vector(s)
+    for i, (s, gradient) in enumerate(zip(model.summands, model.log_gradients())):
+        row = model.base_pole_vector(i)
         if not any(row):
             continue  # regular summand: zero-section contribution only
-        form = refined_form(s.phi, chart)
-        for k, name in enumerate(chart.log_vars):
-            b = row[k]
+        theta = twist(gradient, model.poles[i], log)
+        for b, j, name in zip(row, log, chart.log_vars):
             if b == 0:
                 continue
-            j = chart.vars.index(name)
-            entries = [t.restrict_to_zero(j) for t in form.theta]
+            entries = [t.restrict_to_zero(j) for t in theta]
             if entries[j].is_zero:
                 raise CycleError(
                     f"leading refined coefficient of D({name}) vanishes")

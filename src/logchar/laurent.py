@@ -233,11 +233,15 @@ class LaurentPolynomial:
     def partial(self, j: int) -> "LaurentPolynomial":
         step = [0] * len(self.vars)
         step[j] = -1
-        return _derivative(self, j, step)
+        return _shifted(self.log_partial(j), step)
 
     def log_partial(self, j: int) -> "LaurentPolynomial":
-        """x_j * d/dx_j, an exponent-preserving derivation."""
-        return _derivative(self, j, None)
+        """x_j * d/dx_j, an exponent-preserving derivation.
+
+        The surviving coefficients c * e_j are nonzero, so the terms keep
+        their normal form."""
+        return LaurentPolynomial._trusted(
+            self.vars, {e: c * e[j] for e, c in self.terms.items() if e[j]}, self.field)
 
     def scale_exponents(self, factors: Sequence[int]) -> "LaurentPolynomial":
         """Substitute x_j -> x_j^{h_j} (Kummer rescale of the support)."""
@@ -334,39 +338,51 @@ def _pole_vector(phi: LaurentPolynomial, indices: Sequence[int]):
     return exp
 
 
-def _derivative(phi: LaurentPolynomial, j: int, shift) -> LaurentPolynomial:
-    """x_j d/dx_j (phi) with every exponent moved by ``shift`` (None: unmoved).
+def _shifted(phi: LaurentPolynomial, shift: Sequence[int]) -> LaurentPolynomial:
+    """phi times the monomial x^shift.  A translation keeps the lexicographic
+    order of the exponents, so the terms stay sorted."""
+    if not any(shift):
+        return phi
+    return LaurentPolynomial._trusted(
+        phi.vars, {tuple(map(add, e, shift)): c for e, c in phi.terms.items()}, phi.field)
 
-    With ``shift`` the unit vector -e_j this is d/dx_j (phi).  The surviving
-    coefficients c * e_j are nonzero, and a translation keeps the
-    lexicographic order of the exponents, so the terms stay sorted.
+
+def log_gradient(phi: LaurentPolynomial) -> Tuple[LaurentPolynomial, ...]:
+    """The log gradient (x_l d/dx_l phi)_l over every variable of phi.
+
+    Every twisted differential of phi is an exponent shift of it (``twist``),
+    so a caller that needs several of them differentiates once."""
+    return tuple(phi.log_partial(l) for l in range(len(phi.vars)))
+
+
+def twist(gradient: Sequence[LaurentPolynomial], pole: Sequence[int],
+          log_indices: Sequence[int]) -> Tuple[LaurentPolynomial, ...]:
+    """The coefficients t * D_l(phi) of the twisted differential, from the
+    log gradient of phi.
+
+    D_l is x_l d/dx_l for l in ``log_indices`` and d/dx_l otherwise; t is the
+    monomial with exponent vector ``pole``.  Multiplying by t is an exponent
+    shift, and d/dx_l is x_l d/dx_l shifted once more by -1 in x_l.
     """
-    if shift is None or not any(shift):
-        terms = {e: c * e[j] for e, c in phi.terms.items() if e[j]}
-    else:
-        terms = {tuple(map(add, e, shift)): c * e[j] for e, c in phi.terms.items() if e[j]}
-    return LaurentPolynomial._trusted(phi.vars, terms, phi.field)
-
-
-def twisted_differential(phi: LaurentPolynomial, log_indices: Sequence[int],
-                         along: Sequence[int]) -> Tuple[LaurentPolynomial, ...]:
-    """The coefficients t * D_l(phi) of the twisted differential.
-
-    D_l is x_l d/dx_l for l in ``log_indices`` and d/dx_l otherwise; t is
-    the pole monomial of phi along the variables in ``along``.  These are the
-    theta vectors of a rank-1 twist before their reduction along a divisor
-    or at a point.  Multiplying by t is an exponent shift by its pole
-    vector, and d/dx_l is x_l d/dx_l shifted once more by -1 in x_l.
-    """
-    pole = _pole_vector(phi, along)
     out = []
-    for l in range(len(phi.vars)):
+    for l, g in enumerate(gradient):
         shift = pole
         if l not in log_indices:
             shift = list(pole)
             shift[l] -= 1
-        out.append(_derivative(phi, l, shift))
+        out.append(_shifted(g, shift))
     return tuple(out)
+
+
+def twisted_differential(phi: LaurentPolynomial, log_indices: Sequence[int],
+                         along: Sequence[int]) -> Tuple[LaurentPolynomial, ...]:
+    """The coefficients t * D_l(phi) of the twisted differential, with t the
+    pole monomial of phi along the variables in ``along``.
+
+    These are the theta vectors of a rank-1 twist before their reduction
+    along a divisor or at a point; see ``twist`` for D_l.
+    """
+    return twist(log_gradient(phi), _pole_vector(phi, along), log_indices)
 
 
 def is_unit_in_R_n0(u: LaurentPolynomial) -> bool:
@@ -386,9 +402,7 @@ def monomial_times_unit(phi: LaurentPolynomial, log_indices: Sequence[int]):
     """
     if phi.is_zero:
         return None
-    pole = _pole_vector(phi, log_indices)
-    shifted = LaurentPolynomial._trusted(
-        phi.vars, {tuple(map(add, e, pole)): c for e, c in phi.terms.items()}, phi.field)
+    shifted = _shifted(phi, _pole_vector(phi, log_indices))
     if is_unit_in_R_n0(shifted):
         return pole_orders(phi, log_indices), shifted
     return None

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 from time import perf_counter
 
 import pytest
@@ -446,6 +447,26 @@ def test_irrational_common_zeros_are_not_clean(tmp_path, capsys):
         assert code == 0 and err == "" and json.loads(out)["clean"] is False
         code, out, err = run(capsys, command, f, "--require-clean")
         assert code == 3 and out == "" and "not clean" in err
+
+
+def test_require_clean_on_three_coordinates_says_not_certified(tmp_path, capsys):
+    # nothing decides cleanness on a chart with 3 coordinates: the refusal
+    # says so instead of calling the model not clean; exit 3 and the JSON
+    # verdict are unchanged
+    chart3 = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "chart3.json")
+    with open(chart3, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["geometry"] = KATO_SURFACE["geometry"]
+    f = write(tmp_path, "chart3.json", doc)
+    for command in ("zcar", "chi"):
+        code, out, err = run(capsys, command, f, "--json")
+        assert code == 0 and err == "" and json.loads(out)["clean"] is False
+        code, out, err = run(capsys, command, f, "--require-clean")
+        assert code == 3 and out == ""
+        assert err == ("cleanness is not certified on charts with more than 2 "
+                       "coordinates; refusing under --require-clean\n")
+    code, _, err = run(capsys, "zcar", chart3, "--require-clean")
+    assert code == 3 and "not certified" in err and "not clean" not in err
 
 
 def test_zcar_decides_a_locus_with_a_large_constant(tmp_path, capsys, monkeypatch):
