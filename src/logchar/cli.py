@@ -19,7 +19,7 @@ from .cycles import IntegralityError, hilbert_dim, monomial_char_cycle
 from .euler import GeometryError, OracleBudgetError, WindowError, chi_EP, \
     derham_oracle_curve, integrality_check, kashiwara_dubson, reconcile_geometry
 from .goodmodel import (clean_at_point, irregularity_divisor, nonclean_locus, refined_form,
-                        validate_good_decomposition, zcar_prime, CodimensionError)
+                        validate_good_decomposition, zcar_prime)
 from .modeldoc import SchemaError, load_json, parse_model_document, \
     parse_operator_document, parse_point
 from .series import PrecisionError
@@ -32,7 +32,7 @@ EXIT_ASSERTION = 4
 
 # (error classes, exit code, message prefix); any other exception propagates
 ERRORS = (
-    ((IntegralityError, CodimensionError), EXIT_ASSERTION, "internal assertion failure"),
+    ((IntegralityError,), EXIT_ASSERTION, "internal assertion failure"),
     ((FactorizationError, RayBudgetError, OracleBudgetError), EXIT_INVALID, "refused"),
     ((SchemaError, GeometryError, PrecisionError, WindowError, ValueError),
      EXIT_INVALID, "invalid input"),
@@ -122,14 +122,14 @@ def cmd_validate(args) -> int:
     if doc.model is None:
         raise SchemaError("validate needs a 'model' block")
     rep = validate_good_decomposition(doc.model)
-    lines = [f"GOOD DECOMPOSITION: {'yes' if rep.is_good else 'no'}"]
-    lines += rep.failures()
+    failures = rep.failures()
+    lines = [f"GOOD DECOMPOSITION: {'yes' if rep.is_good else 'no'}"] + failures
     payload = {
         "command": "validate",
         "good": rep.is_good,
         "summand_ok": list(rep.summand_ok),
         "pair_ok": [[i + 1, j + 1, ok] for i, j, ok in rep.pair_ok],
-        "failures": rep.failures(),
+        "failures": failures,
     }
     _emit(args, payload, lines)
     return EXIT_OK
@@ -215,11 +215,7 @@ def _certified_clean(model):
     """
     if model.chart.n > 2:
         return False, "cleanness is not certified on charts with more than 2 coordinates"
-    try:
-        clean = nonclean_locus(model).is_empty
-    except CodimensionError:
-        clean = False
-    return clean, "model is not clean on the chart"
+    return nonclean_locus(model).is_empty, "model is not clean on the chart"
 
 
 def cmd_zcar(args) -> int:
@@ -228,23 +224,24 @@ def cmd_zcar(args) -> int:
     if doc.monomial_module is not None:
         cycle = monomial_char_cycle(doc.monomial_module)
         dim = hilbert_dim(doc.monomial_module)
+        components = cycle.report_lines()
         lines.append(f"hilbert dimension: {dim}")
-        lines.extend(cycle.report_lines())
+        lines.extend(components)
         payload = {"command": "zcar", "kind": "monomial", "hilbert_dim": dim,
-                   "components": cycle.report_lines()}
+                   "components": components}
         _emit(args, payload, lines)
         return EXIT_OK
     clean, why = _certified_clean(doc.model)
     if args.require_clean and not clean:
         _fail(f"{why}; refusing under --require-clean")
         return EXIT_NOT_CLEAN
-    cycle = zcar_prime(doc.model)
+    components = zcar_prime(doc.model).report_lines()
     status = "log-characteristic cycle" if clean else \
         "conjectural log-characteristic cycle (cleanness not certified)"
     lines.append(status)
-    lines.extend(cycle.report_lines())
+    lines.extend(components)
     payload = {"command": "zcar", "kind": "model", "clean": clean,
-               "components": cycle.report_lines()}
+               "components": components}
     _emit(args, payload, lines)
     return EXIT_OK
 

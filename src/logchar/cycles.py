@@ -32,7 +32,7 @@ class IntegralityError(AssertionError):
 def line_multiplicity(rank: int, b: Fraction, divisor: str) -> Fraction:
     """rank * b, the multiplicity of a summand's line over D(divisor),
     asserted integral."""
-    mult = Fraction(rank) * b
+    mult = Fraction(rank * b.numerator, b.denominator)
     if mult.denominator != 1:
         raise IntegralityError(
             f"non-integral line multiplicity {mult} over D({divisor}): "
@@ -100,15 +100,19 @@ class Direction:
                           for p in self.entries])
 
     def sort_key(self):
-        def poly_key(p):
-            return tuple((e, str(c)) for e, c in sorted(p.terms.items()))
-        # normalize by the first nonzero entry when it is a constant
-        first = next(p for p in self.entries if not p.is_zero)
-        if len(first.terms) == 1 and not any(next(iter(first.terms))):
-            c = first.constant_term()
-            scaled = [p * c.inverse() for p in self.entries]
-            return tuple(poly_key(p) for p in scaled)
-        return tuple(poly_key(p) for p in self.entries)
+        """Each entry's terms as (exponent, coefficient text) pairs, in the
+        stored (sorted) order; when the first nonzero entry is a constant c
+        other than 1, every coefficient is multiplied by 1/c first.  1/c is a
+        unit, so no product vanishes and every term stays."""
+        first = next(p for p in self.entries if p.terms)
+        if len(first.terms) == 1:
+            (origin, lead), = first.terms.items()
+            if not any(origin) and lead != 1:
+                inv = lead.inverse()
+                return tuple([(origin, "1")] if p is first else
+                             [(e, str(c * inv)) for e, c in p.terms.items()]
+                             for p in self.entries)
+        return tuple([(e, str(c)) for e, c in p.terms.items()] for p in self.entries)
 
     def __repr__(self):
         return "[" + " : ".join(str(p) for p in self.entries) + "]"
@@ -155,17 +159,22 @@ class LogCycle:
 
     def __init__(self, chart: ChartStamp, parts):
         merged = []
+        kept = {}  # _merge_class -> positions in merged
         for comp, mult in parts:
-            mult = Fraction(mult)
-            if mult == 0:
+            if type(mult) is not Fraction:
+                mult = Fraction(mult)
+            if not mult:
                 continue
-            if mult < 0:
+            if mult.numerator < 0:
                 raise CycleError("multiplicities must be positive")
-            for i, (c, m) in enumerate(merged):
-                if _same_component(c, comp):
+            same = kept.setdefault(_merge_class(comp), [])
+            for i in same:
+                c, m = merged[i]
+                if not isinstance(c, DivisorLine) or c.direction.proportional_to(comp.direction):
                     merged[i] = (c, m + mult)
                     break
             else:
+                same.append(len(merged))
                 merged.append((comp, mult))
         merged.sort(key=lambda cm: cm[0].sort_key())
         object.__setattr__(self, "chart", chart)
@@ -197,17 +206,16 @@ class LogCycle:
         return "LogCycle(" + "; ".join(self.report_lines()) + ")"
 
 
-def _same_component(a, b) -> bool:
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, ZeroSection):
-        return True
-    if isinstance(a, DivisorLine):
-        return (a.divisor == b.divisor and a.cover_degree == b.cover_degree
-                and a.row == b.row and a.direction.proportional_to(b.direction))
-    if isinstance(a, LowerDim):
-        return a == b
-    raise CycleError(f"unknown component {a!r}")
+def _merge_class(comp):
+    """Components merge when their classes are equal and, for divisor lines,
+    their directions are proportional."""
+    if isinstance(comp, ZeroSection):
+        return (ZeroSection,)
+    if isinstance(comp, DivisorLine):
+        return (DivisorLine, comp.divisor, comp.cover_degree, comp.row)
+    if isinstance(comp, LowerDim):
+        return (LowerDim, comp)
+    raise CycleError(f"unknown component {comp!r}")
 
 
 # -- monomial log modules -----------------------------------------------------

@@ -156,12 +156,19 @@ def _chern_table(geom, chern=None):
     table = {(): chern.c2, **{(j,): c for j, c in enumerate(chern.c1_dot_D)}}
     table.update({(j, k): d for j, row in enumerate(geom.intersections)
                   for k, d in enumerate(row)})
-    return [name for name, _ in geom.components], table
+    return [name for name, _ in geom.components], \
+        {J: _integral(d) for J, d in table.items()}
+
+
+def _integral(x):
+    """x as an int when it is integral: the degrees and rows are mostly
+    integers, and int arithmetic is far cheaper than Fraction's."""
+    return x.numerator if x.denominator == 1 else x
 
 
 def _degree(table, n, row, J=()):
     """deg(c(Omega^1(log D)) (1 - R)^{-1} . D_J) truncated at degree n, with
-    R = sum_k b_k D_k for the row b."""
+    R = sum_k b_k D_k for the row b (its entries passed through ``_integral``)."""
     out = table[J]
     if len(J) < n:
         for k, b in enumerate(row):
@@ -185,7 +192,7 @@ def chi_EP(rows: Sequence[Tuple[int, Sequence[Fraction]]], geom,
     if any(len(row) != len(names) for _, row in rows):
         raise GeometryError("row length must match the divisor count")
     return integrality_check((-1) ** geom.n * sum(
-        rank * _degree(table, geom.n, row) for rank, row in rows))
+        rank * _degree(table, geom.n, tuple(map(_integral, row))) for rank, row in rows))
 
 
 def kashiwara_dubson(cycle: LogCycle, geom, chern: Optional[ChernData] = None) -> int:
@@ -199,15 +206,16 @@ def kashiwara_dubson(cycle: LogCycle, geom, chern: Optional[ChernData] = None) -
     contribute zero.
     """
     names, table = _chern_table(geom, chern)
-    total = cycle.zero_section_multiplicity() * table[()]
+    total = _integral(cycle.zero_section_multiplicity()) * table[()]
     for line, mult in cycle.lines():
         if line.divisor not in names:
             raise GeometryError(f"unknown divisor component {line.divisor}")
         if geom.n > 1 and line.row is None:
             raise GeometryError(
                 "surface evaluation needs the irregularity row on each line")
-        total += mult * line.cover_degree * _degree(
-            table, geom.n, line.row, (names.index(line.divisor),))
+        row = () if geom.n == 1 else tuple(map(_integral, line.row))
+        total += _integral(mult) * line.cover_degree * _degree(
+            table, geom.n, row, (names.index(line.divisor),))
     return integrality_check((-1) ** geom.n * total)
 
 

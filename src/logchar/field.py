@@ -258,10 +258,10 @@ class NumberField:
             if value.field.is_rational:
                 return Scalar(self, (value.coeffs[0],) if value.coeffs else ())
             raise FieldError("cannot coerce between distinct number fields")
-        return Scalar(self, (Fraction(value),))
+        return Scalar._rational(self, value if type(value) is Fraction else Fraction(value))
 
     def zero(self):
-        return Scalar(self, ())
+        return Scalar._rational(self, 0)
 
     def one(self):
         return Scalar(self, (Fraction(1),))
@@ -384,10 +384,15 @@ class Scalar:
 
     def __mul__(self, other):
         if type(other) is int and self.field.modulus is None:
-            return Scalar._rational(self.field, self.coeffs[0] * other if self.coeffs else 0)
+            if not (self.coeffs and other):
+                return Scalar._rational(self.field, 0)
+            x = self.coeffs[0]
+            return Scalar._rational(self.field, Fraction(x.numerator * other, x.denominator))
         xy = self._rational_operands(other)
         if xy is not None:
-            return Scalar._rational(self.field, xy[0] * xy[1])
+            x, y = xy
+            return Scalar._rational(self.field, Fraction(x.numerator * y.numerator,
+                                                         x.denominator * y.denominator))
         pair = self._pair(other)
         if pair is None:
             return NotImplemented
@@ -400,7 +405,8 @@ class Scalar:
         if self.is_zero:
             raise ZeroDivisionError("scalar inverse of zero")
         if self.field.modulus is None:
-            return Scalar._rational(self.field, 1 / self.coeffs[0])
+            x = self.coeffs[0]
+            return Scalar._rational(self.field, Fraction(x.denominator, x.numerator))
         # extended Euclid in Q[alpha]
         r0, r1 = list(self.field.modulus), list(self.coeffs)
         t0, t1 = [], [Fraction(1)]
@@ -436,6 +442,8 @@ class Scalar:
         return out
 
     def __eq__(self, other):
+        if type(other) is int:
+            return self.coeffs == ((other,) if other else ())
         if isinstance(other, (int, Fraction)):
             return self.coeffs == (() if other == 0 else (Fraction(other),))
         if isinstance(other, Scalar):
@@ -456,6 +464,8 @@ class Scalar:
     def __str__(self):
         if not self.coeffs:
             return "0"
+        if len(self.coeffs) == 1:
+            return str(self.coeffs[0])
         a = self.field.gen_name
         parts = []
         for i, c in enumerate(self.coeffs):

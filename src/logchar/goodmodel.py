@@ -19,11 +19,11 @@ import itertools
 from fractions import Fraction
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
-from .cycles import (ChartStamp, CycleError, Direction, DivisorLine, LogCycle,
-                     ZeroSection, line_multiplicity)
+from .cycles import (ChartStamp, Direction, DivisorLine, LogCycle, ZeroSection,
+                     line_multiplicity)
 from .field import QQ, NumberField, Scalar, _poly_divmod
 from .laurent import (LaurentPolynomial, log_gradient, monomial_times_unit, pole_orders,
-                      twist, twisted_differential)
+                      twist, twist_at_origin, twist_on_divisor, twisted_differential)
 from .record import Record
 from .tropical import RadiusProfile, RayBudgetError, TropicalFn, sorted_profile_linear
 
@@ -33,10 +33,6 @@ class ModelError(ValueError):
 
 
 class PointError(ValueError):
-    pass
-
-
-class CodimensionError(AssertionError):
     pass
 
 
@@ -251,7 +247,7 @@ def _local_frame(model: GoodModel, z: Mapping[str, Scalar]):
             R.append(j)
     if not J:
         raise PointError("point does not lie on the log divisor")
-    kv = model.kummer_for_var()
+    kv = model.kummer_for_var() if R else ()
     for j in R:
         if kv[j] != 1:
             raise ModelError("recentring through a Kummer cover is not supported; "
@@ -360,8 +356,9 @@ def clean_at_point(model: GoodModel, z: Mapping[str, object]):
             continue  # no pole through z: nothing to reduce
         # the twisted differential along J; its entries are power series in
         # the coordinates J + K, so at the origin each value is a constant term
-        theta = twist(gradient, [p if j in J else 0 for j, p in enumerate(pole)], J)
-        vals = [t.evaluate(pt) for t in theta] if R else [t.constant_term() for t in theta]
+        along = [p if j in J else 0 for j, p in enumerate(pole)]
+        vals = [t.evaluate(pt) for t in twist(gradient, along, J)] if R else \
+            twist_at_origin(gradient, along, J)
         thetas.append((idx, tuple(str(v) for v in vals)))
         theta_ok = theta_ok and any(not v.is_zero for v in vals)
     clean = ok and theta_ok
@@ -396,38 +393,34 @@ class NonCleanLocus(Record):
 def nonclean_locus(model: GoodModel) -> NonCleanLocus:
     """Vanishing loci of reduced theta vectors plus failing crossing strata.
 
-    For charts of dimension <= 2 the locus on each divisor is the common
-    zero set of each summand's theta entries, named by their gcd; the
-    codimension >= 2 assertion fails when a theta vector vanishes along a
-    whole divisor.  Each entry is the summand's log gradient shifted by its
-    pole along the divisor (``GoodModel``), restricted to it.
+    For charts of dimension <= 2 the locus on each divisor D_j is the common
+    zero set of each summand's theta entries on it, twisted by x_j^pole[j]
+    alone (``laurent.twist_on_divisor``), named by their gcd.  A theta vector
+    never vanishes along a whole divisor, since its x_j entry is nonzero.
+    The crossing point of two log divisors is checked as a stratum of its
+    own.  The origin of a curve chart is always clean, so it is not checked:
+    a one-variable profile is linear, and theta there is -pole times the
+    leading coefficient.
     """
     chart = model.chart
     log = chart.log_indices
     per = []
     for j, name in zip(log, chart.log_vars):
-        gens, points = [], set()
+        gens = []
         for pole, gradient in zip(model.poles, model.log_gradients()):
-            if pole[j] == 0:
-                continue
-            along = [0] * chart.n
-            along[j] = pole[j]
-            entries = tuple(t.restrict_to_zero(j) for t in twist(gradient, along, log))
-            if all(en.is_zero for en in entries):
-                raise CodimensionError(
-                    f"theta vector of a summand vanishes along D({name})")
-            gens.append(entries)
-            if chart.n == 2:
+            if pole[j]:
+                along = [0] * chart.n
+                along[j] = pole[j]
+                gens.append(twist_on_divisor(gradient, along, log, j))
+        points = set()
+        if chart.n == 2:
+            for entries in gens:
                 points.update(_common_zeros_on_divisor(entries, 1 - j, chart))
         per.append(DivisorLocus(name, tuple(gens), tuple(sorted(points))))
-    bad = []
-    if chart.n == 1 or chart.n == chart.m == 2:
-        # on a curve the origin is codimension 1: a failure would violate the bound
-        if not clean_at_point(model, {v: 0 for v in chart.vars})[0]:
-            if chart.n == 1:
-                raise CodimensionError("non-clean point on a curve chart")
-            bad.append("origin")
-    return NonCleanLocus(tuple(per), tuple(bad))
+    bad = ()
+    if chart.n == chart.m == 2 and not clean_at_point(model, {v: 0 for v in chart.vars})[0]:
+        bad = ("origin",)
+    return NonCleanLocus(tuple(per), bad)
 
 
 def _common_zeros_on_divisor(entries, other, chart):
@@ -467,25 +460,21 @@ def zcar_prime(model: GoodModel) -> LogCycle:
 
     Fractional pole orders must clear against the summand rank; the
     orbit-normalized multiplicity rank * b_j is asserted integral.  The
-    direction over D_j is the refined form's theta restricted to D_j, read
-    as the log gradient shifted by the whole pole vector.
+    direction over D_j is the refined form's theta restricted to D_j
+    (``laurent.twist_on_divisor`` by the whole pole vector).
     """
     chart = model.chart
     log = chart.log_indices
-    stamp = chart.stamp()
     parts = [(ZeroSection(), Fraction(model.rank))]
     for i, (s, gradient) in enumerate(zip(model.summands, model.log_gradients())):
-        row = model.base_pole_vector(i)
-        if not any(row):
+        pole = model.poles[i]
+        if not any(pole):
             continue  # regular summand: zero-section contribution only
-        theta = twist(gradient, model.poles[i], log)
+        row = model.base_pole_vector(i)
         for b, j, name in zip(row, log, chart.log_vars):
             if b == 0:
                 continue
-            entries = [t.restrict_to_zero(j) for t in theta]
-            if entries[j].is_zero:
-                raise CycleError(
-                    f"leading refined coefficient of D({name}) vanishes")
+            entries = twist_on_divisor(gradient, pole, log, j)
             parts.append((DivisorLine(name, Direction(entries), 1, row),
                           line_multiplicity(s.rank, b, name)))
-    return LogCycle(stamp, parts).finalize()
+    return LogCycle(chart.stamp(), parts).finalize()

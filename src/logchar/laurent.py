@@ -48,18 +48,19 @@ class LaurentPolynomial:
             raise ValueError("variable names must be distinct")
         # widen the declared field when number-field coefficients appear
         for coef in terms.values():
-            if isinstance(coef, Scalar) and coef.field != field:
+            if isinstance(coef, Scalar) and coef.field is not field and coef.field != field:
                 if field.is_rational:
                     field = coef.field
                 elif not coef.field.is_rational:
                     raise DimensionMismatch("coefficients from distinct number fields")
         clean = {}
-        for exp, coef in terms.items():
-            e = tuple(int(x) for x in exp)
+        for e, coef in terms.items():
+            if type(e) is not tuple or not all(type(x) is int for x in e):
+                e = tuple(int(x) for x in e)
             if len(e) != len(vs):
                 raise DimensionMismatch(f"exponent arity {len(e)} != {len(vs)} variables")
             c = coef if isinstance(coef, Scalar) else field(coef)
-            if c.field != field:
+            if c.field is not field and c.field != field:
                 c = field(c)
             if not c.is_zero:
                 prev = clean.get(e)
@@ -116,7 +117,8 @@ class LaurentPolynomial:
         return tuple(self.terms.keys())
 
     def coefficient(self, exp) -> Scalar:
-        return self.terms.get(tuple(exp), self.field.zero())
+        c = self.terms.get(tuple(exp))
+        return self.field.zero() if c is None else c
 
     def constant_term(self) -> Scalar:
         return self.coefficient((0,) * len(self.vars))
@@ -355,6 +357,18 @@ def log_gradient(phi: LaurentPolynomial) -> Tuple[LaurentPolynomial, ...]:
     return tuple(phi.log_partial(l) for l in range(len(phi.vars)))
 
 
+def _entry_shifts(pole: Sequence[int], log_indices: Sequence[int]):
+    """The exponent shift of each entry l of a twist: ``pole``, and -1 more in
+    x_l where D_l is d/dx_l."""
+    for l in range(len(pole)):
+        if l in log_indices:
+            yield pole
+        else:
+            shift = list(pole)
+            shift[l] -= 1
+            yield shift
+
+
 def twist(gradient: Sequence[LaurentPolynomial], pole: Sequence[int],
           log_indices: Sequence[int]) -> Tuple[LaurentPolynomial, ...]:
     """The coefficients t * D_l(phi) of the twisted differential, from the
@@ -364,14 +378,29 @@ def twist(gradient: Sequence[LaurentPolynomial], pole: Sequence[int],
     monomial with exponent vector ``pole``.  Multiplying by t is an exponent
     shift, and d/dx_l is x_l d/dx_l shifted once more by -1 in x_l.
     """
-    out = []
-    for l, g in enumerate(gradient):
-        shift = pole
-        if l not in log_indices:
-            shift = list(pole)
-            shift[l] -= 1
-        out.append(_shifted(g, shift))
-    return tuple(out)
+    return tuple(map(_shifted, gradient, _entry_shifts(pole, log_indices)))
+
+
+def twist_on_divisor(gradient: Sequence[LaurentPolynomial], pole: Sequence[int],
+                     log_indices: Sequence[int], j: int) -> Tuple[LaurentPolynomial, ...]:
+    """``twist(gradient, pole, log_indices)`` restricted to x_j = 0, with
+    pole[j] the pole order of phi along x_j.  The restriction keeps the terms
+    whose x_j exponent is -pole[j] (log derivatives keep exponents), so only
+    those are shifted.  For a log variable x_j the x_j entry is -pole[j]
+    times those terms of phi: it is never zero when pole[j] > 0."""
+    a = -pole[j]
+    return tuple(LaurentPolynomial._trusted(
+        g.vars, {tuple(map(add, e, shift)): c for e, c in g.terms.items() if e[j] == a},
+        g.field) for g, shift in zip(gradient, _entry_shifts(pole, log_indices)))
+
+
+def twist_at_origin(gradient: Sequence[LaurentPolynomial], pole: Sequence[int],
+                    log_indices: Sequence[int]) -> Tuple[Scalar, ...]:
+    """The constant terms of ``twist(gradient, pole, log_indices)``, read
+    without shifting: the constant term of x^shift * g is the coefficient
+    of g at -shift."""
+    return tuple(g.coefficient([-x for x in shift])
+                 for g, shift in zip(gradient, _entry_shifts(pole, log_indices)))
 
 
 def twisted_differential(phi: LaurentPolynomial, log_indices: Sequence[int],

@@ -15,7 +15,7 @@ from typing import Optional, Tuple
 from .cycles import MonomialLogModule
 from .cdvf import DiffOperator, GAUGE_LOG, GAUGE_PARTIAL
 from .euler import ChernData, Curve, Surface
-from .field import QQ, NumberField, parse_rational
+from .field import QQ, NumberField, Scalar, parse_rational
 from .goodmodel import Chart, GoodModel, ModelSummand
 from .laurent import LaurentPolynomial
 from .record import Record
@@ -90,8 +90,14 @@ def _parse_chart(spec) -> Chart:
 
 
 def _parse_model(spec, kummer_spec, chart: Chart, field) -> GoodModel:
+    """The model in one typed pass: a JSON integer exponent stays an int, any
+    other exponent is read as a rational string and kept as a Fraction only
+    when it is not integral; exponents are scaled by the cover only when some
+    cover degree is not 1, and each coefficient sum becomes a rational
+    scalar of the document's field."""
     _expect(isinstance(spec, list) and spec, "model must be a nonempty list of summands")
     n = chart.n
+    log = chart.log_indices
     raw_terms = []
     denominators = [1] * n
     for k, summand in enumerate(spec):
@@ -100,18 +106,22 @@ def _parse_model(spec, kummer_spec, chart: Chart, field) -> GoodModel:
         _expect(isinstance(phi, list), f"summand {k}: phi must be a list of terms")
         terms = []
         for t in phi:
-            _expect(isinstance(t, dict) and "exp" in t and "coeff" in t,
-                    f"summand {k}: each term needs 'coeff' and 'exp'")
+            # the checks of every term, with no message built when they pass
+            if not (isinstance(t, dict) and "exp" in t and "coeff" in t):
+                raise SchemaError(f"summand {k}: each term needs 'coeff' and 'exp'")
             exp = t["exp"]
-            _expect(isinstance(exp, list) and len(exp) == n,
-                    f"summand {k}: exponent arity must be {n}")
-            fexp = [parse_rational(str(e)) for e in exp]
-            for j, e in enumerate(fexp):
-                if e.denominator > 1:
-                    _expect(j in chart.log_indices,
-                            f"summand {k}: fractional exponent on non-log variable")
+            if not (isinstance(exp, list) and len(exp) == n):
+                raise SchemaError(f"summand {k}: exponent arity must be {n}")
+            exp = [e if type(e) is int else parse_rational(str(e)) for e in exp]
+            for j, e in enumerate(exp):
+                if type(e) is int:
+                    continue
+                if e.denominator == 1:
+                    exp[j] = e.numerator
+                else:
+                    _expect(j in log, f"summand {k}: fractional exponent on non-log variable")
                     denominators[j] = lcm(denominators[j], e.denominator)
-            terms.append((fexp, parse_rational(t["coeff"])))
+            terms.append((exp, parse_rational(t["coeff"])))
         rank = summand.get("rank", 1)
         _expect(isinstance(rank, int) and rank >= 1, f"summand {k}: rank must be >= 1")
         raw_terms.append((terms, rank))
@@ -121,22 +131,21 @@ def _parse_model(spec, kummer_spec, chart: Chart, field) -> GoodModel:
                 and all(isinstance(h, int) and h >= 1 for h in kummer_spec),
                 "kummer must list one positive integer per log divisor")
         hs = list(kummer_spec)
-    for i, j in enumerate(chart.log_indices):
+    for i, j in enumerate(log):
         hs[i] = lcm(hs[i], denominators[j])
     cover = [1] * n
-    for i, j in enumerate(chart.log_indices):
+    for i, j in enumerate(log):
         cover[j] = hs[i]
+    scaled = any(h != 1 for h in hs)
     summands = []
     for terms, rank in raw_terms:
         tdict = {}
-        for fexp, coeff in terms:
-            e = []
-            for j, x in enumerate(fexp):
-                scaled = x * cover[j]
-                _expect(scaled.denominator == 1, "internal: cover does not clear exponent")
-                e.append(int(scaled))
-            key = tuple(e)
-            tdict[key] = tdict.get(key, Fraction(0)) + coeff
+        for exp, coeff in terms:
+            # each denominator divides its cover degree, so x * h is an integer
+            key = tuple(x.numerator * (h // x.denominator) for x, h in zip(exp, cover)) \
+                if scaled else tuple(exp)
+            tdict[key] = tdict[key] + coeff if key in tdict else coeff
+        tdict = {e: Scalar._rational(field, c) for e, c in tdict.items()}
         summands.append(ModelSummand(LaurentPolynomial(chart.vars, tdict, field), rank))
     try:
         return GoodModel(chart, summands, hs, field)

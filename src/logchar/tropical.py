@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from operator import ge
 from typing import Optional, Sequence, Tuple, Union
 
 from .fme import feasible_point
@@ -81,7 +82,7 @@ class LinearityWitness(Record):
 
 
 def _dominates(f: Form, g: Form) -> bool:
-    return all(a >= b for a, b in zip(f, g))
+    return all(map(ge, f, g))
 
 
 def is_linear_on_octant(f: TropicalFn):
@@ -89,10 +90,12 @@ def is_linear_on_octant(f: TropicalFn):
 
     Returns (True, witness-with-dominating-form) or (False, witness with a
     crossing pair of forms and two rational points where their order flips).
+    A form that dominates every other is also the lexicographically largest,
+    the last of the sorted forms, so that is the one candidate.
     """
-    for cand in f.forms:
-        if all(_dominates(cand, other) for other in f.forms):
-            return True, LinearityWitness(True, dominating_form=cand)
+    top = f.forms[-1]
+    if all(_dominates(top, other) for other in f.forms):
+        return True, LinearityWitness(True, top)
     # two maximal forms are incomparable, so each exceeds the other on an axis
     maximal = [g for g in f.forms
                if not any(h != g and _dominates(h, g) for h in f.forms)]

@@ -24,8 +24,8 @@ from logchar import goodmodel as gm
 from logchar.cycles import CycleError, DivisorLine, LogCycle, ZeroSection, Direction, \
     line_multiplicity
 from logchar.field import QQ, NumberField
-from logchar.goodmodel import (Chart, CodimensionError, GoodModel, ModelSummand,
-                               clean_at_point, nonclean_locus, refined_form, zcar_prime)
+from logchar.goodmodel import (Chart, GoodModel, ModelSummand, clean_at_point, nonclean_locus,
+                               refined_form, zcar_prime)
 from logchar.laurent import LaurentPolynomial, pole_orders, twisted_differential
 from logchar.modeldoc import parse_model_document
 from logchar.tropical import RadiusProfile, RayBudgetError, TropicalFn, sorted_profile_linear
@@ -95,7 +95,8 @@ def _reference_clean_at_point(model, z):
 
 
 def _reference_nonclean_locus(model):
-    """(theta entries, points) per divisor and the bad strata."""
+    """(theta entries, points) per divisor and the bad strata; the origin of
+    a curve chart is not checked (see the tests below)."""
     chart = model.chart
     per = []
     for k, name in enumerate(chart.log_vars):
@@ -104,21 +105,22 @@ def _reference_nonclean_locus(model):
         for s in model.summands:
             if pole_orders(s.phi, chart.log_indices)[k] == 0:
                 continue
-            entries = tuple(t.restrict_to_zero(j)
-                            for t in twisted_differential(s.phi, chart.log_indices, (j,)))
-            if all(en.is_zero for en in entries):
-                raise CodimensionError(f"theta vector of a summand vanishes along D({name})")
+            entries = _reference_divisor_theta(s.phi, chart, j)
             gens.append(entries)
             if chart.n == 2:
                 points.update(gm._common_zeros_on_divisor(entries, 1 - j, chart))
         per.append((tuple(gens), tuple(sorted(points))))
     bad = []
-    if chart.n == 1 or chart.n == chart.m == 2:
-        if not _reference_clean_at_point(model, {v: 0 for v in chart.vars})[0]:
-            if chart.n == 1:
-                raise CodimensionError("non-clean point on a curve chart")
-            bad.append("origin")
+    if chart.n == chart.m == 2 and not _reference_clean_at_point(
+            model, {v: 0 for v in chart.vars})[0]:
+        bad.append("origin")
     return tuple(per), tuple(bad)
+
+
+def _reference_divisor_theta(phi, chart, j):
+    """theta of phi twisted by its pole along D_j alone, restricted to D_j."""
+    return tuple(t.restrict_to_zero(j)
+                 for t in twisted_differential(phi, chart.log_indices, (j,)))
 
 
 def _reference_zcar_prime(model):
@@ -270,3 +272,20 @@ def test_certificates_match_the_per_call_reference(name):
             ok, cert = got
             got = (ok, cert.sharp_linear, cert.numerically_clean, cert.theta_reductions)
         assert got == want, (name, z)
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_theta_never_vanishes_along_a_divisor(name):
+    """Why the locus raises nothing: wherever pole[j] > 0, the x_j entry of
+    theta on D_j is -pole[j] times the face of phi along D_j, so it is
+    nonzero; and on a curve chart the origin is always clean."""
+    model, _ = MODELS[name]
+    chart = model.chart
+    for s in model.summands:
+        pole = pole_orders(s.phi, chart.log_indices)
+        for p, j in zip(pole, chart.log_indices):
+            if p > 0:
+                entries = _reference_divisor_theta(s.phi, chart, j)
+                assert not entries[j].is_zero, (name, j)
+    if chart.n == 1:
+        assert _reference_clean_at_point(model, {v: 0 for v in chart.vars})[0], name

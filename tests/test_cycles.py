@@ -18,9 +18,11 @@ from logchar.cycles import (
     hilbert_dim,
     monomial_char_cycle,
 )
+from logchar.field import QQ, NumberField
 from logchar.laurent import LaurentPolynomial
 
 L = LaurentPolynomial
+Q2 = NumberField([-2, 0, 1])
 
 A1 = ChartStamp(("x",), ("x",))
 A2 = ChartStamp(("x", "y"), ("x", "y"))
@@ -204,6 +206,123 @@ def test_rows_kept_separate_but_equality_row_blind():
     assert len(c.parts) == 2
     d = LogCycle(A2, [line(A2, "x", (1, 0), 3)])
     assert cycle_equal(c, d)
+
+
+# -- the order and merging of cycle parts, against the pairwise reference ------
+
+
+def reference_direction_key(direction):
+    """Direction.sort_key as it was: every entry multiplied by the inverse of
+    a constant first entry as a polynomial, its terms sorted again."""
+    def poly_key(p):
+        return tuple((e, str(c)) for e, c in sorted(p.terms.items()))
+    first = next(p for p in direction.entries if not p.is_zero)
+    if len(first.terms) == 1 and not any(next(iter(first.terms))):
+        c = first.constant_term()
+        return tuple(poly_key(p * c.inverse()) for p in direction.entries)
+    return tuple(poly_key(p) for p in direction.entries)
+
+
+def reference_key(comp):
+    if isinstance(comp, DivisorLine):
+        return (1, comp.divisor, reference_direction_key(comp.direction), comp.cover_degree)
+    return comp.sort_key()
+
+
+def reference_same_component(a, b):
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, ZeroSection):
+        return True
+    if isinstance(a, DivisorLine):
+        return (a.divisor == b.divisor and a.cover_degree == b.cover_degree
+                and a.row == b.row and a.direction.proportional_to(b.direction))
+    return a == b
+
+
+def reference_report_lines(parts):
+    """LogCycle's report as it was: each new part compared with every kept
+    one, then the parts sorted by the reference key."""
+    merged = []
+    for comp, mult in parts:
+        mult = Fraction(mult)
+        if mult == 0:
+            continue
+        for i, (c, m) in enumerate(merged):
+            if reference_same_component(c, comp):
+                merged[i] = (c, m + mult)
+                break
+        else:
+            merged.append((comp, mult))
+    merged.sort(key=lambda cm: reference_key(cm[0]))
+    return [c.describe(m if m.denominator != 1 else m.numerator) for c, m in merged]
+
+
+def _random_entry(rng, chart, field):
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        e = tuple(rng.randint(-1, 2) for _ in chart.vars)
+        c = field(Fraction(rng.choice((-3, -1, 1, 2, 5)), rng.choice((1, 2, 3))))
+        if field is Q2:
+            c = c + field.gen() * rng.randint(-1, 1)
+        terms[e] = c
+    return L(chart.vars, terms, field)
+
+
+def _seeded_parts(seed):
+    """Lines over Q or Q(sqrt 2) whose first nonzero entry is the constant 1,
+    -1 or 3/2, another constant, or not a constant, several on one divisor,
+    some proportional to an earlier line with its row (so they merge), with
+    the zero section and a lower-dimensional part."""
+    rng = random.Random(seed)
+    field = (QQ, Q2)[seed % 2]
+    chart = (A2, ChartStamp(("x", "y", "z"), ("x", "z")))[seed % 3 == 2]
+    n = len(chart.vars)
+    leads = [1, -1, Fraction(3, 2), None, "poly", "zero-first"]
+    parts = [(ZeroSection(), rng.randint(1, 3)), (LowerDim("V(x,y)", 1), 1)]
+    for k in range(rng.randint(6, 12)):
+        lead = leads[k] if k < len(leads) else rng.choice(leads)
+        entries = [_random_entry(rng, chart, field) for _ in range(n)]
+        if lead == "zero-first":
+            entries[0] = L.zero(chart.vars, field)
+        elif lead == "poly":
+            entries[0] = _random_entry(rng, chart, field) + L.variable(chart.vars, "y", field)
+        else:
+            c = field(Fraction(rng.randint(-4, 4) or 7, rng.randint(1, 3))) if lead is None \
+                else field(lead)
+            entries[0] = L.constant(chart.vars, c, field)
+        row = (Fraction(rng.randint(1, 3)),) * chart.m
+        divisor = chart.log_vars[0] if k < len(leads) else rng.choice(chart.log_vars)
+        parts.append((DivisorLine(divisor, Direction(entries), rng.choice((1, 1, 2)), row),
+                      rng.randint(1, 4)))
+        if rng.random() < 0.3:
+            comp = parts[-1][0]
+            scale = field(Fraction(rng.choice((-2, 3)), rng.choice((1, 5))))
+            again = Direction([p * scale for p in comp.direction.entries])
+            parts.append((DivisorLine(comp.divisor, again, comp.cover_degree, comp.row), 1))
+    return chart, parts
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_cycle_parts_follow_the_reference_order(seed):
+    chart, parts = _seeded_parts(seed)
+    assert LogCycle(chart, parts).report_lines() == reference_report_lines(parts), seed
+    for comp, _ in parts:
+        if isinstance(comp, DivisorLine):
+            key = comp.direction.sort_key()
+            assert tuple(map(tuple, key)) == reference_direction_key(comp.direction)
+
+
+def test_seeded_parts_cover_every_kind_of_line():
+    kinds = set()
+    for seed in range(30):
+        chart, parts = _seeded_parts(seed)
+        lines = [c for c, _ in parts if isinstance(c, DivisorLine)]
+        kinds.add(lines[0].direction.entries[0].field)
+        assert len([c for c in lines if c.divisor == chart.log_vars[0]]) >= 6
+        merged = len(LogCycle(chart, parts).lines())
+        kinds.add("merged" if merged < len(lines) else "unmerged")
+    assert kinds >= {QQ, Q2, "merged", "unmerged"}
 
 
 def test_finalize_rejects_fractions():

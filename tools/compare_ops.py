@@ -1,11 +1,11 @@
 """Byte-identity check of two logchar checkouts on the benchmark corpus.
 
-    python3 tools/compare_ops.py OLD_ROOT NEW_ROOT
+    python3 tools/compare_ops.py [--seeds A-B] OLD_ROOT NEW_ROOT
 
 Each root is a checkout with ``src/logchar`` and ``bench/corpus.py``.  For
 each root, a child process of its own imports that checkout's engine and
-corpus, builds every op of ``corpus.build`` for seeds 0-2 of all workloads
-and runs it in-process: CLI ops through ``logchar.cli.main`` on documents
+corpus, builds every op of ``corpus.build`` for the seeds A to B (0-2 by
+default) of all workloads and runs it in-process: CLI ops through ``logchar.cli.main`` on documents
 written to a temporary directory, ``cyclic`` ops through
 ``logchar.cdvf.cyclic_vector``.  An op's record is its exit code, stdout,
 stderr and, for ``cyclic``, the ``repr`` of the returned operator (an
@@ -26,7 +26,8 @@ import subprocess
 import sys
 import tempfile
 
-SEEDS = (0, 1, 2)
+DEFAULT_SEEDS = "0-2"
+USAGE = "usage: python3 tools/compare_ops.py [--seeds A-B] OLD_ROOT NEW_ROOT"
 FIELDS = ("exit", "stdout", "stderr", "repr")
 
 
@@ -53,8 +54,17 @@ def _run_op(call):
     return record
 
 
-def dump(root):
-    """Run the corpus on the checkout at ``root``; print one JSON list."""
+def _seeds(text):
+    """The seeds of the inclusive range "A-B", or None when it is not one."""
+    lo, sep, hi = text.partition("-")
+    if not (sep and lo.isdigit() and hi.isdigit() and int(lo) <= int(hi)):
+        return None
+    return range(int(lo), int(hi) + 1)
+
+
+def dump(root, seeds):
+    """Run the corpus of ``seeds`` on the checkout at ``root``; print one
+    JSON list."""
     sys.dont_write_bytecode = True
     root = os.path.abspath(root)
     sys.path[:0] = [os.path.join(root, "bench"), os.path.join(root, "src")]
@@ -68,7 +78,7 @@ def dump(root):
         # relative document paths, so that messages naming a file match
         os.chdir(tmp)
         for workload in corpus.WORKLOADS:
-            for seed in SEEDS:
+            for seed in seeds:
                 written = set()
                 for op in corpus.build(workload, seed):
                     if op.command == "cyclic":
@@ -89,16 +99,16 @@ def dump(root):
     json.dump(records, sys.stdout)
 
 
-def _records(root):
-    proc = subprocess.run([sys.executable, "-B", os.path.abspath(__file__), "--dump", root],
-                          capture_output=True, text=True)
+def _records(root, seeds):
+    proc = subprocess.run([sys.executable, "-B", os.path.abspath(__file__), "--dump", root,
+                           seeds], capture_output=True, text=True)
     if proc.returncode != 0:
         sys.exit(f"{root}: corpus run failed\n{proc.stderr}")
     return json.loads(proc.stdout)
 
 
-def compare(old_root, new_root):
-    old, new = _records(old_root), _records(new_root)
+def compare(old_root, new_root, seeds=DEFAULT_SEEDS):
+    old, new = _records(old_root, seeds), _records(new_root, seeds)
     if [r["op"] for r in old] != [r["op"] for r in new]:
         print(f"op lists differ: {len(old)} vs {len(new)} ops")
         return 1
@@ -117,13 +127,16 @@ def compare(old_root, new_root):
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
-    if len(argv) == 2 and argv[0] == "--dump":
-        dump(argv[1])
+    if len(argv) == 3 and argv[0] == "--dump":
+        dump(argv[1], _seeds(argv[2]))
         return 0
-    if len(argv) != 2:
-        print("usage: python3 tools/compare_ops.py OLD_ROOT NEW_ROOT", file=sys.stderr)
+    seeds = DEFAULT_SEEDS
+    if len(argv) == 4 and argv[0] == "--seeds":
+        seeds, argv = argv[1], argv[2:]
+    if len(argv) != 2 or _seeds(seeds) is None:
+        print(USAGE, file=sys.stderr)
         return 2
-    return compare(*argv)
+    return compare(*argv, seeds)
 
 
 if __name__ == "__main__":
