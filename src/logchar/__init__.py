@@ -5,7 +5,7 @@ cross-checks.
 """
 
 from .field import QQ, NumberField, Scalar
-from .laurent import LaurentPolynomial, is_unit_in_R_n0, twisted_differential
+from .laurent import LaurentPolynomial, is_unit_in_R_n0, log_gradient, twist
 from .series import LaurentSeries, PrecisionError
 from .tropical import RadiusProfile, TropicalFn, is_linear_on_octant, sorted_profile_linear
 from .cycles import (ChartStamp, Direction, DivisorLine, LogCycle, LowerDim,
@@ -13,7 +13,7 @@ from .cycles import (ChartStamp, Direction, DivisorLine, LogCycle, LowerDim,
 from .cdvf import (DiffOperator, NewtonPolygon, RefinedClass, cyclic_vector,
                    newton_polygon, refined_residue)
 from .goodmodel import (Chart, GoodModel, ModelSummand, clean_at_point,
-                        irregularity_divisor, nonclean_locus, refined_form,
+                        irregularity_divisor, nonclean_locus,
                         validate_good_decomposition, zcar_prime)
 from .euler import (ChernData, Curve, Surface, chi_EP, derham_oracle_curve,
                     integrality_check, kashiwara_dubson, reconcile_geometry)

@@ -18,8 +18,9 @@ from .cdvf import FactorizationError, newton_polygon, orbit_integrality_violatio
 from .cycles import IntegralityError, hilbert_dim, monomial_char_cycle
 from .euler import GeometryError, OracleBudgetError, WindowError, chi_EP, \
     derham_oracle_curve, integrality_check, kashiwara_dubson, reconcile_geometry
-from .goodmodel import (clean_at_point, irregularity_divisor, nonclean_locus, refined_form,
-                        validate_good_decomposition, zcar_prime)
+from .goodmodel import (ExpansionBudgetError, clean_at_point, irregularity_divisor,
+                        nonclean_locus, validate_good_decomposition, zcar_prime)
+from .laurent import twist
 from .modeldoc import SchemaError, load_json, parse_model_document, \
     parse_operator_document, parse_point
 from .series import PrecisionError
@@ -33,7 +34,8 @@ EXIT_ASSERTION = 4
 # (error classes, exit code, message prefix); any other exception propagates
 ERRORS = (
     ((IntegralityError,), EXIT_ASSERTION, "internal assertion failure"),
-    ((FactorizationError, RayBudgetError, OracleBudgetError), EXIT_INVALID, "refused"),
+    ((FactorizationError, RayBudgetError, OracleBudgetError, ExpansionBudgetError),
+     EXIT_INVALID, "refused"),
     ((SchemaError, GeometryError, PrecisionError, WindowError, ValueError),
      EXIT_INVALID, "invalid input"),
 )
@@ -150,13 +152,14 @@ def cmd_irr(args) -> int:
         lines.append(f"D({name}): sorted irregularities {', '.join(str(v) for v in vals)}")
         per[name] = [str(v) for v in vals]
     thetas = []
-    for k, s in enumerate(doc.model.summands, start=1):
+    model = doc.model
+    for k, (s, pole, gradient) in enumerate(
+            zip(model.summands, model.poles, model.log_gradients()), start=1):
         if s.phi.is_zero:
             continue
-        form = refined_form(s.phi, doc.model.chart)
-        desc = ", ".join(str(t) for t in form.theta)
-        lines.append(f"summand {k}: theta=({desc})")
-        thetas.append({"summand": k, "theta": [str(t) for t in form.theta]})
+        theta = [str(t) for t in twist(gradient, pole, model.chart.log_indices)]
+        lines.append(f"summand {k}: theta=({', '.join(theta)})")
+        thetas.append({"summand": k, "theta": theta})
     payload = {"command": "irr", "rows": payload_rows, "per_divisor": per,
                "theta": thetas}
     _emit(args, payload, lines)

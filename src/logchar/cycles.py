@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .laurent import LaurentPolynomial
 from .record import Record
@@ -86,18 +86,6 @@ class Direction:
             if self.entries[i] * other.entries[j] != self.entries[j] * other.entries[i]:
                 return False
         return True
-
-    def scale_log_coordinates(self, factors: Dict[int, int]) -> "Direction":
-        """Multiply selected coordinates by integer factors (log basis change)."""
-        out = []
-        for i, p in enumerate(self.entries):
-            out.append(p * factors[i] if i in factors else p)
-        return Direction(out)
-
-    def pull_back_cover(self, exponent_factors) -> "Direction":
-        """Substitute x_l -> x_l^{h_l} inside every entry."""
-        return Direction([p.scale_exponents(exponent_factors) if not p.is_zero else p
-                          for p in self.entries])
 
     def sort_key(self):
         """Each entry's terms as (exponent, coefficient text) pairs, in the

@@ -17,19 +17,34 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import prod
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from .cycles import (ChartStamp, Direction, DivisorLine, LogCycle, ZeroSection,
                      line_multiplicity)
 from .field import QQ, NumberField, Scalar, _poly_divmod
-from .laurent import (LaurentPolynomial, log_gradient, monomial_times_unit, pole_orders,
-                      twist, twist_at_origin, twist_on_divisor, twisted_differential)
+from .laurent import LaurentPolynomial, log_gradient, monomial_times_unit, twist, twist_at_origin
 from .record import Record
 from .tropical import RadiusProfile, RayBudgetError, TropicalFn, sorted_profile_linear
 
 
+# Dense polynomial work of the certificates, each under about 1 s at its
+# bound (CPython 3.11 on one core of a shared 2-core Xeon): the Euclid of the
+# non-clean locus, 0.7 s on a theta entry of degree span 160 with random
+# coefficients in [-9, 9]; the binomial expansions of a point's recentring,
+# 0.8 s for the 5,000 terms they write for y^4999 at y = 3/7.
+MAX_LOCUS_DEGREE = 160
+MAX_RECENTRED_TERMS = 5000
+
+
 class ModelError(ValueError):
     pass
+
+
+class ExpansionBudgetError(ValueError):
+    """A certificate would expand a polynomial past its bound:
+    MAX_LOCUS_DEGREE for a theta entry on a divisor, MAX_RECENTRED_TERMS for
+    the recentring at a point."""
 
 
 class PointError(ValueError):
@@ -201,27 +216,6 @@ def irregularity_divisor(model: GoodModel) -> IrregularityDivisor:
     return IrregularityDivisor(model.chart.log_vars, rows, tuple(per))
 
 
-# -- refined forms -------------------------------------------------------------
-
-
-class RefinedForm(Record):
-    """Coefficients of the twisted differential in the log basis.
-
-    theta_l is t * (x_l d_l phi) for log variables and t * (d_l phi)
-    otherwise, with t the product of x_j^{pole order} over the log divisors;
-    everything lives in cover coordinates.
-    """
-    theta: Tuple[LaurentPolynomial, ...]
-    twist: Tuple[int, ...]  # cover pole orders per log divisor
-
-
-def refined_form(phi: LaurentPolynomial, chart: Chart) -> RefinedForm:
-    if phi.is_zero:
-        raise ModelError("refined form of the zero polynomial")
-    log = chart.log_indices
-    return RefinedForm(twisted_differential(phi, log, log), pole_orders(phi, log))
-
-
 # -- local analysis at a point --------------------------------------------------
 
 
@@ -293,7 +287,9 @@ def _recenter_support(rterms, names, values, field):
     """Support of (sum of R-monomials) shifted by the point values.
 
     Poles are pulled out as a single monomial whose shift is a unit; the
-    polynomial part is shifted exactly.
+    polynomial part is shifted exactly.  Its binomial expansions write
+    prod_j (e_j + 1) terms for each exponent e; past MAX_RECENTRED_TERMS the
+    recentring is refused with ExpansionBudgetError before any is written.
     """
     if not names:
         return {()} if any(not c.is_zero for c in rterms.values()) else set()
@@ -302,6 +298,11 @@ def _recenter_support(rterms, names, values, field):
         return set()
     pullout = [max(0, -(poly.min_exponent(j) or 0)) for j in range(len(names))]
     shifted = poly * LaurentPolynomial.monomial(tuple(names), pullout, 1, field)
+    written = sum(prod(a + 1 for a in e) for e in shifted.terms)
+    if written > MAX_RECENTRED_TERMS:
+        point = ",".join(f"{y}={v}" for y, v in zip(names, values))
+        raise ExpansionBudgetError(f"recentring at {point} would write {written} terms, "
+                                   f"more than {MAX_RECENTRED_TERMS}")
     for j, v in enumerate(values):
         shifted = shifted.shift_variable(j, v)
     return set(shifted.terms.keys())
@@ -395,8 +396,9 @@ def nonclean_locus(model: GoodModel) -> NonCleanLocus:
 
     For charts of dimension <= 2 the locus on each divisor D_j is the common
     zero set of each summand's theta entries on it, twisted by x_j^pole[j]
-    alone (``laurent.twist_on_divisor``), named by their gcd.  A theta vector
-    never vanishes along a whole divisor, since its x_j entry is nonzero.
+    alone and restricted to D_j (``laurent.twist`` on j), named by their gcd.
+    A theta vector never vanishes along a whole divisor, since its x_j entry
+    is nonzero.
     The crossing point of two log divisors is checked as a stratum of its
     own.  The origin of a curve chart is always clean, so it is not checked:
     a one-variable profile is linear, and theta there is -pole times the
@@ -411,7 +413,7 @@ def nonclean_locus(model: GoodModel) -> NonCleanLocus:
             if pole[j]:
                 along = [0] * chart.n
                 along[j] = pole[j]
-                gens.append(twist_on_divisor(gradient, along, log, j))
+                gens.append(twist(gradient, along, log, on=j))
         points = set()
         if chart.n == 2:
             for entries in gens:
@@ -431,6 +433,8 @@ def _common_zeros_on_divisor(entries, other, chart):
     is divided out, since the crossing point is a stratum of its own.  Their
     gcd g, folded by Euclid, gives no label when constant, y=r when it is
     y - r up to a unit, and otherwise names the zeros itself (monic g = 0).
+    An entry whose coefficient list would span more than MAX_LOCUS_DEGREE
+    is refused with ExpansionBudgetError before the list is built.
     """
     log = other in chart.log_indices
     g = []
@@ -438,11 +442,18 @@ def _common_zeros_on_divisor(entries, other, chart):
         if en.is_zero:
             continue
         low = en.min_exponent(other) if log else 0
-        coeffs = [0] * (en.max_exponent(other) - low + 1)
+        span = en.max_exponent(other) - low
+        if span > MAX_LOCUS_DEGREE:
+            raise ExpansionBudgetError(f"a theta entry on the divisor has degree span {span} "
+                                       f"in {chart.vars[other]}, more than {MAX_LOCUS_DEGREE}")
+        coeffs = [0] * (span + 1)
         for e, c in en.terms.items():
             coeffs[e[other] - low] = c.rational_value() if c.is_rational_value() else c
         while g and coeffs:
-            g, coeffs = coeffs, _poly_divmod(g, coeffs)[1]
+            # Euclid on monic divisors, which keeps the remainders' scalar
+            # factors from compounding (von zur Gathen-Gerhard, ch. 3)
+            monic = [c / coeffs[-1] for c in coeffs]
+            g, coeffs = monic, _poly_divmod(g, monic)[1]
         g = g or coeffs
         if len(g) == 1:
             return ()
@@ -460,8 +471,8 @@ def zcar_prime(model: GoodModel) -> LogCycle:
 
     Fractional pole orders must clear against the summand rank; the
     orbit-normalized multiplicity rank * b_j is asserted integral.  The
-    direction over D_j is the refined form's theta restricted to D_j
-    (``laurent.twist_on_divisor`` by the whole pole vector).
+    direction over D_j is theta, twisted by the whole pole vector, restricted
+    to D_j (``laurent.twist`` on j).
     """
     chart = model.chart
     log = chart.log_indices
@@ -474,7 +485,7 @@ def zcar_prime(model: GoodModel) -> LogCycle:
         for b, j, name in zip(row, log, chart.log_vars):
             if b == 0:
                 continue
-            entries = twist_on_divisor(gradient, pole, log, j)
+            entries = twist(gradient, pole, log, on=j)
             parts.append((DivisorLine(name, Direction(entries), 1, row),
                           line_multiplicity(s.rank, b, name)))
     return LogCycle(chart.stamp(), parts).finalize()

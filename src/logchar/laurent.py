@@ -17,9 +17,8 @@ without a check.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
 from operator import add
-from typing import Mapping, Sequence, Tuple
+from typing import Mapping, Optional, Sequence, Tuple
 
 from .field import QQ, NumberField, Scalar
 
@@ -245,26 +244,24 @@ class LaurentPolynomial:
         return LaurentPolynomial._trusted(
             self.vars, {e: c * e[j] for e, c in self.terms.items() if e[j]}, self.field)
 
-    def scale_exponents(self, factors: Sequence[int]) -> "LaurentPolynomial":
-        """Substitute x_j -> x_j^{h_j} (Kummer rescale of the support)."""
-        if len(factors) != len(self.vars):
-            raise DimensionMismatch("one factor per variable required")
-        out = {tuple(a * h for a, h in zip(e, factors)): c for e, c in self.terms.items()}
-        return LaurentPolynomial(self.vars, out, self.field)
-
     def shift_variable(self, j: int, value) -> "LaurentPolynomial":
         """Substitute x_j -> x_j + value; requires nonnegative exponents in x_j."""
         val = value if isinstance(value, Scalar) else self.field(value)
-        out = LaurentPolynomial.zero(self.vars, self.field)
+        powers = [val.field(1)]  # val ** k, each one product from the last
+        for _ in range(max((e[j] for e in self.terms), default=0)):
+            powers.append(powers[-1] * val)
         acc = {}
         for e, c in self.terms.items():
-            if e[j] < 0:
+            n = e[j]
+            if n < 0:
                 raise ValueError("shift of a variable with negative exponent")
-            for k in range(e[j] + 1):
+            binomial = 1  # C(n, k), each one step from the last
+            for k in range(n + 1):
                 e2 = list(e)
                 e2[j] = k
                 key = tuple(e2)
-                add = c * (comb(e[j], k) * 1) * val ** (e[j] - k)
+                add = c * binomial * powers[n - k]
+                binomial = binomial * (n - k) // (k + 1)
                 s = acc.get(key)
                 s = add if s is None else s + add
                 if s.is_zero:
@@ -272,16 +269,6 @@ class LaurentPolynomial:
                 else:
                     acc[key] = s
         return LaurentPolynomial._trusted(self.vars, dict(sorted(acc.items())), self.field)
-
-    def restrict_to_zero(self, j: int) -> "LaurentPolynomial":
-        """Set x_j = 0; requires nonnegative exponents in x_j."""
-        out = {}
-        for e, c in self.terms.items():
-            if e[j] < 0:
-                raise ValueError("restriction of a pole to its own divisor")
-            if e[j] == 0:
-                out[e] = c
-        return LaurentPolynomial._trusted(self.vars, out, self.field)
 
     def evaluate(self, point: Mapping[str, object]) -> Scalar:
         """Full evaluation; negative exponents require nonzero coordinates."""
@@ -370,28 +357,26 @@ def _entry_shifts(pole: Sequence[int], log_indices: Sequence[int]):
 
 
 def twist(gradient: Sequence[LaurentPolynomial], pole: Sequence[int],
-          log_indices: Sequence[int]) -> Tuple[LaurentPolynomial, ...]:
-    """The coefficients t * D_l(phi) of the twisted differential, from the
-    log gradient of phi.
+          log_indices: Sequence[int], on: Optional[int] = None
+          ) -> Tuple[LaurentPolynomial, ...]:
+    """The coefficients t * D_l(phi) of the twisted differential theta, from
+    the log gradient of phi; with ``on=j``, theta restricted to x_j = 0.
 
     D_l is x_l d/dx_l for l in ``log_indices`` and d/dx_l otherwise; t is the
     monomial with exponent vector ``pole``.  Multiplying by t is an exponent
-    shift, and d/dx_l is x_l d/dx_l shifted once more by -1 in x_l.
-    """
-    return tuple(map(_shifted, gradient, _entry_shifts(pole, log_indices)))
-
-
-def twist_on_divisor(gradient: Sequence[LaurentPolynomial], pole: Sequence[int],
-                     log_indices: Sequence[int], j: int) -> Tuple[LaurentPolynomial, ...]:
-    """``twist(gradient, pole, log_indices)`` restricted to x_j = 0, with
-    pole[j] the pole order of phi along x_j.  The restriction keeps the terms
+    shift, and d/dx_l is x_l d/dx_l shifted once more by -1 in x_l.  With
+    pole[j] the pole order of phi along x_j, the restriction keeps the terms
     whose x_j exponent is -pole[j] (log derivatives keep exponents), so only
-    those are shifted.  For a log variable x_j the x_j entry is -pole[j]
-    times those terms of phi: it is never zero when pole[j] > 0."""
-    a = -pole[j]
+    those are shifted.  For a log variable x_j the x_j entry on x_j = 0 is
+    -pole[j] times those terms of phi: it is never zero when pole[j] > 0.
+    """
+    shifts = _entry_shifts(pole, log_indices)
+    if on is None:
+        return tuple(map(_shifted, gradient, shifts))
+    a = -pole[on]
     return tuple(LaurentPolynomial._trusted(
-        g.vars, {tuple(map(add, e, shift)): c for e, c in g.terms.items() if e[j] == a},
-        g.field) for g, shift in zip(gradient, _entry_shifts(pole, log_indices)))
+        g.vars, {tuple(map(add, e, shift)): c for e, c in g.terms.items() if e[on] == a},
+        g.field) for g, shift in zip(gradient, shifts))
 
 
 def twist_at_origin(gradient: Sequence[LaurentPolynomial], pole: Sequence[int],
@@ -401,17 +386,6 @@ def twist_at_origin(gradient: Sequence[LaurentPolynomial], pole: Sequence[int],
     of g at -shift."""
     return tuple(g.coefficient([-x for x in shift])
                  for g, shift in zip(gradient, _entry_shifts(pole, log_indices)))
-
-
-def twisted_differential(phi: LaurentPolynomial, log_indices: Sequence[int],
-                         along: Sequence[int]) -> Tuple[LaurentPolynomial, ...]:
-    """The coefficients t * D_l(phi) of the twisted differential, with t the
-    pole monomial of phi along the variables in ``along``.
-
-    These are the theta vectors of a rank-1 twist before their reduction
-    along a divisor or at a point; see ``twist`` for D_l.
-    """
-    return twist(log_gradient(phi), _pole_vector(phi, along), log_indices)
 
 
 def is_unit_in_R_n0(u: LaurentPolynomial) -> bool:

@@ -21,13 +21,13 @@ from logchar.cycles import (ChartStamp, Direction, LogCycle,
 from logchar.euler import (Curve, IntegralityError, Surface, chi_EP, derham_oracle_curve,
                            integrality_check, kashiwara_dubson, reconcile_geometry)
 from logchar.goodmodel import (Chart, GoodModel, ModelSummand, clean_at_point,
-                               irregularity_divisor, refined_form,
+                               irregularity_divisor,
                                validate_good_decomposition, zcar_prime)
-from logchar.laurent import LaurentPolynomial
+from logchar.laurent import LaurentPolynomial, twist
 from logchar.series import LaurentSeries
 
 from test_cdvf import companion_matrix, local_zcar_rank1, radius_oracle, rank1_operator
-from test_cycles import cycle_equal, gr_extract_structured, kummer_pullback
+from test_cycles import cycle_equal, gr_extract_structured, kummer_pullback, restrict_to_zero
 from test_goodmodel import model_kummer_pullback
 
 L = LaurentPolynomial
@@ -122,8 +122,8 @@ def test_criterion_03_cycle_matches_structured_gr_extraction():
     for model, b in models:
         s = model.summands[0]
         cyc = zcar_prime(model)
-        theta = refined_form(s.phi, XY).theta if not s.phi.is_zero else None
         if any(b):
+            theta = twist(model.log_gradients()[0], model.poles[0], XY.log_indices)
             grc = gr_extract_structured(XY.stamp(), b, theta, s.rank)
         else:
             grc = LogCycle(XY.stamp(), [(ZeroSection(), s.rank)])
@@ -166,7 +166,7 @@ def test_criterion_04_cdvf_equality_per_divisor():
             rebased = _cdvf_direction_to_chart(lline.direction, XY.vars, j0,
                                                set(XY.log_indices))
             # compare at the generic point of the divisor: restrict x_j = 0
-            rebased = Direction([p.restrict_to_zero(j0) for p in rebased.entries])
+            rebased = Direction([restrict_to_zero(p, j0) for p in rebased.entries])
             assert target[0].direction.proportional_to(rebased), (s.phi, name)
     _report(4, "one-divisor completions agree with the chart cycle on the suite")
 

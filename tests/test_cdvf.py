@@ -26,7 +26,7 @@ from logchar.cdvf import (
 from logchar.cdvf import (_apply_derivation, _face_polynomial, _maximal_minors,
                           _signed_stirling_first)
 from logchar.cycles import ChartStamp, CycleError, Direction, DivisorLine, LogCycle, ZeroSection
-from logchar.laurent import LaurentPolynomial, twisted_differential
+from logchar.laurent import LaurentPolynomial
 from logchar.modeldoc import load_json, parse_operator_document
 from logchar.series import LaurentSeries, PrecisionError
 
@@ -106,6 +106,21 @@ def rank1_operator(phi_series):
     return DiffOperator(GAUGE_PARTIAL, [-phi_series.derivative()])
 
 
+def reference_theta_on_divisor(phi, log_indices, j0):
+    """theta of phi twisted by its pole along x_j0 alone, at x_j0 = 0: the
+    pole monomial times D_l(phi), D_l = x_l d/dx_l for l in ``log_indices``
+    and d/dx_l otherwise, then the terms free of x_j0."""
+    pole = [0] * len(phi.vars)
+    pole[j0] = max(0, -(phi.min_exponent(j0) or 0))
+    t = LaurentPolynomial.monomial(phi.vars, pole, 1, phi.field)
+    out = []
+    for l in range(len(phi.vars)):
+        d = t * (phi.log_partial(l) if l in log_indices else phi.partial(l))
+        out.append(LaurentPolynomial(d.vars, {e: c for e, c in d.terms.items() if e[j0] == 0},
+                                     d.field))
+    return out
+
+
 def theta_relation_check(phi, cdvf_var=0):
     """Compatibility of the refined coefficients of a rank-1 class d(phi).
 
@@ -120,7 +135,7 @@ def theta_relation_check(phi, cdvf_var=0):
     if m is None or m >= 0:
         raise OperatorError("phi must have a pole along the distinguished variable")
     b = -m
-    thetas = [t.restrict_to_zero(j0) for t in twisted_differential(phi, range(n), (j0,))]
+    thetas = reference_theta_on_divisor(phi, range(n), j0)
     theta1 = thetas[j0]
     for j in range(n):
         if j == j0:
@@ -147,7 +162,7 @@ def local_zcar_rank1(phi, rank, chart_vars, cdvf_var_name=None):
     b = -(m if m is not None else 0)
     parts = [(ZeroSection(), Fraction(rank))]
     if b > 0:
-        entries = [t.restrict_to_zero(j0) for t in twisted_differential(phi, (j0,), (j0,))]
+        entries = reference_theta_on_divisor(phi, (j0,), j0)
         if entries[j0].is_zero:
             raise CycleError("leading refined coefficient vanished for a positive slope")
         parts.append((DivisorLine(name, Direction(entries), 1, (Fraction(b),)),

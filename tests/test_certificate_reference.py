@@ -3,13 +3,13 @@
 ``GoodModel`` keeps each summand's pole vector and log gradient, and the
 non-clean locus, the cleanness check at a point and the cycle read their
 theta vectors off them as exponent shifts; at the origin a reduced theta is
-a constant term.  The references below compute every theta the way the
-certificates did before, from phi on each call: ``pole_orders`` and
-``twisted_differential`` per summand, then ``restrict_to_zero`` or
-``evaluate``, with the support recentred term by term.  Models: every
-surface-ladder rung and the generated doc-mix documents of the benchmark
-corpus, the golden model documents, and random models over Q and Q(sqrt 2)
-with Kummer covers.
+a constant term.  The references below compute every theta from phi on each
+call and on their own: the pole monomial times ``log_partial`` or
+``partial`` as a polynomial product, then restricted to a divisor by its
+terms free of that variable, or evaluated, with the support recentred term
+by term.  Models: every surface-ladder rung and the generated doc-mix
+documents of the benchmark corpus, the golden model documents, and random
+models over Q and Q(sqrt 2) with Kummer covers.
 """
 
 import json
@@ -25,8 +25,8 @@ from logchar.cycles import CycleError, DivisorLine, LogCycle, ZeroSection, Direc
     line_multiplicity
 from logchar.field import QQ, NumberField
 from logchar.goodmodel import (Chart, GoodModel, ModelSummand, clean_at_point, nonclean_locus,
-                               refined_form, zcar_prime)
-from logchar.laurent import LaurentPolynomial, pole_orders, twisted_differential
+                               zcar_prime)
+from logchar.laurent import LaurentPolynomial
 from logchar.modeldoc import parse_model_document
 from logchar.tropical import RadiusProfile, RayBudgetError, TropicalFn, sorted_profile_linear
 
@@ -39,6 +39,28 @@ Q2 = NumberField([-2, 0, 1])
 
 
 # -- references: theta from phi on every call ------------------------------------
+
+
+def _reference_pole(phi, along):
+    """The pole order max(0, -min exponent) of phi along each variable in
+    ``along``, 0 on the others."""
+    return [max([0] + [-e[j] for e in phi.terms]) if j in along else 0
+            for j in range(len(phi.vars))]
+
+
+def _reference_theta(phi, log_indices, along):
+    """theta_l = t * D_l(phi) as a polynomial product, with t the pole
+    monomial of phi along ``along``; D_l is x_l d/dx_l for l in
+    ``log_indices`` and d/dx_l otherwise."""
+    t = LaurentPolynomial.monomial(phi.vars, _reference_pole(phi, along), 1, phi.field)
+    return tuple(t * (phi.log_partial(l) if l in log_indices else phi.partial(l))
+                 for l in range(len(phi.vars)))
+
+
+def _restrict(p, j):
+    """p at x_j = 0: its terms free of x_j, when p has no pole along x_j."""
+    assert all(e[j] >= 0 for e in p.terms), (p, j)
+    return LaurentPolynomial(p.vars, {e: c for e, c in p.terms.items() if e[j] == 0}, p.field)
 
 
 def _reference_local_support(phi, model, pt, frame):
@@ -86,9 +108,9 @@ def _reference_clean_at_point(model, z):
         numerically = None
     thetas, theta_ok = [], True
     for idx, s in enumerate(model.summands):
-        if not any(pole_orders(s.phi, J)):
+        if not any(_reference_pole(s.phi, J)):
             continue
-        vals = [t.evaluate(pt) for t in twisted_differential(s.phi, J, J)]
+        vals = [t.evaluate(pt) for t in _reference_theta(s.phi, J, J)]
         thetas.append((idx, tuple(str(v) for v in vals)))
         theta_ok = theta_ok and any(not v.is_zero for v in vals)
     return ok and theta_ok, verdicts, numerically, tuple(thetas)
@@ -99,11 +121,11 @@ def _reference_nonclean_locus(model):
     a curve chart is not checked (see the tests below)."""
     chart = model.chart
     per = []
-    for k, name in enumerate(chart.log_vars):
+    for name in chart.log_vars:
         j = chart.vars.index(name)
         gens, points = [], set()
         for s in model.summands:
-            if pole_orders(s.phi, chart.log_indices)[k] == 0:
+            if _reference_pole(s.phi, (j,))[j] == 0:
                 continue
             entries = _reference_divisor_theta(s.phi, chart, j)
             gens.append(entries)
@@ -119,24 +141,24 @@ def _reference_nonclean_locus(model):
 
 def _reference_divisor_theta(phi, chart, j):
     """theta of phi twisted by its pole along D_j alone, restricted to D_j."""
-    return tuple(t.restrict_to_zero(j)
-                 for t in twisted_differential(phi, chart.log_indices, (j,)))
+    return tuple(_restrict(t, j) for t in _reference_theta(phi, chart.log_indices, (j,)))
 
 
 def _reference_zcar_prime(model):
     chart = model.chart
     parts = [(ZeroSection(), Fraction(model.rank))]
+    log = chart.log_indices
     for s in model.summands:
-        row = tuple(Fraction(p, h) for p, h in
-                    zip(pole_orders(s.phi, chart.log_indices), model.kummer))
+        pole = _reference_pole(s.phi, log)
+        row = tuple(Fraction(pole[j], h) for j, h in zip(log, model.kummer))
         if not any(row):
             continue
-        form = refined_form(s.phi, chart)
+        theta = _reference_theta(s.phi, log, log)
         for k, name in enumerate(chart.log_vars):
             if row[k] == 0:
                 continue
             j = chart.vars.index(name)
-            entries = [t.restrict_to_zero(j) for t in form.theta]
+            entries = [_restrict(t, j) for t in theta]
             if entries[j].is_zero:
                 raise CycleError(f"leading refined coefficient of D({name}) vanishes")
             parts.append((DivisorLine(name, Direction(entries), 1, row),
@@ -282,9 +304,9 @@ def test_theta_never_vanishes_along_a_divisor(name):
     model, _ = MODELS[name]
     chart = model.chart
     for s in model.summands:
-        pole = pole_orders(s.phi, chart.log_indices)
-        for p, j in zip(pole, chart.log_indices):
-            if p > 0:
+        pole = _reference_pole(s.phi, chart.log_indices)
+        for j in chart.log_indices:
+            if pole[j] > 0:
                 entries = _reference_divisor_theta(s.phi, chart, j)
                 assert not entries[j].is_zero, (name, j)
     if chart.n == 1:

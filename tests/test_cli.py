@@ -2,12 +2,15 @@ import contextlib
 import io
 import json
 import os
+import random
+import tracemalloc
+from fractions import Fraction
 from time import perf_counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from logchar import field
+from logchar import field, goodmodel
 from logchar.cli import main
 from logchar.modeldoc import parse_model_document, SchemaError
 
@@ -482,6 +485,65 @@ def test_zcar_decides_a_locus_with_a_large_constant(tmp_path, capsys, monkeypatc
         code, out, err = run(capsys, "zcar", f, "--json")
         assert code == 0 and err == ""
         assert json.loads(out)["clean"] is clean
+
+
+ONE_DIVISOR_SURFACE = {"kind": "surface", "chi_U": 1,
+                       "components": [{"name": "D", "chi_open": 1}], "intersections": [[0]]}
+
+
+def test_zcar_and_chi_answer_a_dense_degree_80_theta(tmp_path, capsys, monkeypatch):
+    # sum c_k y^k / x, k <= 80: the locus on D(x) is gcd(f, f') of a dense
+    # f of degree 80.  Euclid on monic divisors keeps each divisor's
+    # coefficients near 2,000 bits; without it they pass 80,000 bits
+    rng = random.Random(80)
+    terms = {(-1, k): rng.randint(-9, 9) for k in range(81)}
+    f = write(tmp_path, "dense.json", monomial_model(("x", "y"), ("x",), terms,
+                                                     geometry=ONE_DIVISOR_SURFACE))
+    heights = []
+
+    def divmod_spy(a, b):
+        heights.append(max(Fraction(c).numerator.bit_length() +
+                           Fraction(c).denominator.bit_length() for c in b))
+        return poly_divmod(a, b)
+    poly_divmod = goodmodel._poly_divmod
+    monkeypatch.setattr(goodmodel, "_poly_divmod", divmod_spy)
+    for command in ("zcar", "chi"):
+        heights.clear()
+        code, out, err = run(capsys, command, f, "--json")
+        assert code == 0 and err == "" and json.loads(out)["clean"] is True
+        assert len(heights) == 80 and max(heights) < 5_000, max(heights)
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        result = call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_locus_and_recentring_past_their_bounds_are_refused(tmp_path, capsys):
+    # the locus would list 10^9 + 1 coefficients of y^(10^9) + 1 and the
+    # point y = 2 would expand (y + 2)^100000: each is refused before
+    # anything of that size is built
+    huge = write(tmp_path, "huge.json", monomial_model(
+        ("x", "y"), ("x",), {(-1, 10**9): 1, (-1, 0): 1}, geometry=ONE_DIVISOR_SURFACE))
+    high = write(tmp_path, "high.json", monomial_model(
+        ("x", "y"), ("x",), {(-1, 10**5): 1, (-1, 0): 1}))
+    for argv, message in (
+            (("zcar", huge), "refused: a theta entry on the divisor has degree span "
+                             f"1000000000 in y, more than {goodmodel.MAX_LOCUS_DEGREE}\n"),
+            (("chi", huge), "refused: a theta entry on the divisor has degree span "
+                            f"1000000000 in y, more than {goodmodel.MAX_LOCUS_DEGREE}\n"),
+            (("clean", high, "--point", "x=0,y=2"),
+             "refused: recentring at y=2 would write 100002 terms, more than "
+             f"{goodmodel.MAX_RECENTRED_TERMS}\n")):
+        code, peak = _traced_peak(lambda: main(list(argv)))
+        out = capsys.readouterr()
+        assert code == 2 and out.out == "" and out.err == message, out.err
+        assert peak < 500_000, (argv[0], peak)
 
 
 def test_newton_command(tmp_path, capsys):

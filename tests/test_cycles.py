@@ -36,6 +36,19 @@ def line(chart, div, theta, mult, row=None, cover=1):
 # -- reference operations on cycles ------------------------------------------
 
 
+def scale_exponents(p, factors):
+    """p with x_l -> x_l^{factors[l]} substituted (Kummer rescale of the support)."""
+    return L(p.vars, {tuple(a * h for a, h in zip(e, factors)): c for e, c in p.terms.items()},
+             p.field)
+
+
+def restrict_to_zero(p, j):
+    """p at x_j = 0: its terms free of x_j, when p has no pole along x_j."""
+    if any(e[j] < 0 for e in p.terms):
+        raise ValueError("restriction of a pole to its own divisor")
+    return L(p.vars, {e: c for e, c in p.terms.items() if e[j] == 0}, p.field)
+
+
 def cycle_equal(a, b):
     """Exact cycle equality: directions projectively, rows ignored."""
     if a.chart != b.chart:
@@ -107,8 +120,8 @@ def kummer_pullback(c, h):
             parts.append((comp, m))
         elif isinstance(comp, DivisorLine):
             hj = h.get(comp.divisor, 1)
-            direction = comp.direction.pull_back_cover(exp_factors) \
-                                      .scale_log_coordinates(factors)
+            direction = Direction([scale_exponents(p, exp_factors) * factors.get(i, 1)
+                                   for i, p in enumerate(comp.direction.entries)])
             row = comp.row
             if row is not None:
                 row = tuple(r * h.get(name, 1)
@@ -168,10 +181,10 @@ def gr_extract_structured(chart, b_vector, theta, rank, row=None):
             if b == 0:
                 continue
             j = chart.vars.index(name)
-            red = entries[j].restrict_to_zero(j)
+            red = restrict_to_zero(entries[j], j)
             if red.is_zero:
                 raise CycleError(f"direction coordinate of {name} vanishes along its divisor")
-            restricted = Direction([p.restrict_to_zero(j) for p in entries])
+            restricted = Direction([restrict_to_zero(p, j) for p in entries])
             parts.append((DivisorLine(name, restricted, 1, row_t), Fraction(rank * b)))
     return LogCycle(chart, parts).finalize()
 

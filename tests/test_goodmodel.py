@@ -15,14 +15,13 @@ from logchar.goodmodel import (
     clean_at_point,
     irregularity_divisor,
     nonclean_locus,
-    refined_form,
     validate_good_decomposition,
     zcar_prime,
 )
-from logchar.laurent import LaurentPolynomial
+from logchar.laurent import LaurentPolynomial, twist
 from logchar.tropical import RadiusProfile, TropicalFn, sorted_profile_linear
 
-from test_cycles import cycle_equal, gr_extract_structured, kummer_pullback
+from test_cycles import cycle_equal, gr_extract_structured, kummer_pullback, scale_exponents
 from test_tropical import g_of_phi
 
 L = LaurentPolynomial
@@ -49,7 +48,7 @@ def model_kummer_pullback(model, h):
         if name not in chart.log_vars:
             raise ModelError(f"{name} is not a log variable")
         factors[chart.vars.index(name)] = int(hj)
-    summands = [ModelSummand(s.phi.scale_exponents(factors), s.rank)
+    summands = [ModelSummand(scale_exponents(s.phi, factors), s.rank)
                 for s in model.summands]
     return GoodModel(chart, summands, model.kummer, model.field)
 
@@ -132,21 +131,22 @@ def test_irregularity_divisor():
     assert irregularity_divisor(m).rows == ((1, (F(3, 2),)),)
 
 
+def theta(m):
+    """The first summand's twisted differential, twisted by its whole pole."""
+    return twist(m.log_gradients()[0], m.poles[0], m.chart.log_indices)
+
+
 def test_refined_form_counterexample():
-    phi = L(XY_YLOG.vars, {(1, -2): 1})
-    form = refined_form(phi, XY_YLOG)
+    m = model(XY_YLOG, {(1, -2): 1})
     # coefficient of dx is 1, of dy/y is -2x, after the y^2 twist
-    assert form.theta[0] == L(XY_YLOG.vars, {(0, 0): 1})
-    assert form.theta[1] == L(XY_YLOG.vars, {(1, 0): -2})
-    assert form.twist == (2,)
+    assert theta(m) == (L(XY_YLOG.vars, {(0, 0): 1}), L(XY_YLOG.vars, {(1, 0): -2}))
+    assert m.poles == ((0, 2),)
 
 
 def test_refined_form_monomials():
-    form = refined_form(L(X1.vars, {(-1,): 1}), X1)
-    assert form.theta[0] == L(X1.vars, {(0,): -1})
-    form = refined_form(L(XY_FULL.vars, {(-2, -3): 1}), XY_FULL)
-    assert form.theta[0] == L(XY_FULL.vars, {(0, 0): -2})
-    assert form.theta[1] == L(XY_FULL.vars, {(0, 0): -3})
+    assert theta(model(X1, {(-1,): 1})) == (L(X1.vars, {(0,): -1}),)
+    assert theta(model(XY_FULL, {(-2, -3): 1})) == \
+        (L(XY_FULL.vars, {(0, 0): -2}), L(XY_FULL.vars, {(0, 0): -3}))
 
 
 def test_clean_counterexample_model():
@@ -361,8 +361,9 @@ def test_zcar_prime_matches_gr_extract():
         const = rng.choice([1, 2, -3, 5])
         mdl = model(XY_FULL, {(-b[0], -b[1]): const})
         cyc = zcar_prime(mdl)
-        theta = refined_form(mdl.summands[0].phi, XY_FULL).theta
-        grc = gr_extract_structured(XY_FULL.stamp(), b, theta, 1)
+        # theta of const * x^-b0 y^-b1 is (-b0 * const, -b1 * const)
+        th = [L.constant(XY_FULL.vars, -bj * const) for bj in b]
+        grc = gr_extract_structured(XY_FULL.stamp(), b, th, 1)
         assert cycle_equal(cyc, grc)
 
 

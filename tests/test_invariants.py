@@ -95,6 +95,53 @@ def test_every_public_function_has_a_caller_outside_tests():
     assert not unused, unused
 
 
+# Library API that no engine code names, one reason each.
+LIBRARY_API = {
+    "cyclic_vector": "a benchmark op: bench/run.py calls it on the cyclic corpus",
+    "agrees_with": "LaurentSeries comparison up to the jointly known precision",
+    "is_exact": "LaurentSeries query: no precision bound",
+    "truncate": "LaurentSeries cut at a precision",
+    "irregularity_multiset": "NewtonPolygon slopes repeated by width",
+    "theta_values": "RefinedClass: the rational roots of its residue polynomial",
+    "value_multiset": "RadiusProfile values at a point, as the paper sorts them",
+    "variable": "LaurentPolynomial constructor of a coordinate function",
+}
+
+
+def _references(node, enclosing, out):
+    """Add the names and attributes read under ``node`` to ``out``, except
+    a function's or class's references to itself."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        enclosing = enclosing | {node.name}
+    name = node.id if isinstance(node, ast.Name) else \
+        node.attr if isinstance(node, ast.Attribute) else None
+    if name is not None and name not in enclosing:
+        out.add(name)
+    for child in ast.iter_child_nodes(node):
+        _references(child, enclosing, out)
+
+
+def test_every_engine_definition_is_referenced_in_the_engine():
+    # A function, method or class of src/logchar that no other code there
+    # names is a helper of the tests, or dead; exports in __init__.py do
+    # not count.  Dunder methods are called by the language.
+    root = Path(__file__).resolve().parent.parent
+    used, defined = set(), set()
+    for path in sorted((root / "src" / "logchar").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        if path.name != "__init__.py":
+            _references(tree, frozenset(), used)
+        defined |= {f"{path.stem}.{node.name}" for node in ast.walk(tree)
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and not (node.name.startswith("__") and node.name.endswith("__"))}
+    names = {d.split(".", 1)[1] for d in defined}
+    unused = sorted(d for d in defined
+                    if d.split(".", 1)[1] not in used | set(LIBRARY_API))
+    assert not unused, unused
+    # the pins stay exact: each is defined and still unreferenced
+    assert set(LIBRARY_API) <= names - used, sorted(set(LIBRARY_API) - (names - used))
+
+
 def test_trusted_laurent_constructor_stays_in_laurent():
     # LaurentPolynomial._trusted skips every check of the normal form; only
     # laurent.py, whose results already hold it, may build through it.

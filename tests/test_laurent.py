@@ -10,9 +10,9 @@ from logchar.laurent import (
     DimensionMismatch,
     LaurentPolynomial,
     is_unit_in_R_n0,
+    log_gradient,
     monomial_times_unit,
-    pole_orders,
-    twisted_differential,
+    twist,
 )
 
 L = LaurentPolynomial
@@ -78,9 +78,10 @@ def test_shift_and_restrict():
     shifted = phi.shift_variable(0, 1)  # x -> x + 1
     assert shifted == P(("x", "y"), {(0, -2): 1, (1, -2): 1})
     with pytest.raises(ValueError):
-        phi.restrict_to_zero(1)
-    assert (phi * P(("x", "y"), {(0, 2): 1})).restrict_to_zero(1) == \
-        P(("x", "y"), {(1, 0): 1})
+        phi.shift_variable(1, 1)
+    # theta = (y^2 d/dx, y^2 y d/dy) phi on y = 0, y the log variable
+    assert twist(log_gradient(phi), (0, 2), (1,), on=1) == \
+        (P(("x", "y"), {(0, 0): 1}), P(("x", "y"), {(1, 0): -2}))
 
 
 def test_evaluate():
@@ -89,11 +90,6 @@ def test_evaluate():
     assert v.rational_value() == 8
     with pytest.raises(ZeroDivisionError):
         phi.evaluate({"x": 0, "y": 1})
-
-
-def test_scale_exponents():
-    phi = P(("x", "y"), {(-2, 1): 5})
-    assert phi.scale_exponents((3, 1)) == P(("x", "y"), {(-6, 1): 5})
 
 
 # -- the twisted differential against its product formula ----------------------
@@ -114,19 +110,23 @@ def _reference_derivative(phi, l, log):
     return L(phi.vars, terms, phi.field)
 
 
-def _reference_pole_monomial(phi, along):
-    """The monomial prod x_j^{pole order of phi along x_j} over ``along``."""
-    exp = [0] * len(phi.vars)
-    for j, p in zip(along, pole_orders(phi, along)):
-        exp[j] = p
-    return L.monomial(phi.vars, exp, 1, phi.field)
+def _reference_pole(phi, along):
+    """Exponent vector of prod x_j^{pole order of phi along x_j} over ``along``."""
+    return [max([0] + [-e[j] for e in phi.terms]) if j in along else 0
+            for j in range(len(phi.vars))]
 
 
 def _reference_twisted_differential(phi, log_indices, along):
-    """theta_l = pole_monomial(phi, along) * D_l(phi) as a polynomial product."""
-    tw = _reference_pole_monomial(phi, along)
+    """theta_l = pole monomial(phi, along) * D_l(phi) as a polynomial product."""
+    tw = L.monomial(phi.vars, _reference_pole(phi, along), 1, phi.field)
     return tuple(tw * _reference_derivative(phi, l, l in log_indices)
                  for l in range(len(phi.vars)))
+
+
+def _reference_restriction(p, j):
+    """p at x_j = 0: its terms free of x_j, when p has no pole along x_j."""
+    assert all(e[j] >= 0 for e in p.terms)
+    return L(p.vars, {e: c for e, c in p.terms.items() if e[j] == 0}, p.field)
 
 
 def _subsets(n):
@@ -166,11 +166,20 @@ def _assert_normal(p, field=None):
 @settings(derandomize=True, deadline=None, max_examples=80)
 @given(_laurent())
 def test_twisted_differential_is_the_pole_monomial_product(phi):
+    # twist builds theta from the log gradient; on x_j = 0, for a log x_j
+    # whose pole theta is twisted by, it is theta with x_j set to 0
+    gradient = log_gradient(phi)
     for log_indices in _subsets(len(phi.vars)):
         for along in _subsets(len(phi.vars)):
-            got = twisted_differential(phi, log_indices, along)
+            pole = _reference_pole(phi, along)
+            got = twist(gradient, pole, log_indices)
             want = _reference_twisted_differential(phi, log_indices, along)
             assert got == want, (phi, log_indices, along)
+            for j in set(along) & set(log_indices):
+                on = twist(gradient, pole, log_indices, on=j)
+                assert on == tuple(_reference_restriction(t, j) for t in want), \
+                    (phi, log_indices, along, j)
+                got += on
             for t in got:
                 _assert_normal(t, phi.field)
 
@@ -193,7 +202,6 @@ def test_trusted_results_hold_the_normal_form(polys):
         _assert_normal(p.partial(j), p.field)
         _assert_normal(p.log_partial(j), p.field)
         lifted = p * L.monomial(p.vars, [3 if i == j else 0 for i in range(n)], 1, p.field)
-        _assert_normal(lifted.restrict_to_zero(j), p.field)
         _assert_normal(lifted.shift_variable(j, Fraction(1, 2)), p.field)
     got = monomial_times_unit(p, list(range(n)))
     if got is not None:
