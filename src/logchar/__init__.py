@@ -12,7 +12,7 @@ from .cycles import (ChartStamp, Direction, DivisorLine, LogCycle, LowerDim,
                      MonomialLogModule, ZeroSection, hilbert_dim, monomial_char_cycle)
 from .cdvf import (DiffOperator, NewtonPolygon, RefinedClass, cyclic_vector,
                    newton_polygon, refined_residue)
-from .goodmodel import (Chart, GoodModel, ModelSummand, clean_at_point,
+from .goodmodel import (Chart, GoodModel, ModelSummand, certified_clean, clean_at_point,
                         irregularity_divisor, nonclean_locus,
                         validate_good_decomposition, zcar_prime)
 from .euler import (ChernData, Curve, Surface, chi_EP, derham_oracle_curve,

@@ -17,9 +17,9 @@ from .cdvf import FactorizationError, newton_polygon, orbit_integrality_violatio
     refined_residue
 from .cycles import IntegralityError, hilbert_dim, monomial_char_cycle
 from .euler import GeometryError, OracleBudgetError, WindowError, chi_EP, \
-    derham_oracle_curve, integrality_check, kashiwara_dubson, reconcile_geometry
-from .goodmodel import (ExpansionBudgetError, clean_at_point, irregularity_divisor,
-                        nonclean_locus, validate_good_decomposition, zcar_prime)
+    derham_oracle_curve, kashiwara_dubson, reconcile_geometry
+from .goodmodel import (ExpansionBudgetError, certified_clean, clean_at_point,
+                        irregularity_divisor, validate_good_decomposition, zcar_prime)
 from .laurent import twist
 from .modeldoc import SchemaError, load_json, parse_model_document, \
     parse_operator_document, parse_point
@@ -166,24 +166,11 @@ def cmd_irr(args) -> int:
     return EXIT_OK
 
 
-def _parse_point_arg(text, chart):
-    spec = {}
-    for item in text.split(","):
-        if "=" not in item:
-            raise SchemaError(f"bad point coordinate {item!r}")
-        name, val = item.split("=", 1)
-        name = name.strip()
-        if name in spec:
-            raise SchemaError(f"repeated coordinate {name!r}")
-        spec[name] = val
-    return parse_point(spec, chart)
-
-
 def cmd_clean(args) -> int:
     doc = _load_model_doc(args.file)
     if doc.model is None:
         raise SchemaError("clean needs a 'model' block")
-    points = [_parse_point_arg(t, doc.chart) for t in args.point]
+    points = [parse_point(t, doc.chart) for t in args.point]
     points.extend(doc.points)
     if not points:
         raise SchemaError("no points given: use --point or a 'points' block")
@@ -208,44 +195,24 @@ def cmd_clean(args) -> int:
     return EXIT_OK
 
 
-def _certified_clean(model):
-    """Chart-level cleanness from the non-clean locus (dimension <= 2), with
-    the reason --require-clean gives when it is not certified.
-
-    Nothing decides the locus on charts with more than 2 coordinates, so
-    cleanness is never certified there and cycles stay labeled conjectural;
-    the refusal then says so rather than calling the model not clean.
-    """
-    if model.chart.n > 2:
-        return False, "cleanness is not certified on charts with more than 2 coordinates"
-    return nonclean_locus(model).is_empty, "model is not clean on the chart"
-
-
 def cmd_zcar(args) -> int:
     doc = _load_model_doc(args.file)
-    lines = []
     if doc.monomial_module is not None:
         cycle = monomial_char_cycle(doc.monomial_module)
         dim = hilbert_dim(doc.monomial_module)
         components = cycle.report_lines()
-        lines.append(f"hilbert dimension: {dim}")
-        lines.extend(components)
-        payload = {"command": "zcar", "kind": "monomial", "hilbert_dim": dim,
-                   "components": components}
-        _emit(args, payload, lines)
+        _emit(args, {"command": "zcar", "kind": "monomial", "hilbert_dim": dim,
+                     "components": components}, [f"hilbert dimension: {dim}", *components])
         return EXIT_OK
-    clean, why = _certified_clean(doc.model)
+    clean, why = certified_clean(doc.model)
     if args.require_clean and not clean:
         _fail(f"{why}; refusing under --require-clean")
         return EXIT_NOT_CLEAN
     components = zcar_prime(doc.model).report_lines()
     status = "log-characteristic cycle" if clean else \
         "conjectural log-characteristic cycle (cleanness not certified)"
-    lines.append(status)
-    lines.extend(components)
-    payload = {"command": "zcar", "kind": "model", "clean": clean,
-               "components": components}
-    _emit(args, payload, lines)
+    _emit(args, {"command": "zcar", "kind": "model", "clean": clean,
+                 "components": components}, [status, *components])
     return EXIT_OK
 
 
@@ -255,12 +222,11 @@ def cmd_chi(args) -> int:
         raise SchemaError("chi needs a 'geometry' block")
     if doc.model is None:
         raise SchemaError("chi needs a 'model' block")
-    clean, why = _certified_clean(doc.model)
+    clean, why = certified_clean(doc.model)
     if args.require_clean and not clean:
         _fail(f"{why}; refusing under --require-clean")
         return EXIT_NOT_CLEAN
-    div = irregularity_divisor(doc.model)
-    rows, geom = reconcile_geometry(div, doc.geometry)
+    rows, geom = reconcile_geometry(irregularity_divisor(doc.model), doc.geometry)
     if args.formula == "kato":
         value = chi_EP(rows, geom)
         provenance = "curve formula: rank*chi(U) - total irregularity" if geom.n == 1 \
@@ -270,11 +236,6 @@ def cmd_chi(args) -> int:
         provenance = "Chern-class evaluation, degree-n truncation with (-1)^n"
     else:
         value = kashiwara_dubson(zcar_prime(doc.model), geom, doc.chern)
-        if geom.n == 1:
-            # off-chart punctures enter through their declared totals: all the
-            # irregularity of the rows but the chart divisor's
-            value -= integrality_check(sum(rank * sum(row) for rank, row in rows)
-                                       - sum(div.per_divisor[0]))
         provenance = "intersection of the zero section with the cycle, times (-1)^n"
         if not clean:
             provenance += " [cycle is conjectural: cleanness not certified]"

@@ -203,10 +203,15 @@ def kashiwara_dubson(cycle: LogCycle, geom, chern: Optional[ChernData] = None) -
     times deg(c(Omega^1(log D)) (1 - R)^{-1} . D_j) truncated at degree n:
     1 on a curve, deg(c_1 . D_j) + (R . D_j) on a surface, which needs the
     line's irregularity-row annotation.  Lower-dimensional components
-    contribute zero.
+    contribute zero.  On a curve, a puncture that is not a log variable of
+    the cycle's chart lies off the chart, and enters through the total of
+    its declared irregularities (as ``reconcile_geometry`` checked them).
     """
     names, table = _chern_table(geom, chern)
     total = _integral(cycle.zero_section_multiplicity()) * table[()]
+    if geom.n == 1:
+        total += sum(sum(irrs) for name, irrs in geom.punctures
+                     if name not in cycle.chart.log_vars)
     for line, mult in cycle.lines():
         if line.divisor not in names:
             raise GeometryError(f"unknown divisor component {line.divisor}")

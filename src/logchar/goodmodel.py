@@ -28,11 +28,12 @@ from .record import Record
 from .tropical import RadiusProfile, RayBudgetError, TropicalFn, sorted_profile_linear
 
 
-# Dense polynomial work of the certificates, each under about 1 s at its
-# bound (CPython 3.11 on one core of a shared 2-core Xeon): the Euclid of the
-# non-clean locus, 0.7 s on a theta entry of degree span 160 with random
+# Dense polynomial work of the certificates over Q, each under about 1 s at
+# its bound (CPython 3.11 on one core of a shared 2-core Xeon): the Euclid of
+# the non-clean locus, 0.7 s on a theta entry of degree span 160 with random
 # coefficients in [-9, 9]; the binomial expansions of a point's recentring,
-# 0.8 s for the 5,000 terms they write for y^4999 at y = 3/7.
+# 0.8 s for the 5,000 terms they write for y^4999 at y = 3/7.  On data in a
+# number field of degree d, not in Q, each is divided by d^2 (``_field_bound``).
 MAX_LOCUS_DEGREE = 160
 MAX_RECENTRED_TERMS = 5000
 
@@ -47,11 +48,15 @@ class ExpansionBudgetError(ValueError):
     the recentring at a point."""
 
 
+class UndecidedError(Exception):
+    """The non-clean locus asked for on a chart it does not decide."""
+
+
 class PointError(ValueError):
     pass
 
 
-class Chart(Record):
+class Chart(ChartStamp):
     vars: Tuple[str, ...]
     log_vars: Tuple[str, ...]
 
@@ -67,14 +72,6 @@ class Chart(Record):
         # positions of the log variables, read by every certificate: set once
         object.__setattr__(self, "log_indices",
                            tuple(self.vars.index(v) for v in self.log_vars))
-
-    @property
-    def n(self):
-        return len(self.vars)
-
-    @property
-    def m(self):
-        return len(self.log_vars)
 
     def stamp(self) -> ChartStamp:
         return ChartStamp(self.vars, self.log_vars)
@@ -94,9 +91,11 @@ class GoodModel:
 
     ``poles[i]`` is the exponent vector of summand i's pole monomial: the
     cover pole order of phi along each log variable, 0 on the others; it is
-    read off while the exponents are checked.
+    read off while the exponents are checked.  ``base_poles[i]`` is its
+    irregularity row: the pole orders along the log divisors in base coordinates.
     """
-    __slots__ = ("chart", "summands", "kummer", "field", "poles", "_gradients")
+    __slots__ = ("chart", "summands", "kummer", "field", "poles", "base_poles",
+                 "_gradients")
 
     def __init__(self, chart: Chart, summands: Sequence[ModelSummand],
                  kummer: Optional[Sequence[int]] = None, field: NumberField = QQ):
@@ -123,6 +122,9 @@ class GoodModel:
         object.__setattr__(self, "kummer", ks)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "poles", tuple(poles))
+        object.__setattr__(self, "base_poles", tuple(
+            tuple(Fraction(pole[j], h) for j, h in zip(chart.log_indices, ks))
+            for pole in poles))
         object.__setattr__(self, "_gradients", None)
 
     def __setattr__(self, *a):
@@ -150,11 +152,6 @@ class GoodModel:
             object.__setattr__(self, "_gradients",
                                tuple(log_gradient(s.phi) for s in self.summands))
         return self._gradients
-
-    def base_pole_vector(self, i: int) -> Tuple[Fraction, ...]:
-        """Pole order of summand i along each log divisor in base coordinates."""
-        pole = self.poles[i]
-        return tuple(Fraction(pole[j], h) for j, h in zip(self.chart.log_indices, self.kummer))
 
 
 # -- validation ---------------------------------------------------------------
@@ -206,7 +203,7 @@ class IrregularityDivisor(Record):
 
 
 def irregularity_divisor(model: GoodModel) -> IrregularityDivisor:
-    rows = tuple((s.rank, model.base_pole_vector(i)) for i, s in enumerate(model.summands))
+    rows = tuple((s.rank, row) for s, row in zip(model.summands, model.base_poles))
     per = []
     for j in range(model.chart.m):
         vals = []
@@ -288,8 +285,9 @@ def _recenter_support(rterms, names, values, field):
 
     Poles are pulled out as a single monomial whose shift is a unit; the
     polynomial part is shifted exactly.  Its binomial expansions write
-    prod_j (e_j + 1) terms for each exponent e; past MAX_RECENTRED_TERMS the
-    recentring is refused with ExpansionBudgetError before any is written.
+    prod_j (e_j + 1) terms for each exponent e; past MAX_RECENTRED_TERMS
+    (``_field_bound``) the recentring is refused with ExpansionBudgetError
+    before any is written.
     """
     if not names:
         return {()} if any(not c.is_zero for c in rterms.values()) else set()
@@ -299,13 +297,24 @@ def _recenter_support(rterms, names, values, field):
     pullout = [max(0, -(poly.min_exponent(j) or 0)) for j in range(len(names))]
     shifted = poly * LaurentPolynomial.monomial(tuple(names), pullout, 1, field)
     written = sum(prod(a + 1 for a in e) for e in shifted.terms)
-    if written > MAX_RECENTRED_TERMS:
+    bound = _field_bound(MAX_RECENTRED_TERMS, [*rterms.values(), *values])
+    if written > bound:
         point = ",".join(f"{y}={v}" for y, v in zip(names, values))
         raise ExpansionBudgetError(f"recentring at {point} would write {written} terms, "
-                                   f"more than {MAX_RECENTRED_TERMS}")
+                                   f"more than {bound}")
     for j, v in enumerate(values):
         shifted = shifted.shift_variable(j, v)
     return set(shifted.terms.keys())
+
+
+def _field_bound(bound, scalars):
+    """A work bound calibrated over Q, for arithmetic on ``scalars``: divided
+    by d^2 when one lies outside Q, in a field of degree d, since a product
+    there costs d^2 rational products.  Over Q(sqrt 2) span 40 of the locus
+    takes 0.3 s and 1,250 recentred terms 0.1 s (span 80 took 2.8 s, and
+    5,000 terms at y = 3/7 + sqrt 2 2.1 s)."""
+    return bound // max((c.field.degree for c in scalars if not c.is_rational_value()),
+                        default=1) ** 2
 
 
 class CleanCertificate(Record):
@@ -391,12 +400,23 @@ class NonCleanLocus(Record):
         return all(not d.points for d in self.per_divisor) and not self.bad_strata
 
 
+def certified_clean(model: GoodModel) -> Tuple[bool, Optional[str]]:
+    """Chart-level cleanness, certified by an empty non-clean locus, and the
+    reason --require-clean prints when it is not certified (a False verdict)."""
+    try:
+        locus = nonclean_locus(model)
+    except UndecidedError as exc:
+        return False, str(exc)
+    return (True, None) if locus.is_empty else (False, "model is not clean on the chart")
+
+
 def nonclean_locus(model: GoodModel) -> NonCleanLocus:
     """Vanishing loci of reduced theta vectors plus failing crossing strata.
 
-    For charts of dimension <= 2 the locus on each divisor D_j is the common
-    zero set of each summand's theta entries on it, twisted by x_j^pole[j]
-    alone and restricted to D_j (``laurent.twist`` on j), named by their gcd.
+    Charts of more than 2 coordinates are refused with UndecidedError.  The
+    locus on each divisor D_j is the common zero set of each summand's theta
+    entries on it, twisted by x_j^pole[j] alone and restricted to D_j
+    (``laurent.twist`` on j), named by their gcd.
     A theta vector never vanishes along a whole divisor, since its x_j entry
     is nonzero.
     The crossing point of two log divisors is checked as a stratum of its
@@ -405,6 +425,9 @@ def nonclean_locus(model: GoodModel) -> NonCleanLocus:
     leading coefficient.
     """
     chart = model.chart
+    if chart.n > 2:
+        raise UndecidedError("cleanness is not certified on charts with more than 2 "
+                             "coordinates")
     log = chart.log_indices
     per = []
     for j, name in zip(log, chart.log_vars):
@@ -434,18 +457,19 @@ def _common_zeros_on_divisor(entries, other, chart):
     gcd g, folded by Euclid, gives no label when constant, y=r when it is
     y - r up to a unit, and otherwise names the zeros itself (monic g = 0).
     An entry whose coefficient list would span more than MAX_LOCUS_DEGREE
-    is refused with ExpansionBudgetError before the list is built.
+    (``_field_bound``) is refused with ExpansionBudgetError before it is built.
     """
     log = other in chart.log_indices
+    bound = _field_bound(MAX_LOCUS_DEGREE, (c for en in entries for c in en.terms.values()))
     g = []
     for en in entries:
         if en.is_zero:
             continue
         low = en.min_exponent(other) if log else 0
         span = en.max_exponent(other) - low
-        if span > MAX_LOCUS_DEGREE:
+        if span > bound:
             raise ExpansionBudgetError(f"a theta entry on the divisor has degree span {span} "
-                                       f"in {chart.vars[other]}, more than {MAX_LOCUS_DEGREE}")
+                                       f"in {chart.vars[other]}, more than {bound}")
         coeffs = [0] * (span + 1)
         for e, c in en.terms.items():
             coeffs[e[other] - low] = c.rational_value() if c.is_rational_value() else c
@@ -477,11 +501,10 @@ def zcar_prime(model: GoodModel) -> LogCycle:
     chart = model.chart
     log = chart.log_indices
     parts = [(ZeroSection(), Fraction(model.rank))]
-    for i, (s, gradient) in enumerate(zip(model.summands, model.log_gradients())):
-        pole = model.poles[i]
+    for s, pole, row, gradient in zip(model.summands, model.poles, model.base_poles,
+                                      model.log_gradients()):
         if not any(pole):
             continue  # regular summand: zero-section contribution only
-        row = model.base_pole_vector(i)
         for b, j, name in zip(row, log, chart.log_vars):
             if b == 0:
                 continue

@@ -58,8 +58,10 @@ def parse_model_document(doc: dict) -> ModelDocument:
             "document needs a 'model' or a 'monomial_module' block")
     geometry = _parse_geometry(doc.get("geometry"))
     chern = _parse_chern(doc.get("chern"), geometry)
-    points = tuple(parse_point(p, chart) for p in doc.get("points", []))
-    return ModelDocument(chart, model, monomial, geometry, chern, points)
+    points = doc.get("points", [])
+    _expect(isinstance(points, list), "points must be a list")
+    return ModelDocument(chart, model, monomial, geometry, chern,
+                         tuple(parse_point(p, chart) for p in points))
 
 
 def _parse_field(spec) -> NumberField:
@@ -230,8 +232,16 @@ def _parse_chern(spec, geometry):
 
 
 def parse_point(spec, chart: Chart) -> dict:
-    """The point named by a coordinate -> value map: each chart coordinate
-    exactly once, and no other name."""
+    """The point named by a coordinate -> value map, or by its text form
+    "x=0,y=1": each chart coordinate exactly once, and no other name."""
+    if isinstance(spec, str):
+        text, spec = spec, {}
+        for item in text.split(","):
+            name, eq, value = item.partition("=")
+            _expect(eq, f"bad point coordinate {item!r}")
+            name = name.strip()
+            _expect(name not in spec, f"repeated coordinate {name!r}")
+            spec[name] = value
     _expect(isinstance(spec, dict), "each point must be an object")
     for name in spec:
         _expect(name in chart.vars, f"unknown coordinate {name!r}")

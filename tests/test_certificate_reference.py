@@ -118,8 +118,12 @@ def _reference_clean_at_point(model, z):
 
 def _reference_nonclean_locus(model):
     """(theta entries, points) per divisor and the bad strata; the origin of
-    a curve chart is not checked (see the tests below)."""
+    a curve chart is not checked (see the tests below), and a chart of more
+    than 2 coordinates is not decided."""
     chart = model.chart
+    if chart.n > 2:
+        raise gm.UndecidedError("cleanness is not certified on charts with more than 2 "
+                                "coordinates")
     per = []
     for name in chart.log_vars:
         j = chart.vars.index(name)
@@ -170,7 +174,7 @@ def _outcome(fn, *args):
     """The value of fn, or the type and message of what it raised."""
     try:
         return fn(*args)
-    except (ValueError, AssertionError) as exc:
+    except (ValueError, AssertionError, gm.UndecidedError) as exc:
         return type(exc), str(exc)
 
 

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from logchar import field, goodmodel
 from logchar.cli import main
-from logchar.modeldoc import parse_model_document, SchemaError
+from logchar.modeldoc import parse_model_document, parse_point, SchemaError
 
 
 def write(tmp_path, name, doc):
@@ -580,10 +580,20 @@ def test_schema_rejects_bad_version():
 
 
 def test_point_from_file_block(tmp_path, capsys):
-    doc = dict(XY2_MODEL, points=[{"x": "0", "y": "0"}])
-    f = write(tmp_path, "pts.json", doc)
-    code, out, _ = run(capsys, "clean", f)
-    assert code == 0 and "clean: yes, numerically clean: no" in out
+    # a points block names a point by an object or by the text of --point
+    for point in ({"x": "0", "y": "0"}, "x=0,y=0"):
+        f = write(tmp_path, "pts.json", dict(XY2_MODEL, points=[point]))
+        code, out, _ = run(capsys, "clean", f)
+        assert code == 0 and "clean: yes, numerically clean: no" in out
+
+
+def test_points_block_must_be_a_list(tmp_path, capsys):
+    # an integer ended in a TypeError traceback, and a string would be read
+    # character by character as points
+    for points in (5, "x=0,y=0", {"x=0,y=0": 1}):
+        f = write(tmp_path, "pts.json", dict(XY2_MODEL, points=points))
+        code, out, err = run(capsys, "clean", f)
+        assert (code, out, err) == (2, "", "invalid input: points must be a list\n"), points
 
 
 def test_point_names_each_coordinate_once(tmp_path, capsys):
@@ -594,11 +604,28 @@ def test_point_names_each_coordinate_once(tmp_path, capsys):
     cases = [((block,), "invalid input: unknown coordinate 'z'"),
              ((plain, "--point", "x=0,y=0,z=7"), "invalid input: unknown coordinate 'z'"),
              ((plain, "--point", "x=0,y=0,x=1"), "invalid input: repeated coordinate 'x'"),
-             ((plain, "--point", "x=0"), "invalid input: point misses coordinate y")]
+             ((plain, "--point", "x=0"), "invalid input: point misses coordinate y"),
+             ((plain, "--point", "x=0,y"), "invalid input: bad point coordinate 'y'"),
+             ((plain, "--point", "x=0,y=1/0"),
+              "invalid input: zero denominator in rational '1/0'")]
     for args, message in cases:
         for extra in ((), ("--json",)):
             code, out, err = run(capsys, "clean", *args, *extra)
             assert (code, out, err) == (2, "", message + "\n"), (args, extra)
+
+
+def test_point_text_names_the_same_point_as_its_object():
+    # modeldoc.parse_point reads "x=0,y=1" as it reads {"x": "0", "y": "1"}
+    chart = parse_model_document(XY2_MODEL).chart
+    for text, obj in (("x=0,y=1", {"x": "0", "y": "1"}),
+                      (" y = -1/2 , x=0", {"x": 0, "y": "-1/2"})):
+        assert parse_point(text, chart) == parse_point(obj, chart)
+    for bad, message in (("x=0,,y=1", "bad point coordinate ''"),
+                         ("x=0,y=1,z=2", "unknown coordinate 'z'"),
+                         (["x=0", "y=1"], "each point must be an object")):
+        with pytest.raises(SchemaError) as refused:
+            parse_point(bad, chart)
+        assert str(refused.value) == message, bad
 
 
 def test_repeated_json_keys_are_refused(tmp_path, capsys):

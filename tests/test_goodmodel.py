@@ -1,17 +1,24 @@
 import itertools
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from logchar.cycles import IntegralityError
 from logchar.field import QQ, NumberField
 from logchar.goodmodel import (
+    MAX_LOCUS_DEGREE,
+    MAX_RECENTRED_TERMS,
     Chart,
+    ExpansionBudgetError,
     GoodModel,
     ModelError,
     ModelSummand,
     PointError,
+    UndecidedError,
+    certified_clean,
     clean_at_point,
     irregularity_divisor,
     nonclean_locus,
@@ -19,6 +26,7 @@ from logchar.goodmodel import (
     zcar_prime,
 )
 from logchar.laurent import LaurentPolynomial, twist
+from logchar.modeldoc import parse_model_document
 from logchar.tropical import RadiusProfile, TropicalFn, sorted_profile_linear
 
 from test_cycles import cycle_equal, gr_extract_structured, kummer_pullback, scale_exponents
@@ -269,6 +277,82 @@ def test_nonclean_locus_examples():
     assert locus.is_empty
     locus = nonclean_locus(model(X1, {(-2,): 1}))
     assert locus.is_empty
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def test_nonclean_locus_is_undecided_past_two_coordinates():
+    # nothing decides the locus on a 3-coordinate chart: it is refused, not
+    # reported empty, however clean the sampled points are
+    chart3 = parse_model_document(json.loads((GOLDEN / "chart3.json").read_text())).model
+    xyz = Chart(("x", "y", "z"), ("x",))
+    for m in (chart3, model(xyz, {(-1, 0, 0): 1})):
+        with pytest.raises(UndecidedError, match="^cleanness is not certified on charts "
+                                                 "with more than 2 coordinates$"):
+            nonclean_locus(m)
+
+
+def test_certified_clean_gives_each_reason():
+    chart3 = parse_model_document(json.loads((GOLDEN / "chart3.json").read_text())).model
+    cases = [(model(XY_FULL, {(-1, 0): 1}), (True, None)),
+             (model(X1, {(-2,): 1}), (True, None)),
+             (model(XY_FULL, {(-1, 0): 1}, {(0, -1): 1}),
+              (False, "model is not clean on the chart")),
+             (model(XY_YLOG, {(0, -1): 1, (1, -1): -2, (2, -1): 1}),
+              (False, "model is not clean on the chart")),
+             (chart3, (False, "cleanness is not certified on charts with more than 2 "
+                              "coordinates"))]
+    for m, verdict in cases:
+        assert certified_clean(m) == verdict, m.summands
+
+
+Q_SQRT2 = NumberField([-2, 0, 1])
+
+
+def _dense_over_sqrt2(span, irrational=True):
+    """sum_k c_k y^k / x, k <= span, with c_k = p + q a (a^2 = 2), p and q
+    drawn from [1, 9]; q = 0 when not ``irrational``."""
+    rng = random.Random(span)
+    a = Q_SQRT2.gen()
+    terms = {(-1, k): Q_SQRT2(rng.randint(1, 9)) + (a * rng.randint(1, 9) if irrational else 0)
+             for k in range(span + 1)}
+    return GoodModel(Chart(("x", "y"), ("x",)),
+                     [ModelSummand(L(("x", "y"), terms, Q_SQRT2))], field=Q_SQRT2)
+
+
+def test_locus_bound_over_a_quadratic_field():
+    # a product in Q(sqrt 2) costs 4 rational ones: a theta entry with
+    # irrational coefficients may span a quarter of the degrees allowed over Q
+    bound = MAX_LOCUS_DEGREE // 4
+    assert nonclean_locus(_dense_over_sqrt2(bound)).per_divisor[0].generators
+    for span, data, limit in ((bound + 1, True, bound),
+                              (MAX_LOCUS_DEGREE + 1, False, MAX_LOCUS_DEGREE)):
+        with pytest.raises(ExpansionBudgetError) as refused:
+            nonclean_locus(_dense_over_sqrt2(span, data))
+        assert str(refused.value) == (f"a theta entry on the divisor has degree span {span} "
+                                      f"in y, more than {limit}")
+
+
+def test_recentring_bound_over_a_quadratic_field():
+    # y^N / x + 1 / x at y = v writes N + 2 terms: over Q(sqrt 2) at an
+    # irrational v a quarter of the terms allowed over Q, at a rational v all
+    bound = MAX_RECENTRED_TERMS // 4
+    chart = Chart(("x", "y"), ("x",))
+
+    def recentred(n, y):
+        phi = L(chart.vars, {(-1, n): 1, (-1, 0): 1}, Q_SQRT2)
+        return clean_at_point(GoodModel(chart, [ModelSummand(phi)], field=Q_SQRT2),
+                              {"x": 0, "y": y})
+
+    v = Q_SQRT2(F(3, 7)) + Q_SQRT2.gen()
+    assert recentred(bound - 2, v)[0]
+    for n, y, limit in ((bound - 1, v, bound),
+                        (MAX_RECENTRED_TERMS - 1, F(3, 7), MAX_RECENTRED_TERMS)):
+        with pytest.raises(ExpansionBudgetError) as refused:
+            recentred(n, y)
+        assert str(refused.value) == (f"recentring at y={y} would write {n + 2} terms, "
+                                      f"more than {limit}")
 
 
 def test_nonclean_locus_theta_zero_point():

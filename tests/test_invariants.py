@@ -142,6 +142,21 @@ def test_every_engine_definition_is_referenced_in_the_engine():
     assert set(LIBRARY_API) <= names - used, sorted(set(LIBRARY_API) - (names - used))
 
 
+def test_cli_defines_only_its_handlers():
+    # each rule lives in the engine module that owns it: the CLI parses
+    # arguments, calls the library and prints, so any other function, class
+    # or lambda of cli.py, nested ones too, is a rule drifting back into it
+    root = Path(__file__).resolve().parent.parent
+    tree = ast.parse((root / "src" / "logchar" / "cli.py").read_text())
+    allowed = {"main", "_build_parser", "_fail", "_emit", "_load_model_doc"}
+    extra = sorted(getattr(node, "name", "<lambda>") for node in ast.walk(tree)
+                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef,
+                                        ast.Lambda))
+                   and getattr(node, "name", None) not in allowed
+                   and not getattr(node, "name", "").startswith("cmd_"))
+    assert not extra, extra
+
+
 def test_trusted_laurent_constructor_stays_in_laurent():
     # LaurentPolynomial._trusted skips every check of the normal form; only
     # laurent.py, whose results already hold it, may build through it.

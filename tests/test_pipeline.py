@@ -5,8 +5,10 @@ formulas exactly; the rank-1 refined residues of the attached operators must
 match the cycle directions.
 """
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 from logchar.cdvf import newton_polygon, refined_residue
 from logchar.euler import ChernData, Curve, Surface, chi_EP, derham_oracle_curve, \
@@ -14,6 +16,7 @@ from logchar.euler import ChernData, Curve, Surface, chi_EP, derham_oracle_curve
 from logchar.goodmodel import Chart, GoodModel, ModelSummand, irregularity_divisor, \
     nonclean_locus, zcar_prime
 from logchar.laurent import LaurentPolynomial
+from logchar.modeldoc import load_json, parse_model_document
 from logchar.series import LaurentSeries
 
 from test_cdvf import rank1_operator
@@ -23,6 +26,7 @@ L = LaurentPolynomial
 F = Fraction
 XY = Chart(("x", "y"), ("x", "y"))
 X1 = Chart(("x",), ("x",))
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def _random_clean_surface_model(rng):
@@ -77,23 +81,42 @@ def _random_symmetric(rng, k):
     return tuple(tuple(r) for r in m)
 
 
+INF_MULTISETS = ((), (F(0),), (F(1),), (F(3),), (F(2), F(1)), (F(1, 2), F(1, 2)),
+                 (F(3, 2), F(1, 2), F(0)))
+
+
 def test_curve_pipeline_kd_equals_formula_and_oracle():
+    # the puncture at infinity lies off the chart: the cycle does not see it,
+    # and kashiwara_dubson adds its declared irregularities itself
     rng = random.Random(7)
-    for _ in range(20):
+    for _ in range(40):
         b = rng.randint(0, 5)
         c = rng.choice([1, 2, -3, F(1, 2)])
         rank = rng.randint(1, 3)
+        inf = rng.choice([m for m in INF_MULTISETS if len(m) <= rank])
+        genus = rng.randint(0, 1)
         model = GoodModel(X1, (ModelSummand(L(("x",), {(-b,): c}), rank),))
         rows, geom = reconcile_geometry(irregularity_divisor(model),
-                                        Curve(0, (("x", ()), ("inf", (F(0),)))))
+                                        Curve(genus, (("x", ()), ("inf", inf))))
         assert geom.punctures[0] == ("x", tuple([F(b)] * rank))
         cycle = zcar_prime(model)
         kd = kashiwara_dubson(cycle, geom)
         formula = chi_EP(rows, geom)
-        assert kd == formula == -rank * (b - 0)
-        if rank == 1 and b > 0:
+        assert kd == formula == rank * (-2 * genus) - rank * b - sum(inf), (b, rank, inf)
+        if rank == 1 and b > 0 and not any(inf) and genus == 0:
             oracle = derham_oracle_curve(model.summands[0].phi, window=2 * b + 5)
             assert oracle.chi == formula
+
+
+def test_golden_curve_kd_includes_the_off_chart_puncture():
+    # curve.json declares irregularities 1, 0 at inf, off the chart: the
+    # library's cycle evaluation gives what chi --formula kd prints
+    doc = parse_model_document(load_json(str(GOLDEN / "curve.json")))
+    rows, geom = reconcile_geometry(irregularity_divisor(doc.model), doc.geometry)
+    assert geom.punctures[1] == ("inf", (F(1), F(0)))
+    assert kashiwara_dubson(zcar_prime(doc.model), geom) == chi_EP(rows, geom) == -12
+    expected = json.loads((GOLDEN / "expected.json").read_text())
+    assert json.loads(expected["chi curve --formula kd --json"]["stdout"])["chi"] == -12
 
 
 def test_half_slope_pushforward_chi_loop():
