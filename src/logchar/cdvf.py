@@ -27,9 +27,9 @@ from __future__ import annotations
 from collections import Counter
 from functools import cache
 from fractions import Fraction
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
-from .field import FactorizationError, factor_over_Q
+from .field import FactorizationError, _poly_divmod, descend, factor_over_Q
 from .record import Record
 from .series import LaurentSeries, PrecisionError
 
@@ -211,12 +211,15 @@ def _hull_height(hull, i):
 
 
 class OrbitClass(Record):
-    factors: Tuple[Tuple[Fraction, ...], ...]  # monic irreducibles, descending coeffs
-    multiplicity: int                          # multiplicity of each factor inside q
-    residue_degree: int                        # Galois orbit size in the residue field
-    dimension: int                             # number of roots in the class, counted
+    factors: Tuple[Tuple[Fraction, ...], ...]  # X-factors of P(X^h) found, descending
+    multiplicity: int                          # multiplicity of P in Q
+    residue_degree: Optional[int]              # degree of factors[0]; None if one is missing
+    dimension: int                             # h * deg P * multiplicity: roots, counted
+    descent: Tuple[Fraction, ...]              # P, monic irreducible, descending coeffs
 
     def describe(self):
+        if self.residue_degree is None:
+            return f"orbit dim={self.dimension} P(Y)={_poly_str(self.descent, 'Y')}"
         return (f"orbit r={self.residue_degree} dim={self.dimension} "
                 f"factors={[_poly_str(f) for f in self.factors]}")
 
@@ -232,7 +235,7 @@ class RefinedClass(Record):
                 f"over cover t^(1/{self.kummer})")
 
     def theta_values(self):
-        """Rational roots of the residue polynomial (size-1 orbits)."""
+        """Rational roots of the residue polynomial, with multiplicity."""
         out = []
         for orb in self.orbits:
             for f in orb.factors:
@@ -241,14 +244,14 @@ class RefinedClass(Record):
         return sorted(out)
 
 
-def _poly_str(coeffs):
+def _poly_str(coeffs, var="X"):
     deg = len(coeffs) - 1
     parts = []
     for i, c in enumerate(coeffs):
         if c == 0:
             continue
         p = deg - i
-        mono = "X" if p == 1 else (f"X^{p}" if p else "")
+        mono = var if p == 1 else (f"{var}^{p}" if p else "")
         if not mono:
             body = str(abs(c))
         elif abs(c) == 1:
@@ -269,13 +272,41 @@ def refined_residue(op: DiffOperator, poly: NewtonPolygon, b: Fraction) -> Refin
     """Residue polynomial along the irregularity-b face, with orbit data.
 
     ``poly`` is ``newton_polygon(op)``; ``op`` may be in either gauge.  The
-    face polynomial of the monic annihilator, read on the cover t = s^h with
+    face polynomial q of the monic annihilator, read on the cover t = s^h with
     h the denominator of b, has the leading twisted eigenvalues as roots.
+
+    By descent q(X) = Q(X^h).  The roots of q over one root of Q form a
+    mu_h-orbit, and Galois permutes the roots of an irreducible factor P of
+    Q transitively, so the orbit classes are the factors P of Q, each of
+    dimension h * deg P * mult.  An X-factor f of q found by factor_over_Q
+    lies in the class of the one P with f | P(X^h).  The classes are ordered
+    by their first X-factor, those with none found last.  A q outside
+    Q[X^h] gets no class, and ``orbit_integrality_violations`` reports it.
     """
     b = Fraction(b)
+    h = b.denominator
     q = _face_polynomial(op, poly, b)
-    orbits = _orbit_classes(factor_rational(q), b.denominator)
-    return RefinedClass(b, b.denominator, q, tuple(orbits))
+    Q = descend(q[::-1], h)
+    if Q is None:
+        return RefinedClass(b, h, q, ())
+    bases = factor_rational(Q[::-1])
+    lifts = []
+    for P, _ in bases:
+        lift = [Fraction(0)] * (h * (len(P) - 1) + 1)
+        lift[::h] = P[::-1]
+        lifts.append(lift)
+    members = {}
+    found, _ = factor_over_Q(q[::-1])
+    for f in sorted({tuple(f[::-1]) for f in found}):
+        k = next(k for k, lift in enumerate(lifts) if not _poly_divmod(lift, f[::-1])[1])
+        members.setdefault(k, []).append(f)
+    orbits = []
+    for k in [*members, *(k for k in range(len(bases)) if k not in members)]:
+        (P, mult), fs = bases[k], members.get(k, [])
+        dim = h * (len(P) - 1) * mult
+        known = mult * sum(len(f) - 1 for f in fs) == dim
+        orbits.append(OrbitClass(tuple(fs), mult, len(fs[0]) - 1 if known else None, dim, P))
+    return RefinedClass(b, h, q, tuple(orbits))
 
 
 def _face_polynomial(op, poly, b):
@@ -322,67 +353,17 @@ def factor_rational(q: Sequence[Fraction]):
     return sorted(Counter(tuple(f[::-1]) for f in factors).items())
 
 
-def _orbit_classes(factors, h: int):
-    """Group irreducible factors into Galois-orbit classes.
-
-    The residue-field Galois orbit of a factor is the factor itself (size =
-    degree).  For a degree-2 cover the ramified part scales roots by -1 and
-    pairs a factor with its sign twist; larger covers with a nontrivial
-    scaling are not supported without a user-supplied decomposition.
-    """
-    items = [list(f) for f, _ in factors]
-    mults = [m for _, m in factors]
-    n = len(items)
-    if h == 1:
-        pairing = list(range(n))
-    elif h == 2:
-        pairing = []
-        for f in items:
-            g = [c * ((-1) ** i) for i, c in enumerate(f)]
-            try:
-                pairing.append(items.index(g))
-            except ValueError:
-                raise FactorizationError("face polynomial is not stable under the cover twist")
-        if any(mults[i] != mults[pairing[i]] for i in range(n)):
-            raise FactorizationError("cover twist does not preserve multiplicities")
-    else:
-        raise FactorizationError(
-            f"orbit grouping for cover degree {h} needs a user-supplied decomposition")
-    seen = [False] * n
-    orbits = []
-    for i in range(n):
-        if seen[i]:
-            continue
-        cls = [i]
-        seen[i] = True
-        j = pairing[i]
-        if j != i and not seen[j]:
-            cls.append(j)
-            seen[j] = True
-        deg = len(items[i]) - 1
-        dim = sum((len(items[k]) - 1) * mults[k] for k in cls)
-        orbits.append(OrbitClass(tuple(tuple(items[k]) for k in cls), mults[cls[0]],
-                                 deg, dim))
-    return orbits
-
-
 def orbit_integrality_violations(refined: RefinedClass):
-    """Descent and integrality of a refined class, as a list of messages.
+    """Descent of a refined class, as a list of messages.
 
     On the cover t = s^h the coefficients are series in s^h, so the face
-    polynomial q lies in Q[X^h] (descent).  Its roots then form
-    mu_h-orbits, each class is a union of them, and dim * slope is an
-    integer (Turrittin-Levelt).
+    polynomial q lies in Q[X^h] (descent).  Each class is then a factor P of
+    Q, and dim * slope = B * deg P * mult is an integer (Turrittin-Levelt).
     """
-    h, q = refined.kummer, refined.residue_poly
-    bad = []
-    if any(c for k, c in enumerate(reversed(q)) if k % h):
-        bad.append(f"q is not in Q[X^{h}]")
-    for orb in refined.orbits:
-        val = orb.dimension * refined.slope
-        if val.denominator != 1:
-            bad.append(f"dim*slope = {val}")
-    return bad
+    h = refined.kummer
+    if descend(refined.residue_poly[::-1], h) is None:
+        return [f"q is not in Q[X^{h}]"]
+    return []
 
 
 # -- cyclic vectors ----------------------------------------------------------

@@ -101,8 +101,12 @@ def reconcile_geometry(div, geom):
     order (any distribution yields the same Euler characteristic).  A
     surface's components are matched to the chart log divisors positionally
     and renamed after them; its rows are the (rank, b-vector) rows of ``div``.
-    On both, rank * b_j must be integral for every summand.
+    On both, rank * b_j must be integral for every summand.  A curve needs a
+    chart of one coordinate, and a surface one of more.
     """
+    if (geom.n == 1) != (div.n == 1):
+        raise GeometryError(f"a {'curve' if geom.n == 1 else 'surface'} geometry on a "
+                            f"chart of {div.n} coordinate{'s' if div.n > 1 else ''}")
     rank = sum(r for r, _ in div.rows)
     if geom.n == 1:
         names = [name for name, _ in geom.punctures]

@@ -24,8 +24,7 @@ class FieldError(ValueError):
 
 class FactorizationError(ValueError):
     """A factorization the engine cannot carry out: too large an integer to
-    split by trial division, a factor of too high degree, or an unsupported
-    orbit grouping."""
+    split by trial division, or a factor of too high degree."""
 
 
 def _poly_trim(cs):
@@ -98,8 +97,9 @@ def rational_roots(coeffs):
         den = lcm(*(c.denominator for c in cs))
         ints = [int(c * den) for c in cs]
         lower = ints[-2::-1]
-        for p in _divisors(ints[0]):
-            for q in _divisors(ints[-1]):
+        nums, dens = _divisors(ints[0]), _divisors(ints[-1])
+        for p in nums:
+            for q in dens:
                 if gcd(p, q) != 1:
                     continue
                 for s in (p, -p):
@@ -201,15 +201,28 @@ def _quartic_split(cs):
     return None
 
 
+def descend(coeffs, h):
+    """Q with Q(X^h) = coeffs(X), both ascending, or None when coeffs is not
+    in Q[X^h]: the descent of a polynomial along the cover t = s^h."""
+    cs = _poly_trim(coeffs)
+    if any(c for k, c in enumerate(cs) if k % h):
+        return None
+    return cs[::h]
+
+
 def _irreducible_over_Q(coeffs):
     """Irreducibility of a monic polynomial over Q.
 
-    The verdict None means "not verified": a modulus of degree 5 or 6 without
-    a rational root is trusted with a warning.
+    A polynomial Q(X^h) with Q reducible is reducible.  The verdict None means
+    "not verified": a modulus of degree 5 or 6 without a rational root that
+    this does not split is trusted with a warning.
     """
     factors, rest = factor_over_Q(coeffs)
     if len(rest) > 1:
-        return False if factors else None
+        descents = (descend(coeffs, h) for h in range(2, len(coeffs)))
+        if factors or any(_irreducible_over_Q(Q) is False for Q in descents if Q):
+            return False
+        return None
     return len(factors) == 1
 
 

@@ -197,6 +197,7 @@ def validate_good_decomposition(model: GoodModel) -> GoodDecompositionReport:
 
 
 class IrregularityDivisor(Record):
+    n: int                                              # coordinates of the chart
     log_vars: Tuple[str, ...]
     rows: Tuple[Tuple[int, Tuple[Fraction, ...]], ...]  # (rank, b-vector) per summand
     per_divisor: Tuple[Tuple[Fraction, ...], ...]       # sorted descending, per divisor
@@ -210,7 +211,7 @@ def irregularity_divisor(model: GoodModel) -> IrregularityDivisor:
         for rank, row in rows:
             vals.extend([row[j]] * rank)
         per.append(tuple(sorted(vals, reverse=True)))
-    return IrregularityDivisor(model.chart.log_vars, rows, tuple(per))
+    return IrregularityDivisor(model.chart.n, model.chart.log_vars, rows, tuple(per))
 
 
 # -- local analysis at a point --------------------------------------------------

@@ -4,7 +4,7 @@ import os
 import random
 from collections import Counter
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 import pytest
 
@@ -479,20 +479,152 @@ def test_refined_residue_irrational_orbit():
     assert not orbit_integrality_violations(ref)
 
 
-def test_integrality_violations_flag_descent_and_dim_slope():
+def test_integrality_violations_flag_descent():
     half = F(1, 2)
-    pair = OrbitClass(((F(1), F(0), F(-80)),), 1, 2, 2)
+    pair = OrbitClass(((F(1), F(0), F(-80)),), 1, 2, 2, (F(1), F(-80)))
     assert orbit_integrality_violations(RefinedClass(half, 2, (1, 0, -80), (pair,))) == []
-    # X^2 + X - 2 = (X - 1)(X + 2) has odd terms: it is no face polynomial of
-    # an operator over Q((t)) on the cover t = s^2
-    roots = OrbitClass(((F(1), F(-1)), (F(1), F(2))), 1, 1, 2)
-    assert orbit_integrality_violations(RefinedClass(half, 2, (1, 1, -2), (roots,))) \
-        == ["q is not in Q[X^2]"]
-    single = OrbitClass(((F(1), F(-1)),), 1, 1, 1)
-    assert orbit_integrality_violations(RefinedClass(half, 2, (1, -1), (single,))) \
-        == ["q is not in Q[X^2]", "dim*slope = 1/2"]
-    cube = OrbitClass(((F(1), F(0), F(0), F(-2)),), 1, 3, 3)
+    # X^2 + X - 2 = (X - 1)(X + 2) has odd terms, and X - 1 odd degree: neither
+    # is a face polynomial of an operator over Q((t)) on the cover t = s^2
+    for q in ((1, 1, -2), (1, -1)):
+        assert orbit_integrality_violations(RefinedClass(half, 2, q, ())) \
+            == ["q is not in Q[X^2]"]
+    cube = OrbitClass(((F(1), F(0), F(0), F(-2)),), 1, 3, 3, (F(1), F(-2)))
     assert orbit_integrality_violations(RefinedClass(F(2, 3), 3, (1, 0, 0, -2), (cube,))) == []
+
+
+def _face_operator(q, B, h):
+    """A log-gauge operator with one face, of slope -B/h, whose face
+    polynomial is q (monic, descending, in Q[X^h], q(0) != 0): its
+    coefficients are c_l = q_l h^-l t^(-B l/h)."""
+    return DiffOperator(GAUGE_LOG, [S("t", {-B * l // h: c / h ** l} if c else {})
+                                    for l, c in enumerate(q[1:], start=1)])
+
+
+def _lift(P, h):
+    """P(X^h), descending coefficients."""
+    out = [F(0)] * ((len(P) - 1) * h + 1)
+    out[::h] = P
+    return out
+
+
+def _remainder(g, f):
+    """g mod f for descending coefficient lists, f monic."""
+    g = list(g)
+    while len(g) >= len(f):
+        c = g.pop(0)
+        for i, fc in enumerate(f[1:]):
+            g[i] -= c * fc
+    return [c for c in g if c]
+
+
+def _has_rational_root(P):
+    den = lcm(*(c.denominator for c in P))
+    a = [int(c * den) for c in P]
+    divisors = [[d for d in range(1, abs(n) + 1) if n % d == 0] for n in (a[-1], a[0])]
+    return any(sum(c * x ** (len(a) - 1 - i) for i, c in enumerate(a)) == 0
+               for p in divisors[0] for r in divisors[1] for x in (F(p, r), F(-p, r)))
+
+
+def _random_irreducible(rng, deg):
+    """A monic irreducible polynomial over Q of degree <= 3 with P(0) != 0."""
+    while True:
+        P = (F(1),) + tuple(F(rng.randint(-6, 6), rng.choice((1, 1, 2))) for _ in range(deg))
+        if P[-1] and (deg == 1 or not _has_rational_root(P)):
+            return P
+
+
+def _sign_twist_classes(q, h):
+    """Reference for h <= 2: the classes of the former pairing rule, as
+    (factors, multiplicity, residue degree, dimension).  On the cover
+    t = s^2 each irreducible factor f of q is paired with its sign twist
+    (-1)^deg f f(-X); on t = s each factor is a class of its own."""
+    mults = dict(factor_rational(q))
+    out, seen = [], set()
+    for f in mults:
+        if f in seen:
+            continue
+        twin = tuple(c * (-1) ** i for i, c in enumerate(f)) if h == 2 else f
+        cls = (f,) if twin == f else (f, twin)
+        seen.update(cls)
+        out.append((cls, mults[f], len(f) - 1, sum((len(g) - 1) * mults[g] for g in cls)))
+    return out
+
+
+def test_classes_by_descent_random():
+    # q = prod P_i(X^h)^m_i on one face of slope -B/h: the classes are the
+    # P_i, they multiply back to q, and every X-factor found lies in the one
+    # class whose P(X^h) it divides
+    rng = random.Random(21)
+    seen = Counter()
+    for _ in range(200):
+        h = rng.randint(1, 5)
+        B = rng.choice([B for B in range(1, 6) if gcd(B, h) == 1])
+        Ps, budget = {}, 4
+        while budget and (not Ps or rng.random() < 0.6):
+            if rng.random() < 0.4:
+                # Y - r^h: X - r divides P(X^h), whose cofactor then splits
+                d, P = 1, (F(1), -F(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 2)) ** h)
+            else:
+                d = rng.randint(1, min(3, budget))
+                P = _random_irreducible(rng, d)
+            if P not in Ps:
+                Ps[P] = rng.randint(1, budget // d)
+                budget -= d * Ps[P]
+        q = [F(1)]
+        for P, m in Ps.items():
+            for _ in range(m):
+                q = _mul_desc(q, _lift(P, h))
+        op = _face_operator(q, B, h)
+        poly = newton_polygon(op)
+        assert poly.slopes == ((F(-B, h), len(q) - 1),)
+        ref = refined_residue(op, poly, F(B, h))
+        assert ref.residue_poly == tuple(q) and not orbit_integrality_violations(ref)
+        assert {orb.descent: orb.multiplicity for orb in ref.orbits} == Ps
+        product = [F(1)]
+        for orb in ref.orbits:
+            assert orb.dimension == h * (len(orb.descent) - 1) * orb.multiplicity
+            assert (orb.dimension * ref.slope).denominator == 1
+            for _ in range(orb.multiplicity):
+                product = _mul_desc(product, _lift(orb.descent, h))
+            for f in orb.factors:
+                assert [o for o in ref.orbits if not _remainder(_lift(o.descent, h), f)] \
+                    == [orb]
+            if orb.residue_degree is not None:
+                whole = [F(1)]
+                for f in orb.factors:
+                    whole = _mul_desc(whole, f)
+                assert whole == _lift(orb.descent, h)
+                assert orb.residue_degree == len(orb.factors[0]) - 1
+        assert product == q
+        assert sum(orb.dimension for orb in ref.orbits) == len(q) - 1
+        found = [f for orb in ref.orbits for f in orb.factors]
+        assert len(set(found)) == len(found)
+        for theta in ref.theta_values():
+            assert sum(c * theta ** (len(q) - 1 - i) for i, c in enumerate(q)) == 0
+        complete = all(orb.residue_degree is not None for orb in ref.orbits)
+        if h <= 2 and complete:
+            want = _sign_twist_classes(q, h)
+            assert [(o.factors, o.multiplicity, o.residue_degree, o.dimension)
+                    for o in ref.orbits] == want
+        seen[h, complete] += 1
+    assert all(seen[h, True] >= 3 and seen[h, False] >= 20 for h in range(2, 6)), seen
+
+
+def test_classes_by_descent_named_by_P_when_a_factor_is_missing():
+    # q = (X^2 - 4)(X^6 - 2) on t = s^2: Q = (Y - 4)(Y^3 - 2), and the sextic
+    # cofactor is not split, so its class is named by P(Y)
+    q = _mul_desc([F(1), F(0), F(-4)], [F(1), 0, 0, 0, 0, 0, F(-2)])
+    ref = residue(_face_operator(q, 1, 2), F(1, 2))
+    assert [orb.describe() for orb in ref.orbits] == [
+        "orbit r=1 dim=2 factors=['X - 2', 'X + 2']", "orbit dim=6 P(Y)=Y^3 - 2"]
+    assert ref.theta_values() == [-2, 2]
+    # X^5 - 2 is Q(X^5) with Q = Y - 2 on t = s^5: one class of dim 5; on t = s
+    # it needs the quintic factored, which is refused
+    quintic = [F(1), 0, 0, 0, 0, F(-2)]
+    (orb,) = residue(_face_operator(quintic, 1, 5), F(1, 5)).orbits
+    assert orb.describe() == "orbit dim=5 P(Y)=Y - 2"
+    with pytest.raises(FactorizationError, match="degree 5"):
+        residue(_face_operator(quintic, 1, 1), 1)
 
 
 def test_refined_residue_errors():

@@ -242,6 +242,44 @@ def test_chi_formulas_accept_the_same_curves(tmp_path, capsys):
         _same_refusal_from_all_formulas(capsys, f, code, message)
 
 
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+
+
+def test_chi_refuses_a_curve_geometry_on_a_surface_chart(tmp_path, capsys):
+    # the golden curve moved onto the chart (x, y): every formula read rows
+    # that a curve cannot hold, and printed chi = -11 with exit 0
+    with open(os.path.join(GOLDEN, "curve.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["chart"]["vars"] = ["x", "y"]
+    for summand in doc["model"]:
+        for term in summand["phi"]:
+            term["exp"].append(0)
+    f = write(tmp_path, "curve_xy.json", doc)
+    _same_refusal_from_all_formulas(
+        capsys, f, 2, "invalid input: a curve geometry on a chart of 2 coordinates")
+
+
+def test_chi_refuses_a_surface_geometry_on_a_curve_chart(tmp_path, capsys):
+    doc = dict(monomial_model(("x",), ("x",), {(-2,): 1}),
+               geometry={"kind": "surface", "chi_U": 1,
+                         "components": [{"name": "D1", "chi_open": 1}],
+                         "intersections": [[0]]})
+    f = write(tmp_path, "surface_x.json", doc)
+    _same_refusal_from_all_formulas(
+        capsys, f, 2, "invalid input: a surface geometry on a chart of 1 coordinate")
+
+
+def test_reducible_modulus_found_by_descent_exits_2(tmp_path, capsys):
+    # (a^3 - 2)(a^3 - 3) = Q(a^3) with Q = (Y - 2)(Y - 3)
+    doc = dict(monomial_model(("x",), ("x",), {(-2,): 1}),
+               field={"base": "number_field", "gen": "a",
+                      "modulus": ["6", "0", "0", "-5", "0", "0", "1"]})
+    f = write(tmp_path, "sextic.json", doc)
+    code, out, err = run(capsys, "irr", f)
+    assert (code, out) == (2, "")
+    assert "reducible" in err
+
+
 def test_chart_refuses_repeated_log_variables(tmp_path, capsys):
     # D(x) listed twice would count the x^-2 summand's line twice
     doc = dict(monomial_model(("x",), ("x", "x"), {(-2,): 1}),
@@ -350,8 +388,8 @@ def test_newton_huge_coefficient(tmp_path, capsys):
 
 
 def test_newton_json_payload_on_integrality_violation(tmp_path, capsys):
-    # d^2 - 20 t^-3: the residue X^2 - 80 is its own sign twist, so its two
-    # roots form one class of dim 2, and dim * slope = 2 * 1/2 is an integer
+    # d^2 - 20 t^-3: the residue X^2 - 80 is Q(X^2) with Q = Y - 80, so its
+    # two roots form one class of dim 2, and dim * slope = 2 * 1/2 is an integer
     op = {"schema": 1, "gauge": "d/dt", "order": 2,
           "coeffs": [[], [[-3, "-20"]]]}
     f = write(tmp_path, "op.json", op)
@@ -366,16 +404,32 @@ def test_newton_json_payload_on_integrality_violation(tmp_path, capsys):
     assert entry["violations"] == []
 
 
-def test_newton_json_keeps_slope_without_factorization(tmp_path, capsys):
-    # d^5 - t^-6: slope 1/5 on a degree-5 cover, whose orbits are not grouped
+def test_newton_json_classes_a_degree_5_cover_by_descent(tmp_path, capsys):
+    # d^5 - t^-6: slope 1/5 on a degree-5 cover; q = X^5 - 3125 is Q(X^5)
+    # with Q = Y - 3125 irreducible, so its five roots form one class
     op = {"schema": 1, "gauge": "d/dt", "order": 5,
           "coeffs": [[], [], [], [], [[-6, "-1"]]]}
     f = write(tmp_path, "op.json", op)
     code, out, _ = run(capsys, "newton", f, "--json")
     assert code == 0
     (entry,) = json.loads(out)["refined"]
-    assert entry["slope"] == "1/5"
-    assert "cover degree 5" in entry["error"]
+    assert (entry["slope"], entry["kummer"], entry["violations"]) == ("1/5", 5, [])
+    assert entry["orbits"] == [
+        "orbit r=1 dim=5 factors=['X - 5', 'X^4 + 5*X^3 + 25*X^2 + 125*X + 625']"]
+
+
+def test_newton_exits_4_on_a_residue_outside_descent(tmp_path, capsys, monkeypatch):
+    # no operator over Q((t)) has a face polynomial outside Q[X^h]; a face
+    # read that broke descent gets no class, reports it and exits 4
+    from logchar import cdvf
+    monkeypatch.setattr(cdvf, "_face_polynomial",
+                        lambda op, poly, b: (Fraction(1), Fraction(1), Fraction(-2)))
+    op = {"schema": 1, "gauge": "d/dt", "order": 2, "coeffs": [[], [[-3, "-20"]]]}
+    f = write(tmp_path, "op.json", op)
+    code, out, err = run(capsys, "newton", f, "--json")
+    assert (code, err) == (4, "orbit integrality violated\n")
+    (entry,) = json.loads(out)["refined"]
+    assert (entry["orbits"], entry["violations"]) == ([], ["q is not in Q[X^2]"])
 
 
 def test_newton_refuses_to_factor_a_25_digit_residue(tmp_path, capsys):

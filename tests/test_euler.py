@@ -32,7 +32,7 @@ P1_MINUS_TWO = Curve(0, (("0", (F(3),)), ("inf", (F(0),))))
 
 def _divisor(name, rows):
     """The irregularity divisor of a model on a one-divisor chart."""
-    return IrregularityDivisor((name,), tuple(rows), (tuple(sorted(
+    return IrregularityDivisor(1, (name,), tuple(rows), (tuple(sorted(
         (b for rank, (b,) in rows for _ in range(rank)), reverse=True)),))
 
 

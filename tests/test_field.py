@@ -79,6 +79,20 @@ def test_degree_cap_and_warning():
         NumberField([3, 0, 0, 0, 0, 1])  # degree 5 trusted with warning
 
 
+def test_modulus_reducible_by_descent():
+    # m(a) = Q(a^h) with Q reducible over Q factors as Q does
+    for modulus in ([6, 0, 0, -5, 0, 0, 1],      # (a^3 - 2)(a^3 - 3)
+                    [-30, 0, 31, 0, -10, 0, 1],  # (a^2 - 2)(a^2 - 3)(a^2 - 5)
+                    [4, 0, 4, 0, 1, 0, 1]):      # (a^4 + 4)(a^2 + 1)
+        with pytest.raises(FieldError, match="reducible"):
+            NumberField(modulus)
+    # Q irreducible for every h decides nothing: a^6 + a^3 + 1 is irreducible,
+    # and (a^3 - a - 1)(a^2 + 1) is not in Q[a^h]; both stay trusted
+    for modulus in ([1, 0, 0, 1, 0, 0, 1], [-1, -1, -1, 0, 0, 1]):
+        with pytest.warns(UserWarning):
+            NumberField(modulus)
+
+
 def test_parse_rational():
     assert parse_rational("3/4") == Fraction(3, 4)
     assert parse_rational("-7") == -7

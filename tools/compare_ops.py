@@ -11,9 +11,11 @@ written to a temporary directory, ``cyclic`` ops through
 stderr and, for ``cyclic``, the ``repr`` of the returned operator (an
 exception is recorded by its type and message).  Every op whose record
 differs between the two roots is reported with each differing field, then
-their count, and the exit status is 1; it is 0 when every op matches.  Two
-roots whose op lists differ are reported as such.  Nothing is written under
-either checkout.
+their count, and the exit status is 1; it is 0 when every op matches.  When
+both stdouts of a differing op parse as JSON objects, the report also names
+the top-level keys whose values differ, a list value by index (such as
+``refined[1]``).  Two roots whose op lists differ are reported as such.
+Nothing is written under either checkout.
 """
 
 from __future__ import annotations
@@ -107,6 +109,26 @@ def _records(root, seeds):
     return json.loads(proc.stdout)
 
 
+def json_paths(old, new):
+    """The top-level keys of two JSON object texts whose values differ, a
+    list value by index; None when either text is no JSON object."""
+    try:
+        old, new = json.loads(old), json.loads(new)
+    except ValueError:
+        return None
+    if not (isinstance(old, dict) and isinstance(new, dict)):
+        return None
+    paths = []
+    for key in sorted(old.keys() | new.keys()):
+        a, b = old.get(key), new.get(key)
+        if isinstance(a, list) and isinstance(b, list):
+            paths += [f"{key}[{i}]" for i in range(max(len(a), len(b)))
+                      if a[i:i + 1] != b[i:i + 1]]
+        elif a != b:
+            paths.append(key)
+    return paths
+
+
 def compare(old_root, new_root, seeds=DEFAULT_SEEDS):
     old, new = _records(old_root, seeds), _records(new_root, seeds)
     if [r["op"] for r in old] != [r["op"] for r in new]:
@@ -118,6 +140,9 @@ def compare(old_root, new_root, seeds=DEFAULT_SEEDS):
         differing += bool(fields)
         for field in fields:
             print(f"{a['op']}: {field} differs\n  old: {a[field]!r}\n  new: {b[field]!r}")
+        paths = json_paths(a["stdout"], b["stdout"]) if "stdout" in fields else None
+        if paths is not None:
+            print(f"{a['op']}: json differs at {', '.join(paths)}")
     if differing:
         print(f"{differing} of {len(old)} ops differ")
         return 1
