@@ -24,12 +24,11 @@ back.
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import cache
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
-from .field import FactorizationError, _poly_divmod, descend, factor_over_Q
+from .field import FactorizationError, descend, factor_over_Q
 from .record import Record
 from .series import LaurentSeries, PrecisionError
 
@@ -278,10 +277,11 @@ def refined_residue(op: DiffOperator, poly: NewtonPolygon, b: Fraction) -> Refin
     By descent q(X) = Q(X^h).  The roots of q over one root of Q form a
     mu_h-orbit, and Galois permutes the roots of an irreducible factor P of
     Q transitively, so the orbit classes are the factors P of Q, each of
-    dimension h * deg P * mult.  An X-factor f of q found by factor_over_Q
-    lies in the class of the one P with f | P(X^h).  The classes are ordered
-    by their first X-factor, those with none found last.  A q outside
-    Q[X^h] gets no class, and ``orbit_integrality_violations`` reports it.
+    dimension h * deg P * mult.  A class holds the X-factors that
+    factor_over_Q finds in its own P(X^h), and is complete when they
+    multiply to it.  The classes are ordered by their first X-factor, those
+    with none found last.  A q outside Q[X^h] gets no class, and
+    ``orbit_integrality_violations`` reports it.
     """
     b = Fraction(b)
     h = b.denominator
@@ -289,23 +289,22 @@ def refined_residue(op: DiffOperator, poly: NewtonPolygon, b: Fraction) -> Refin
     Q = descend(q[::-1], h)
     if Q is None:
         return RefinedClass(b, h, q, ())
-    bases = factor_rational(Q[::-1])
-    lifts = []
-    for P, _ in bases:
+    bases, rest = factor_over_Q(Q)
+    if len(rest) > 1:
+        raise FactorizationError(
+            f"Q(Y) has a factor of degree {len(rest) - 1} with no rational root; "
+            "factor_over_Q splits such factors only up to degree 4")
+    Ps = sorted(tuple(P[::-1]) for P in bases)
+    orbits = []
+    for P in dict.fromkeys(Ps):
         lift = [Fraction(0)] * (h * (len(P) - 1) + 1)
         lift[::h] = P[::-1]
-        lifts.append(lift)
-    members = {}
-    found, _ = factor_over_Q(q[::-1])
-    for f in sorted({tuple(f[::-1]) for f in found}):
-        k = next(k for k, lift in enumerate(lifts) if not _poly_divmod(lift, f[::-1])[1])
-        members.setdefault(k, []).append(f)
-    orbits = []
-    for k in [*members, *(k for k in range(len(bases)) if k not in members)]:
-        (P, mult), fs = bases[k], members.get(k, [])
-        dim = h * (len(P) - 1) * mult
-        known = mult * sum(len(f) - 1 for f in fs) == dim
-        orbits.append(OrbitClass(tuple(fs), mult, len(fs[0]) - 1 if known else None, dim, P))
+        found, rest = factor_over_Q(lift)
+        fs = sorted({tuple(f[::-1]) for f in found})
+        mult = Ps.count(P)
+        orbits.append(OrbitClass(tuple(fs), mult, len(fs[0]) - 1 if rest == [1] else None,
+                                 h * (len(P) - 1) * mult, P))
+    orbits.sort(key=lambda orb: (not orb.factors, orb.factors[:1]))
     return RefinedClass(b, h, q, tuple(orbits))
 
 
@@ -334,23 +333,6 @@ def _face_polynomial(op, poly, b):
             raise PrecisionError(f"face coefficient at t^{e} beyond known precision")
         qs.append(h ** (i0 + l) * c.terms.get(e // h, 0) if e % h == 0 else 0)
     return tuple(x / qs[0] for x in qs)
-
-
-def factor_rational(q: Sequence[Fraction]):
-    """Factor a monic rational polynomial into irreducibles (degree <= 4).
-
-    Input and output use descending coefficients.  Raises FactorizationError
-    when an irreducible factor of degree > 4 would be required.
-    """
-    q = [Fraction(c) for c in q]
-    if q[0] != 1:
-        raise FactorizationError("polynomial must be monic")
-    factors, rest = factor_over_Q(q[::-1])
-    if len(rest) > 1:
-        raise FactorizationError(
-            f"irreducible factorization beyond degree 4 (degree {len(rest) - 1}) requires "
-            "a user-supplied orbit decomposition")
-    return sorted(Counter(tuple(f[::-1]) for f in factors).items())
 
 
 def orbit_integrality_violations(refined: RefinedClass):

@@ -35,21 +35,21 @@ def _poly_trim(cs):
 
 
 def _poly_divmod(a, b):
-    # a, b lists of Fractions, b != 0
-    a = list(a)
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    """(q, r) with q b + r = a and deg r < deg b, both trimmed; a and b are
+    ascending coefficient lists, b with a nonzero last coefficient.  The
+    dividend is trimmed once, then each quotient degree is read off the
+    top coefficient left, from the highest down."""
+    a = _poly_trim(a)
+    n = len(b) - 1
     inv = Fraction(1) / b[-1]
-    while len(a) >= len(b) and _poly_trim(a):
-        a = _poly_trim(a)
-        if len(a) < len(b):
-            break
-        c = a[-1] * inv
-        k = len(a) - len(b)
-        q[k] = c
-        for i, bc in enumerate(b):
-            a[k + i] -= c * bc
-        a.pop()
-    return q, _poly_trim(a)
+    q = [Fraction(0)] * max(0, len(a) - n)
+    for k in reversed(range(len(q))):
+        c = a[k + n] * inv
+        if c:
+            q[k] = c
+            for i in range(n):  # the top coefficient cancels and is not read again
+                a[k + i] -= c * b[i]
+    return q, _poly_trim(a[:n])
 
 
 def _poly_mul(a, b):

@@ -4,7 +4,7 @@ import os
 import random
 from collections import Counter
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 
 import pytest
 
@@ -18,7 +18,6 @@ from logchar.cdvf import (
     OrbitClass,
     RefinedClass,
     cyclic_vector,
-    factor_rational,
     newton_polygon,
     orbit_integrality_violations,
     refined_residue,
@@ -507,40 +506,87 @@ def _lift(P, h):
     return out
 
 
-def _remainder(g, f):
-    """g mod f for descending coefficient lists, f monic."""
-    g = list(g)
+def _divide(g, f):
+    """Quotient and remainder of g by the monic f, descending coefficient
+    lists; the remainder keeps only its nonzero coefficients."""
+    g, quot = list(g), []
     while len(g) >= len(f):
         c = g.pop(0)
+        quot.append(c)
         for i, fc in enumerate(f[1:]):
             g[i] -= c * fc
-    return [c for c in g if c]
+    return quot, [c for c in g if c]
 
 
-def _has_rational_root(P):
+def _signed_divisors(n):
+    return [s * d for d in range(1, abs(n) + 1) if n % d == 0 for s in (1, -1)]
+
+
+def _rational_root(P):
+    """A rational root of P (descending coefficients, P(0) != 0), or None."""
     den = lcm(*(c.denominator for c in P))
     a = [int(c * den) for c in P]
-    divisors = [[d for d in range(1, abs(n) + 1) if n % d == 0] for n in (a[-1], a[0])]
-    return any(sum(c * x ** (len(a) - 1 - i) for i, c in enumerate(a)) == 0
-               for p in divisors[0] for r in divisors[1] for x in (F(p, r), F(-p, r)))
+    candidates = (F(p, r) for p in _signed_divisors(a[-1]) for r in _signed_divisors(a[0]))
+    return next((x for x in candidates
+                 if sum(c * x ** (len(a) - 1 - i) for i, c in enumerate(a)) == 0), None)
+
+
+def _quadratic_factor(g):
+    """A monic quadratic factor over Q of the monic g, or None, by brute force
+    (Kronecker).  With D the lcm of the denominators, G(X) = D^n g(X/D) is
+    monic over Z, so by Gauss's lemma its monic quadratic factors
+    X^2 + aX + c are integral, with c | G(0) and 1 + a + c | G(1) != 0."""
+    D = lcm(*(c.denominator for c in g))
+    G = [int(c * D ** i) for i, c in enumerate(g)]
+    for c in _signed_divisors(G[-1]):
+        for d in _signed_divisors(sum(G)):
+            if not _divide(G, [1, d - 1 - c, c])[1]:
+                return (F(1), F(d - 1 - c, D), F(c, D * D))
+    return None
+
+
+def _reference_factors(f):
+    """The monic irreducible factors over Q of the monic f (descending,
+    f(0) != 0), repeated by multiplicity, when each has degree <= 4; None
+    otherwise.  Rational roots come off first, then quadratic factors; a
+    cofactor left then has no factor of degree <= 2, so of degree 3 or 4 it
+    is irreducible, and of degree >= 5 it is beyond this reference."""
+    out = []
+    while (x := _rational_root(f)) is not None:
+        out.append((F(1), -x))
+        f = _divide(f, [1, -x])[0]
+    while len(f) > 4 and (g := _quadratic_factor(f)) is not None:
+        out.append(g)
+        f = _divide(f, g)[0]
+    if len(f) > 5:
+        return None
+    return out + [tuple(f)] if len(f) > 1 else out
 
 
 def _random_irreducible(rng, deg):
     """A monic irreducible polynomial over Q of degree <= 3 with P(0) != 0."""
     while True:
         P = (F(1),) + tuple(F(rng.randint(-6, 6), rng.choice((1, 1, 2))) for _ in range(deg))
-        if P[-1] and (deg == 1 or not _has_rational_root(P)):
+        if P[-1] and (deg == 1 or _rational_root(P) is None):
             return P
 
 
-def _sign_twist_classes(q, h):
+def _sign_twist_classes(Ps, h):
     """Reference for h <= 2: the classes of the former pairing rule, as
-    (factors, multiplicity, residue degree, dimension).  On the cover
-    t = s^2 each irreducible factor f of q is paired with its sign twist
+    (factors, multiplicity, residue degree, dimension), from the
+    factorization of q = prod P(X^h)^m by ``_reference_factors``, or None
+    when that leaves a factor it cannot split.  On the cover t = s^2 each
+    irreducible factor f of q is paired with its sign twist
     (-1)^deg f f(-X); on t = s each factor is a class of its own."""
-    mults = dict(factor_rational(q))
+    mults = Counter()
+    for P, m in Ps.items():
+        factors = _reference_factors(_lift(P, h))
+        if factors is None:
+            return None
+        for f in factors:
+            mults[f] += m
     out, seen = [], set()
-    for f in mults:
+    for f in sorted(mults):
         if f in seen:
             continue
         twin = tuple(c * (-1) ** i for i, c in enumerate(f)) if h == 2 else f
@@ -556,7 +602,7 @@ def test_classes_by_descent_random():
     # class whose P(X^h) it divides
     rng = random.Random(21)
     seen = Counter()
-    for _ in range(200):
+    for _ in range(300):
         h = rng.randint(1, 5)
         B = rng.choice([B for B in range(1, 6) if gcd(B, h) == 1])
         Ps, budget = {}, 4
@@ -565,7 +611,9 @@ def test_classes_by_descent_random():
                 # Y - r^h: X - r divides P(X^h), whose cofactor then splits
                 d, P = 1, (F(1), -F(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 2)) ** h)
             else:
-                d = rng.randint(1, min(3, budget))
+                # a cubic half the time: P(X^h) of degree >= 6 keeps a
+                # cofactor of degree >= 5 for every h >= 2
+                d = min(3, budget, rng.randint(1, 4))
                 P = _random_irreducible(rng, d)
             if P not in Ps:
                 Ps[P] = rng.randint(1, budget // d)
@@ -587,7 +635,7 @@ def test_classes_by_descent_random():
             for _ in range(orb.multiplicity):
                 product = _mul_desc(product, _lift(orb.descent, h))
             for f in orb.factors:
-                assert [o for o in ref.orbits if not _remainder(_lift(o.descent, h), f)] \
+                assert [o for o in ref.orbits if not _divide(_lift(o.descent, h), f)[1]] \
                     == [orb]
             if orb.residue_degree is not None:
                 whole = [F(1)]
@@ -602,10 +650,11 @@ def test_classes_by_descent_random():
         for theta in ref.theta_values():
             assert sum(c * theta ** (len(q) - 1 - i) for i, c in enumerate(q)) == 0
         complete = all(orb.residue_degree is not None for orb in ref.orbits)
-        if h <= 2 and complete:
-            want = _sign_twist_classes(q, h)
-            assert [(o.factors, o.multiplicity, o.residue_degree, o.dimension)
-                    for o in ref.orbits] == want
+        if h <= 2:
+            want = _sign_twist_classes(Ps, h)
+            assert (want is not None) == complete
+            assert not complete or [(o.factors, o.multiplicity, o.residue_degree, o.dimension)
+                                    for o in ref.orbits] == want
         seen[h, complete] += 1
     assert all(seen[h, True] >= 3 and seen[h, False] >= 20 for h in range(2, 6)), seen
 
@@ -619,11 +668,17 @@ def test_classes_by_descent_named_by_P_when_a_factor_is_missing():
         "orbit r=1 dim=2 factors=['X - 2', 'X + 2']", "orbit dim=6 P(Y)=Y^3 - 2"]
     assert ref.theta_values() == [-2, 2]
     # X^5 - 2 is Q(X^5) with Q = Y - 2 on t = s^5: one class of dim 5; on t = s
-    # it needs the quintic factored, which is refused
+    # Q is the quintic itself, which factor_over_Q does not split: refused
     quintic = [F(1), 0, 0, 0, 0, F(-2)]
     (orb,) = residue(_face_operator(quintic, 1, 5), F(1, 5)).orbits
     assert orb.describe() == "orbit dim=5 P(Y)=Y - 2"
-    with pytest.raises(FactorizationError, match="degree 5"):
+    # X^7 - 128 on t = s^7: X - 2 is found, but the sextic cofactor is not
+    # split, so the class is still named by P(Y)
+    (orb,) = residue(_face_operator([F(1)] + [0] * 6 + [F(-128)], 1, 7), F(1, 7)).orbits
+    assert orb.factors == ((1, -2),) and orb.describe() == "orbit dim=7 P(Y)=Y - 128"
+    with pytest.raises(FactorizationError,
+                       match=r"^Q\(Y\) has a factor of degree 5 with no rational root; "
+                             "factor_over_Q splits such factors only up to degree 4$"):
         residue(_face_operator(quintic, 1, 1), 1)
 
 
@@ -634,51 +689,12 @@ def test_refined_residue_errors():
         residue(op_partial({-1: 1}), 0)
 
 
-def test_factor_rational():
-    assert factor_rational([1, 0, -1]) == [((F(1), F(-1)), 1), ((F(1), F(1)), 1)]
-    assert factor_rational([1, 0, -2]) == [((F(1), F(0), F(-2)), 1)]
-    # (X^2+1)^2
-    assert factor_rational([1, 0, 2, 0, 1]) == [((F(1), F(0), F(1)), 2)]
-    # (X^2 - 2)(X^2 - 3)
-    got = factor_rational([1, 0, -5, 0, 6])
-    assert sorted(got) == [((F(1), F(0), F(-3)), 1), ((F(1), F(0), F(-2)), 1)]
-    # degree five irreducible: refuse
-    with pytest.raises(FactorizationError):
-        factor_rational([1, 0, 0, 0, 0, -2])
-    # a 201-digit coefficient: the discriminant test stays in integers
-    assert factor_rational([1, 10**200, 1]) == [((F(1), F(10**200), F(1)), 1)]
-
-
-def test_factor_rational_quartic_with_odd_terms():
-    # (X^2 - X + 2)(X^2 + X + 1): the depressed quartic has a linear term
-    assert factor_rational([1, 0, 2, 1, 2]) == [((F(1), F(-1), F(2)), 1),
-                                                ((F(1), F(1), F(1)), 1)]
-    # (X^2 + X + 1)(X^2 + 2X + 3): a cubic term as well
-    assert factor_rational([1, 3, 6, 5, 3]) == [((F(1), F(1), F(1)), 1),
-                                                ((F(1), F(2), F(3)), 1)]
-
-
 def _mul_desc(f, g):
     out = [F(0)] * (len(f) + len(g) - 1)
     for i, a in enumerate(f):
         for j, b in enumerate(g):
             out[i + j] += a * b
     return out
-
-
-def test_factor_rational_products_of_irreducible_quadratics():
-    rng = random.Random(7)
-    trials = 0
-    while trials < 60:
-        quads = [(F(1), F(rng.randint(-6, 6), rng.randint(1, 3)),
-                  F(rng.randint(-9, 9), rng.randint(1, 3))) for _ in range(2)]
-        # keep the quadratics without a rational root: discriminant not a square
-        if any(_is_rational_square(b * b - 4 * c) for _, b, c in quads):
-            continue
-        trials += 1
-        got = factor_rational(_mul_desc(quads[0], quads[1]))
-        want = sorted(Counter(quads).items())
-        assert got == want
 
 
 def _compose(p, q):
@@ -1014,8 +1030,3 @@ def test_radius_oracle_matches_polygon_rank2():
         lo, hi = radius_oracle(companion_matrix(op), s_max=40)
         leading = max(newton_polygon(op).irregularity_multiset())
         assert lo <= leading <= hi
-
-
-def _is_rational_square(x):
-    return x >= 0 and isqrt(x.numerator) ** 2 == x.numerator \
-        and isqrt(x.denominator) ** 2 == x.denominator

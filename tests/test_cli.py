@@ -418,6 +418,21 @@ def test_newton_json_classes_a_degree_5_cover_by_descent(tmp_path, capsys):
         "orbit r=1 dim=5 factors=['X - 5', 'X^4 + 5*X^3 + 25*X^2 + 125*X + 625']"]
 
 
+def test_newton_json_lists_the_factors_of_each_class_lift(tmp_path, capsys):
+    # D^6 + t^-3: slope 1/2, q = X^6 + 64 = Q(X^2) with
+    # Q = (Y + 4)(Y^2 - 4Y + 16).  q has no rational root and degree 6, so
+    # it splits only class by class: each P(X^2) has degree <= 4
+    op = {"schema": 1, "gauge": "t*d/dt", "order": 6,
+          "coeffs": [[], [], [], [], [], [[-3, "1"]]]}
+    f = write(tmp_path, "op.json", op)
+    code, out, _ = run(capsys, "newton", f, "--json")
+    assert code == 0
+    (entry,) = json.loads(out)["refined"]
+    assert (entry["slope"], entry["kummer"], entry["q"]) == ("1/2", 2, ["1"] + ["0"] * 5 + ["64"])
+    assert entry["orbits"] == ["orbit r=4 dim=4 factors=['X^4 - 4*X^2 + 16']",
+                               "orbit r=2 dim=2 factors=['X^2 + 4']"]
+
+
 def test_newton_exits_4_on_a_residue_outside_descent(tmp_path, capsys, monkeypatch):
     # no operator over Q((t)) has a face polynomial outside Q[X^h]; a face
     # read that broke descent gets no class, reports it and exits 4

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from math import lcm
 
@@ -6,7 +7,8 @@ import pytest
 
 from logchar import cdvf
 from logchar.field import (MAX_DIVISOR_STEPS, QQ, FactorizationError, FieldError, NumberField,
-                           Scalar, _divisors, _poly_mul, parse_rational, rational_roots)
+                           Scalar, _divisors, _poly_divmod, _poly_mul, factor_over_Q,
+                           parse_rational, rational_roots)
 
 
 def test_rational_basics():
@@ -205,3 +207,125 @@ def test_trial_division_is_bounded():
     with pytest.raises(FactorizationError):
         rational_roots([-(10**24 + 7), 0, 1])
     assert cdvf.FactorizationError is FactorizationError
+
+
+def _evaluate(cs, x):
+    return sum(c * x ** i for i, c in enumerate(cs))
+
+
+def test_poly_divmod_random():
+    # q b + r = a, checked at more points than either side's degree, and
+    # deg r < deg b; dividends may carry zero top coefficients
+    rng = random.Random(22)
+
+    def poly(n):
+        return [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)]
+
+    for _ in range(300):
+        b = poly(rng.randint(0, 4)) + [Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 3))]
+        a = poly(rng.randint(0, 9)) + [Fraction(0)] * rng.randint(0, 2)
+        q, r = _poly_divmod(a, b)
+        for x in range(len(a) + len(b)):
+            assert _evaluate(q, x) * _evaluate(b, x) + _evaluate(r, x) == _evaluate(a, x)
+        assert len(r) < len(b) and (not r or r[-1])
+        deg_a = max((i for i, c in enumerate(a) if c), default=-1)
+        assert len(q) == max(0, deg_a - len(b) + 2) and (not q or q[-1])
+    assert _poly_divmod([0, 0], [1, 1]) == ([], [])
+
+
+def test_scalar_reduction_by_the_modulus():
+    # modulo a^n - m the coefficient of a^j is sum over i = j mod n of
+    # c_i m^((i - j)/n); Scalar reduces through _poly_divmod
+    rng = random.Random(23)
+    for n, m in ((2, 2), (2, -1), (3, 2), (3, -5)):
+        K = NumberField([-m] + [0] * (n - 1) + [1])
+        for _ in range(40):
+            cs = [Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                  for _ in range(rng.randint(n, 3 * n + 2))] + [Fraction(0)] * rng.randint(0, 2)
+            want = [sum(c * Fraction(m) ** ((i - j) // n) for i, c in enumerate(cs) if i % n == j)
+                    for j in range(n)]
+            while want and not want[-1]:
+                want.pop()
+            assert list(Scalar(K, cs).coeffs) == want
+
+
+def test_factor_over_Q():
+    # ascending coefficients; factors repeated by multiplicity, rest [1] when
+    # the factorization is complete
+    assert factor_over_Q([-1, 0, 1]) == ([[1, 1], [-1, 1]], [1])
+    assert factor_over_Q([-2, 0, 1]) == ([[-2, 0, 1]], [1])
+    # (X^2 + 1)^2
+    assert factor_over_Q([1, 0, 2, 0, 1]) == ([[1, 0, 1], [1, 0, 1]], [1])
+    # (X^2 - 2)(X^2 - 3)
+    factors, rest = factor_over_Q([6, 0, -5, 0, 1])
+    assert sorted(factors) == [[-3, 0, 1], [-2, 0, 1]] and rest == [1]
+    # a quintic without a rational root is left unsplit, as rest
+    assert factor_over_Q([-2, 0, 0, 0, 0, 1]) == ([], [-2, 0, 0, 0, 0, 1])
+    # a 201-digit coefficient: the rational roots come from the end
+    # coefficients alone, and the quadratic is irreducible
+    assert factor_over_Q([1, 10**200, 1]) == ([[1, 10**200, 1]], [1])
+
+
+def test_factor_over_Q_quartic_with_odd_terms():
+    # (X^2 - X + 2)(X^2 + X + 1): the depressed quartic has a linear term
+    factors, rest = factor_over_Q([2, 1, 2, 0, 1])
+    assert sorted(factors) == [[1, 1, 1], [2, -1, 1]] and rest == [1]
+    # (X^2 + X + 1)(X^2 + 2X + 3): a cubic term as well
+    factors, rest = factor_over_Q([3, 5, 6, 3, 1])
+    assert sorted(factors) == [[1, 1, 1], [3, 2, 1]] and rest == [1]
+
+
+def test_factor_over_Q_products_of_known_irreducibles():
+    # linear factors times one cofactor of degree <= 4: a root-free quadratic
+    # (maybe squared), two of them, a root-free cubic, an irreducible quartic
+    # shifted by a rational, or a Sophie Germain quartic
+    # X^4 + 4c^4 = (X^2 + 2cX + 2c^2)(X^2 - 2cX + 2c^2)
+    rng = random.Random(24)
+
+    def rat(bound):
+        return Fraction(rng.randint(-bound, bound), rng.randint(1, 3))
+
+    def root_free(degree):
+        while True:
+            f = [rat(9) for _ in range(degree)] + [Fraction(1)]
+            if f[0] and not _reference_rational_roots(f):
+                return f
+
+    def shifted(f, s):
+        """f(X + s) for the monic f, ascending, by Horner."""
+        out = [Fraction(1)]
+        for c in f[-2::-1]:
+            out = _poly_mul(out, [s, Fraction(1)])
+            out[0] += c
+        return out
+
+    irreducible_quartics = ([-2, 0, 0, 0, 1], [1, 0, 0, 0, 1], [1, 1, 1, 1, 1],
+                            [1, 0, -10, 0, 1])
+    kinds = Counter()
+    for _ in range(200):
+        known = []
+        for _ in range(rng.randint(0, 3)):
+            root = -known[-1][0] if known and rng.random() < 0.3 else rat(5)
+            known.append([-root, Fraction(1)])
+        kind = rng.choice(("quadratic", "square", "quadratics", "cubic", "quartic", "germain"))
+        kinds[kind] += 1
+        if kind == "quadratic":
+            known.append(root_free(2))
+        elif kind == "square":
+            known += [root_free(2)] * 2
+        elif kind == "quadratics":
+            known += [root_free(2), root_free(2)]
+        elif kind == "cubic":
+            known.append(root_free(3))
+        elif kind == "quartic":
+            known.append(shifted(rng.choice(irreducible_quartics), rat(4)))
+        else:
+            c = rat(3) or Fraction(1)
+            known += [[2 * c * c, 2 * c, Fraction(1)], [2 * c * c, -2 * c, Fraction(1)]]
+        poly = [Fraction(1)]
+        for f in known:
+            poly = _poly_mul(poly, f)
+        factors, rest = factor_over_Q(poly)
+        assert rest == [1], poly
+        assert sorted(factors) == sorted(known), poly
+    assert min(kinds.values()) >= 20, kinds
