@@ -6,7 +6,10 @@ constant series.  A DiffOperator is monic of order d with coefficients
 c_1..c_d, either in the derivation d/dt ("d/dt" gauge) or in the logarithmic
 derivation t d/dt ("t*d/dt" gauge).  Gauge changes use the exact identities
 t^k (d/dt)^k = D(D-1)..(D-k+1) for D = t d/dt, so only constant-coefficient
-Stirling data enters.
+Stirling data enters.  Connection matrices are exact; the only coefficients
+known to a precision bound are those of the annihilator ``cyclic_vector``
+returns, each a quotient of minors known to 32 terms past its valuation, and
+the Newton polygon certifies what it reads against that bound.
 
 The Newton polygon lives on the points (i, v(c_i)) of the log gauge, lower
 convex hull from (0, 0).  A face of slope sigma and width w contributes the
@@ -339,8 +342,10 @@ def orbit_integrality_violations(refined: RefinedClass):
     """Descent of a refined class, as a list of messages.
 
     On the cover t = s^h the coefficients are series in s^h, so the face
-    polynomial q lies in Q[X^h] (descent).  Each class is then a factor P of
-    Q, and dim * slope = B * deg P * mult is an integer (Turrittin-Levelt).
+    polynomial q lies in Q[X^h] (descent); this is the one check.  The
+    integrality of dim * slope (Turrittin-Levelt) needs none: each class is
+    a factor P of Q with dim = h * deg P * mult, so dim * slope =
+    B * deg P * mult by construction.
     """
     h = refined.kummer
     if descend(refined.residue_poly[::-1], h) is None:
@@ -392,11 +397,14 @@ def _maximal_minors(M):
 def cyclic_vector(A) -> DiffOperator:
     """Monic annihilator of a cyclic vector of the connection matrix A.
 
-    A is the matrix of the derivation d/dt on a chosen basis, of any rank d.
-    The deterministic candidates are e_1, e_1 + t e_2, e_1 + t e_2 + t^2 e_3,
-    ..., accepted when the derivative matrix W = [v, v', .., v^(d-1)] has a
-    certified unit determinant.  The determinant and the Cramer numerators
-    for W u = v^(d) are the maximal minors of [W | v^(d)].
+    A is the matrix of the derivation d/dt on a chosen basis, of any rank d,
+    with exact entries: an entry with a precision bound raises
+    PrecisionError.  The deterministic candidates are e_1, e_1 + t e_2,
+    e_1 + t e_2 + t^2 e_3, ..., accepted when the derivative matrix
+    W = [v, v', .., v^(d-1)] has a nonzero determinant.  The determinant and
+    the Cramer numerators for W u = v^(d) are the maximal minors of
+    [W | v^(d)], all exact; each coefficient is one quotient of them, known
+    to 32 terms past its valuation.
     """
     d = len(A)
     A = [[c if isinstance(c, LaurentSeries) else LaurentSeries.constant(c) for c in row]
@@ -410,18 +418,13 @@ def cyclic_vector(A) -> DiffOperator:
         minors = _maximal_minors([[iterates[j][i] for j in range(d + 1)]
                                   for i in range(d)])
         det = minors[d]
-        try:
-            det.valuation()
-        except PrecisionError:
-            continue
         if det.is_exactly_zero:
             continue
         # Cramer: u_j = det(W with column j replaced by v^(d)) / det, and
         # moving v^(d) there from the last column takes d - 1 - j
         # transpositions; the annihilator partial^d - sum_j u_j partial^j
         # has coefficient -u_j at partial^j
-        det_inv = det.inverse()
-        cs = [(minors[j] if (d - j) % 2 == 0 else -minors[j]) * det_inv
+        cs = [(minors[j] if (d - j) % 2 == 0 else -minors[j]) / det
               for j in reversed(range(d))]
         return DiffOperator(GAUGE_PARTIAL, cs)
     raise OperatorError("no deterministic candidate is cyclic at the working precision")

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
 from .cycles import IntegralityError, LogCycle, line_multiplicity
-from .laurent import LaurentPolynomial
+from .laurent import LaurentPolynomial, pole_orders
 from .record import Record
 
 
@@ -253,7 +253,7 @@ def derham_oracle_curve(phi: LaurentPolynomial, window: int,
     """
     if len(phi.vars) != 1:
         raise GeometryError("the oracle works on one-variable twists")
-    pole0 = max(0, -(phi.min_exponent(0) or 0))
+    pole0 = pole_orders(phi, (0,))[0]
     pole_inf = max(0, (phi.max_exponent(0) or 0))
     need = 2 * max(pole0, pole_inf) + 5
     if window < need:

@@ -23,7 +23,8 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 from .cycles import (ChartStamp, Direction, DivisorLine, LogCycle, ZeroSection,
                      line_multiplicity)
 from .field import QQ, NumberField, Scalar, _poly_divmod
-from .laurent import LaurentPolynomial, log_gradient, monomial_times_unit, twist, twist_at_origin
+from .laurent import (LaurentPolynomial, log_gradient, monomial_times_unit, pole_orders, twist,
+                      twist_at_origin)
 from .record import Record
 from .tropical import RadiusProfile, RayBudgetError, TropicalFn, sorted_profile_linear
 
@@ -295,7 +296,7 @@ def _recenter_support(rterms, names, values, field):
     poly = LaurentPolynomial(tuple(names), dict(rterms), field)
     if poly.is_zero:
         return set()
-    pullout = [max(0, -(poly.min_exponent(j) or 0)) for j in range(len(names))]
+    pullout = pole_orders(poly, range(len(names)))
     shifted = poly * LaurentPolynomial.monomial(tuple(names), pullout, 1, field)
     written = sum(prod(a + 1 for a in e) for e in shifted.terms)
     bound = _field_bound(MAX_RECENTRED_TERMS, [*rterms.values(), *values])

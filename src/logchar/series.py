@@ -1,15 +1,17 @@
-"""One-variable truncated Laurent series with worst-case precision tracking.
+"""One-variable Laurent series: exact arithmetic, and quotients to a window.
 
 A LaurentSeries stores finitely many exact coefficients below a precision
 bound ``prec``: terms of exponent >= prec are unknown.  ``prec = None`` marks
-a series that is exactly its stored finite sum (polynomial-born); such series
-stay exact under ring operations, and only inversion forces a finite window.
+a series that is exactly its stored finite sum.  Sums, products and
+derivatives take exact operands only, and raise PrecisionError on a series
+with a bound; negation keeps the bound.  The quotient is the one source of a
+finite bound: its long division runs to a fixed window of 32 terms past its
+valuation.
 
 The series are over Q: coefficients are stored as Fractions, and any other
 value given (an int or a "p/q" string) is converted once, on construction.
 ``zero``, ``constant`` and ``monomial`` build series in t; the variable name
-is only compared and printed.  ``inverse`` works to a fixed window of 32
-terms.
+is only compared and printed.
 """
 
 from __future__ import annotations
@@ -61,18 +63,8 @@ class LaurentSeries:
     # -- structure ---------------------------------------------------------
 
     @property
-    def is_exact(self):
-        return self.prec is None
-
-    @property
     def is_exactly_zero(self):
         return self.prec is None and not self.terms
-
-    def low_bound(self):
-        """A lower bound for the valuation (exact when a term is stored)."""
-        if self.terms:
-            return min(self.terms)
-        return self.prec  # None means +infinity (exact zero)
 
     def valuation(self) -> Optional[int]:
         """Certified valuation: stored nonzero term, exact zero -> None.
@@ -86,39 +78,24 @@ class LaurentSeries:
             return None
         raise PrecisionError(f"valuation unknown: zero up to O({self.var}^{self.prec})")
 
-    def coefficient(self, e: int):
-        if self.prec is not None and e >= self.prec:
-            raise PrecisionError(f"coefficient of {self.var}^{e} beyond precision {self.prec}")
-        return self.terms.get(e, Fraction(0))
-
-    def _check(self, other):
-        if self.var != other.var:
-            raise ValueError("series variables differ")
-
-    @staticmethod
-    def _min_prec(p1, p2):
-        if p1 is None:
-            return p2
-        if p2 is None:
-            return p1
-        return min(p1, p2)
-
     # -- arithmetic --------------------------------------------------------
 
-    def _coerce(self, other):
-        if isinstance(other, LaurentSeries):
-            return other
-        return LaurentSeries(self.var, {0: other})
+    def _operand(self, other):
+        """``other`` as a series in the same variable; both must be exact."""
+        o = other if isinstance(other, LaurentSeries) else LaurentSeries(self.var, {0: other})
+        if self.prec is not None or o.prec is not None:
+            raise PrecisionError("series arithmetic needs exact operands")
+        if self.var != o.var:
+            raise ValueError("series variables differ")
+        return o
 
     def __add__(self, other):
-        o = self._coerce(other)
-        self._check(o)
-        prec = self._min_prec(self.prec, o.prec)
+        o = self._operand(other)
         out = dict(self.terms)
         for e, c in o.terms.items():
             s = out.get(e)
             out[e] = c if s is None else s + c
-        return LaurentSeries(self.var, out, prec)
+        return LaurentSeries(self.var, out)
 
     __radd__ = __add__
 
@@ -126,118 +103,72 @@ class LaurentSeries:
         return LaurentSeries(self.var, {e: -c for e, c in self.terms.items()}, self.prec)
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        return self + (-self._operand(other))
 
     def __rsub__(self, other):
         return (-self) + other
 
-    def __mul__(self, o):
-        """Product of series, or of a series and a scalar.
-
-        A scalar c scales each term and keeps ``prec``, which is what the
-        product with the exact constant series c gives; c = 0 gives the exact
-        zero series, whatever the precision of self.
-        """
-        if not isinstance(o, LaurentSeries):
-            c = o if isinstance(o, (int, Fraction)) else Fraction(o)
-            if not c:
-                return LaurentSeries(self.var, {})
-            return LaurentSeries(self.var, {e: t * c for e, t in self.terms.items()},
-                                 self.prec)
-        self._check(o)
-        v1, v2 = self.low_bound(), o.low_bound()
-        if (self.is_exactly_zero and o.prec is None) or (o.is_exactly_zero and self.prec is None):
-            return LaurentSeries(self.var, {})
-        # unknown tail of one factor times the lowest term of the other
-        cands = []
-        if self.prec is not None:
-            if v2 is None:
-                return LaurentSeries(self.var, {})
-            cands.append(self.prec + v2)
-        if o.prec is not None:
-            if v1 is None:
-                return LaurentSeries(self.var, {})
-            cands.append(o.prec + v1)
-        prec = min(cands) if cands else None
+    def __mul__(self, other):
+        """Product of exact series, or of an exact series and a scalar c,
+        which scales each term as the product with the constant series c
+        does."""
+        if not isinstance(other, LaurentSeries):
+            if self.prec is not None:
+                raise PrecisionError("series arithmetic needs exact operands")
+            c = other if isinstance(other, (int, Fraction)) else Fraction(other)
+            return LaurentSeries(self.var, {e: t * c for e, t in self.terms.items()})
+        o = self._operand(other)
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in o.terms.items():
                 e = e1 + e2
-                if prec is not None and e >= prec:
-                    continue
                 c = c1 * c2
                 s = out.get(e)
                 out[e] = c if s is None else s + c
-        return LaurentSeries(self.var, out, prec)
+        return LaurentSeries(self.var, out)
 
     __rmul__ = __mul__
 
-    def shift(self, k: int) -> "LaurentSeries":
-        """Multiply by t^k."""
-        return LaurentSeries(self.var, {e + k: c for e, c in self.terms.items()},
-                             None if self.prec is None else self.prec + k)
-
     def derivative(self) -> "LaurentSeries":
-        out = {e - 1: c * e for e, c in self.terms.items() if e != 0}
-        prec = None if self.prec is None else self.prec - 1
-        return LaurentSeries(self.var, out, prec)
-
-    def truncate(self, prec: int) -> "LaurentSeries":
-        p = self._min_prec(self.prec, prec)
-        return LaurentSeries(self.var, {e: c for e, c in self.terms.items() if e < p}, p)
-
-    def inverse(self) -> "LaurentSeries":
-        """Multiplicative inverse up to a finite window of terms.
-
-        Requires a certified valuation v; the result has finite precision
-        w - v even for exact input, with w the window of 32 terms, capped at
-        prec - v.  Writing self = t^v sum a_k t^k, the coefficients of
-        t^v / self come from the triangular recurrence b_0 = 1/a_0,
-        b_n = -(1/a_0) sum_{k=1..n} a_k b_{n-k}, for n < w.
-        """
-        v = self.valuation()
-        if v is None:
-            raise ZeroDivisionError("inverse of zero series")
-        lead = self.terms[v]
-        w = _WINDOW if self.prec is None else min(_WINDOW, self.prec - v)
-        inv_lead = 1 / lead
-        tail = [(e - v, c) for e, c in self.terms.items() if 0 < e - v < w]
-        b = [inv_lead]
-        for n in range(1, w):
-            acc = None
-            for k, a in tail:
-                if k > n:
-                    break
-                if b[n - k] is not None:
-                    term = a * b[n - k]
-                    acc = term if acc is None else acc + term
-            b.append(None if acc is None else -(acc * inv_lead))
-        return LaurentSeries(self.var, {n - v: c for n, c in enumerate(b) if c is not None},
-                             w - v)
+        if self.prec is not None:
+            raise PrecisionError("series arithmetic needs exact operands")
+        return LaurentSeries(self.var, {e - 1: c * e for e, c in self.terms.items() if e != 0})
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        return self * o.inverse()
+        """The quotient of exact series, known to 32 terms past its valuation.
+
+        Writing self = t^a sum b_n t^n and other = t^v sum c_k t^k, with b_0
+        and c_0 nonzero, power-series long division gives self / other =
+        t^(a-v) sum q_n t^n with q_n = (b_n - sum_{k=1..n} c_k q_(n-k)) / c_0,
+        for n < 32: the quotient has prec = a - v + 32.  An exact-zero
+        numerator gives the exact zero.
+        """
+        o = self._operand(other)
+        v = o.valuation()
+        if v is None:
+            raise ZeroDivisionError("division by the zero series")
+        a = self.valuation()
+        if a is None:
+            return self
+        inv_lead = 1 / o.terms[v]
+        tail = [(e - v, c) for e, c in o.terms.items() if 0 < e - v < _WINDOW]
+        q = []
+        for n in range(_WINDOW):
+            acc = self.terms.get(a + n, 0)
+            for k, c in tail:
+                if k > n:
+                    break
+                if q[n - k]:
+                    acc -= c * q[n - k]
+            q.append(acc * inv_lead)
+        return LaurentSeries(self.var, {a - v + n: c for n, c in enumerate(q)},
+                             a - v + _WINDOW)
 
     def __eq__(self, other):
         if not isinstance(other, LaurentSeries):
-            other = self._coerce(other)
+            other = LaurentSeries(self.var, {0: other})
         return (self.var == other.var and self.terms == other.terms
                 and self.prec == other.prec)
-
-    def agrees_with(self, other, upto: Optional[int] = None) -> bool:
-        """Coefficientwise agreement on the jointly known exponent range."""
-        o = self._coerce(other)
-        self._check(o)
-        bound = self._min_prec(self.prec, o.prec)
-        if upto is not None:
-            bound = self._min_prec(bound, upto)
-        for e in set(self.terms) | set(o.terms):
-            if bound is not None and e >= bound:
-                continue
-            if self.terms.get(e, 0) != o.terms.get(e, 0):
-                return False
-        return True
 
     def __hash__(self):
         return hash((self.var, tuple(self.terms.items()), self.prec))

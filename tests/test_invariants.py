@@ -98,9 +98,7 @@ def test_every_public_function_has_a_caller_outside_tests():
 # Library API that no engine code names, one reason each.
 LIBRARY_API = {
     "cyclic_vector": "a benchmark op: bench/run.py calls it on the cyclic corpus",
-    "agrees_with": "LaurentSeries comparison up to the jointly known precision",
-    "is_exact": "LaurentSeries query: no precision bound",
-    "truncate": "LaurentSeries cut at a precision",
+    "gen": "NumberField constructor of the generator a, the element the modulus defines",
     "irregularity_multiset": "NewtonPolygon slopes repeated by width",
     "theta_values": "RefinedClass: the rational roots of its residue polynomial",
     "value_multiset": "RadiusProfile values at a point, as the paper sorts them",
@@ -108,38 +106,47 @@ LIBRARY_API = {
 }
 
 
-def _references(node, enclosing, out):
-    """Add the names and attributes read under ``node`` to ``out``, except
-    a function's or class's references to itself."""
-    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _references(node, enclosing, names, attrs):
+    """Add the bare names read under ``node`` to ``names`` and the attribute
+    names to ``attrs``, except a function's or class's references to
+    itself."""
+    if isinstance(node, _DEFS):
         enclosing = enclosing | {node.name}
-    name = node.id if isinstance(node, ast.Name) else \
-        node.attr if isinstance(node, ast.Attribute) else None
-    if name is not None and name not in enclosing:
-        out.add(name)
+    if isinstance(node, ast.Name) and node.id not in enclosing:
+        names.add(node.id)
+    elif isinstance(node, ast.Attribute) and node.attr not in enclosing:
+        attrs.add(node.attr)
     for child in ast.iter_child_nodes(node):
-        _references(child, enclosing, out)
+        _references(child, enclosing, names, attrs)
 
 
 def test_every_engine_definition_is_referenced_in_the_engine():
     # A function, method or class of src/logchar that no other code there
     # names is a helper of the tests, or dead; exports in __init__.py do
-    # not count.  Dunder methods are called by the language.
+    # not count.  A method is named only by an attribute read (.name): a
+    # local variable of the same name does not call it.  Dunder methods are
+    # called by the language.
     root = Path(__file__).resolve().parent.parent
-    used, defined = set(), set()
+    names, attrs, defined = set(), set(), set()
     for path in sorted((root / "src" / "logchar").glob("*.py")):
         tree = ast.parse(path.read_text())
         if path.name != "__init__.py":
-            _references(tree, frozenset(), used)
-        defined |= {f"{path.stem}.{node.name}" for node in ast.walk(tree)
-                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            _references(tree, frozenset(), names, attrs)
+        methods = {id(n) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                   for n in cls.body if isinstance(n, _DEFS)}
+        defined |= {(path.stem, node.name, id(node) in methods) for node in ast.walk(tree)
+                    if isinstance(node, _DEFS)
                     and not (node.name.startswith("__") and node.name.endswith("__"))}
-    names = {d.split(".", 1)[1] for d in defined}
-    unused = sorted(d for d in defined
-                    if d.split(".", 1)[1] not in used | set(LIBRARY_API))
+    unreferenced = {(stem, name) for stem, name, method in defined
+                    if name not in (attrs if method else names | attrs)}
+    unused = sorted(f"{stem}.{name}" for stem, name in unreferenced if name not in LIBRARY_API)
     assert not unused, unused
     # the pins stay exact: each is defined and still unreferenced
-    assert set(LIBRARY_API) <= names - used, sorted(set(LIBRARY_API) - (names - used))
+    pinned = {name for _, name in unreferenced}
+    assert set(LIBRARY_API) <= pinned, sorted(set(LIBRARY_API) - pinned)
 
 
 def test_cli_defines_only_its_handlers():
