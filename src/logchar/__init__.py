@@ -7,7 +7,7 @@ cross-checks.
 from .field import QQ, NumberField, Scalar
 from .laurent import LaurentPolynomial, is_unit_in_R_n0, log_gradient, twist
 from .series import LaurentSeries, PrecisionError
-from .tropical import RadiusProfile, TropicalFn, is_linear_on_octant, sorted_profile_linear
+from .tropical import is_linear_on_octant, sorted_profile_linear
 from .cycles import (ChartStamp, Direction, DivisorLine, LogCycle, LowerDim,
                      MonomialLogModule, ZeroSection, hilbert_dim, monomial_char_cycle)
 from .cdvf import (DiffOperator, NewtonPolygon, RefinedClass, cyclic_vector,

@@ -37,10 +37,20 @@ from .series import LaurentSeries, PrecisionError
 
 GAUGE_PARTIAL = "d/dt"
 GAUGE_LOG = "t*d/dt"
+# the highest order a d/dt operator may have: its change to the log gauge
+# builds a table of order^2 Stirling numbers of about order digits each.  On
+# one-term coefficients, ``newton`` takes 0.7 s and 110 MB peak RSS at order
+# 600, 1.1 s and 164 MB at order 700 (CPython 3.11 on one core of a shared
+# 2-core Xeon); memory grows about as order^3
+MAX_OPERATOR_ORDER = 600
 
 
 class OperatorError(ValueError):
     pass
+
+
+class OrderBudgetError(ValueError):
+    """A d/dt operator of order above MAX_OPERATOR_ORDER."""
 
 
 class DiffOperator:
@@ -81,6 +91,9 @@ class DiffOperator:
         if self.gauge == GAUGE_LOG:
             return self
         d = self.order
+        if d > MAX_OPERATOR_ORDER:
+            raise OrderBudgetError(f"changing an operator of order {d} to the log gauge "
+                                   f"needs Stirling numbers past order {MAX_OPERATOR_ORDER}")
         stir1 = _signed_stirling_first(d)
         cs = (LaurentSeries.constant(1),) + self.coeffs
         # times t^d, the coefficient of D^j is sum_i s(d-i, j) t^i c_i, built

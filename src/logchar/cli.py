@@ -13,8 +13,8 @@ import argparse
 import json
 import sys
 
-from .cdvf import FactorizationError, newton_polygon, orbit_integrality_violations, \
-    refined_residue
+from .cdvf import FactorizationError, OrderBudgetError, newton_polygon, \
+    orbit_integrality_violations, refined_residue
 from .cycles import IntegralityError, hilbert_dim, monomial_char_cycle
 from .euler import GeometryError, OracleBudgetError, WindowError, chi_EP, \
     derham_oracle_curve, kashiwara_dubson, reconcile_geometry
@@ -34,8 +34,8 @@ EXIT_ASSERTION = 4
 # (error classes, exit code, message prefix); any other exception propagates
 ERRORS = (
     ((IntegralityError,), EXIT_ASSERTION, "internal assertion failure"),
-    ((FactorizationError, RayBudgetError, OracleBudgetError, ExpansionBudgetError),
-     EXIT_INVALID, "refused"),
+    ((FactorizationError, RayBudgetError, OracleBudgetError, ExpansionBudgetError,
+      OrderBudgetError), EXIT_INVALID, "refused"),
     ((SchemaError, GeometryError, PrecisionError, WindowError, ValueError),
      EXIT_INVALID, "invalid input"),
 )

@@ -16,6 +16,11 @@ Rat = Union[int, Fraction]
 
 MAX_FIELD_DEGREE = 6
 MAX_DIVISOR_STEPS = 10 ** 6  # trial divisions allowed per integer in _divisors
+# candidate pairs (p, q), p | a_0 and q | a_n, that rational_roots may test.  A
+# coprime pair costs 1.3-5.7 us at degree 2-12 (CPython 3.11 on one core of a
+# shared 2-core Xeon) and a pair that shares a factor about 0.1 us, so the
+# bound is about 1 s at degree 12
+MAX_ROOT_CANDIDATES = 200_000
 
 
 class FieldError(ValueError):
@@ -81,7 +86,8 @@ def rational_roots(coeffs):
     such candidate is tested on integers: p/q is a root iff
     sum_i a_i p^i q^(n-i) = 0, evaluated by Horner.  The divisors still come
     from trial division, O(sqrt|a_0| + sqrt|a_n|) steps; past
-    MAX_DIVISOR_STEPS for either integer it raises FactorizationError.
+    MAX_DIVISOR_STEPS for either integer, or past MAX_ROOT_CANDIDATES pairs
+    (p, q), it raises FactorizationError before testing any candidate.
     """
     cs = _poly_trim([Fraction(c) for c in coeffs])
     if len(cs) <= 1:
@@ -98,6 +104,10 @@ def rational_roots(coeffs):
         ints = [int(c * den) for c in cs]
         lower = ints[-2::-1]
         nums, dens = _divisors(ints[0]), _divisors(ints[-1])
+        pairs = len(nums) * len(dens)
+        if pairs > MAX_ROOT_CANDIDATES:
+            raise FactorizationError(f"the rational-root search needs {pairs} candidate "
+                                     f"pairs, more than {MAX_ROOT_CANDIDATES}")
         for p in nums:
             for q in dens:
                 if gcd(p, q) != 1:
@@ -494,8 +504,9 @@ class Scalar:
 
 
 def parse_rational(text) -> Fraction:
-    """Parse "p/q" or integer-like strings into an exact Fraction."""
-    if isinstance(text, int):
+    """Parse "p/q" or integer-like strings into an exact Fraction.  A bool,
+    JSON true or false, is no number."""
+    if type(text) is int:
         return Fraction(text)
     if isinstance(text, Fraction):
         return text

@@ -26,7 +26,7 @@ from .field import QQ, NumberField, Scalar, _poly_divmod
 from .laurent import (LaurentPolynomial, log_gradient, monomial_times_unit, pole_orders, twist,
                       twist_at_origin)
 from .record import Record
-from .tropical import RadiusProfile, RayBudgetError, TropicalFn, sorted_profile_linear
+from .tropical import RayBudgetError, sorted_profile_linear
 
 
 # Dense polynomial work of the certificates over Q, each under about 1 s at
@@ -351,14 +351,13 @@ def clean_at_point(model: GoodModel, z: Mapping[str, object]):
 
     def profile(n):
         """The radius functions on the first n local coordinates."""
-        return RadiusProfile([(TropicalFn(n, [f[:n] for f in fs]), s.rank)
-                              for fs, s in zip(forms, model.summands)])
+        return [([f[:n] for f in fs], s.rank) for fs, s in zip(forms, model.summands)]
 
-    ok, verdicts = sorted_profile_linear(profile(len(J)))
+    ok, verdicts = sorted_profile_linear(profile(len(J)), len(J))
     refusal = None
     try:
         numerically = ok if not R and not K else \
-            sorted_profile_linear(profile(len(coords)))[0]
+            sorted_profile_linear(profile(len(coords)), len(coords))[0]
     except RayBudgetError as exc:
         numerically, refusal = None, str(exc)
     thetas = []

@@ -42,10 +42,16 @@ def _expect(cond, msg):
         raise SchemaError(msg)
 
 
+def _is_int(x, low=None) -> bool:
+    """Whether x is a JSON integer, at least ``low`` when given.  JSON true
+    and false are Python bools, an int subclass, and are refused."""
+    return type(x) is int and (low is None or x >= low)
+
+
 def parse_model_document(doc: dict) -> ModelDocument:
     _expect(isinstance(doc, dict), "document must be a JSON object")
-    _expect(doc.get("schema") == SCHEMA_VERSION,
-            f"schema must be {SCHEMA_VERSION}")
+    schema = doc.get("schema")
+    _expect(_is_int(schema) and schema == SCHEMA_VERSION, f"schema must be {SCHEMA_VERSION}")
     field = _parse_field(doc.get("field", {"base": "Q"}))
     chart = _parse_chart(doc.get("chart"))
     model = None
@@ -125,12 +131,12 @@ def _parse_model(spec, kummer_spec, chart: Chart, field) -> GoodModel:
                     denominators[j] = lcm(denominators[j], e.denominator)
             terms.append((exp, parse_rational(t["coeff"])))
         rank = summand.get("rank", 1)
-        _expect(isinstance(rank, int) and rank >= 1, f"summand {k}: rank must be >= 1")
+        _expect(_is_int(rank, 1), f"summand {k}: rank must be >= 1")
         raw_terms.append((terms, rank))
     hs = [1] * chart.m
     if kummer_spec is not None:
         _expect(isinstance(kummer_spec, list) and len(kummer_spec) == chart.m
-                and all(isinstance(h, int) and h >= 1 for h in kummer_spec),
+                and all(_is_int(h, 1) for h in kummer_spec),
                 "kummer must list one positive integer per log divisor")
         hs = list(kummer_spec)
     for i, j in enumerate(log):
@@ -161,7 +167,7 @@ def _parse_monomial_module(spec, chart: Chart) -> MonomialLogModule:
     _expect(isinstance(gens, list) and gens, "monomial_module needs generators")
     degrees = []
     for g in gens:
-        _expect(isinstance(g, dict) and isinstance(g.get("degree", 0), int),
+        _expect(isinstance(g, dict) and _is_int(g.get("degree", 0)),
                 "each generator carries an integer degree")
         degrees.append(g.get("degree", 0))
     rels = []
@@ -170,13 +176,13 @@ def _parse_monomial_module(spec, chart: Chart) -> MonomialLogModule:
         gen = r.get("gen", 0)
         x_exp = r.get("x_exp")
         xi_exp = r.get("xi_exp")
-        _expect(isinstance(gen, int) and 0 <= gen < len(degrees), "relation gen index")
+        _expect(_is_int(gen, 0) and gen < len(degrees), "relation gen index")
         n = chart.n
         _expect(isinstance(x_exp, list) and len(x_exp) == n
-                and all(isinstance(a, int) and a >= 0 for a in x_exp),
+                and all(_is_int(a, 0) for a in x_exp),
                 f"relation x_exp must be {n} nonnegative integers")
         _expect(isinstance(xi_exp, list) and len(xi_exp) == n
-                and all(isinstance(a, int) and a >= 0 for a in xi_exp),
+                and all(_is_int(a, 0) for a in xi_exp),
                 f"relation xi_exp must be {n} nonnegative integers")
         rels.append((gen, tuple(x_exp), tuple(xi_exp)))
     try:
@@ -192,7 +198,7 @@ def _parse_geometry(spec):
     kind = spec.get("kind")
     if kind == "curve":
         genus = spec.get("genus", 0)
-        _expect(isinstance(genus, int) and genus >= 0, "genus must be a natural number")
+        _expect(_is_int(genus, 0), "genus must be a natural number")
         punctures = []
         for p in spec.get("punctures", []):
             _expect(isinstance(p, dict) and "name" in p, "puncture needs a name")
@@ -201,15 +207,15 @@ def _parse_geometry(spec):
         return Curve(genus, tuple(punctures))
     if kind == "surface":
         chi_U = spec.get("chi_U")
-        _expect(isinstance(chi_U, int), "surface needs integral chi_U")
+        _expect(_is_int(chi_U), "surface needs integral chi_U")
         comps = []
         for c in spec.get("components", []):
-            _expect(isinstance(c, dict) and "name" in c and isinstance(
-                c.get("chi_open"), int), "component needs name and integral chi_open")
+            _expect(isinstance(c, dict) and "name" in c and _is_int(
+                c.get("chi_open")), "component needs name and integral chi_open")
             comps.append((str(c["name"]), c["chi_open"]))
         inter = spec.get("intersections")
         _expect(isinstance(inter, list) and all(
-            isinstance(r, list) and all(isinstance(x, int) for x in r) for r in inter),
+            isinstance(r, list) and all(_is_int(x) for x in r) for r in inter),
             "surface needs an intersection matrix of integers")
         try:
             return Surface(chi_U, tuple(comps), tuple(tuple(r) for r in inter))
@@ -257,12 +263,13 @@ def parse_point(spec, chart: Chart) -> dict:
 
 def parse_operator_document(doc: dict) -> DiffOperator:
     _expect(isinstance(doc, dict), "operator document must be a JSON object")
-    _expect(doc.get("schema", SCHEMA_VERSION) == SCHEMA_VERSION, "schema must be 1")
+    schema = doc.get("schema", SCHEMA_VERSION)
+    _expect(_is_int(schema) and schema == SCHEMA_VERSION, f"schema must be {SCHEMA_VERSION}")
     gauge = doc.get("gauge", GAUGE_PARTIAL)
     _expect(gauge in (GAUGE_PARTIAL, GAUGE_LOG), f"unknown gauge {gauge!r}")
     order = doc.get("order")
     coeffs_spec = doc.get("coeffs")
-    _expect(isinstance(order, int) and order >= 1, "order must be a positive integer")
+    _expect(_is_int(order, 1), "order must be a positive integer")
     _expect(isinstance(coeffs_spec, list) and len(coeffs_spec) == order,
             "coeffs must list one term-list per coefficient c_1..c_d")
     coeffs = []
@@ -270,7 +277,7 @@ def parse_operator_document(doc: dict) -> DiffOperator:
         _expect(isinstance(spec, list), f"coefficient {k} must be a list of [exp, value]")
         terms = {}
         for t in spec:
-            _expect(isinstance(t, list) and len(t) == 2 and isinstance(t[0], int),
+            _expect(isinstance(t, list) and len(t) == 2 and _is_int(t[0]),
                     f"coefficient {k}: each term is [int exponent, rational string]")
             terms[t[0]] = terms.get(t[0], Fraction(0)) + parse_rational(str(t[1]))
         coeffs.append(LaurentSeries("t", terms))

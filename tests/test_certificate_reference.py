@@ -28,7 +28,7 @@ from logchar.goodmodel import (Chart, GoodModel, ModelSummand, clean_at_point, n
                                zcar_prime)
 from logchar.laurent import LaurentPolynomial
 from logchar.modeldoc import parse_model_document
-from logchar.tropical import RadiusProfile, RayBudgetError, TropicalFn, sorted_profile_linear
+from logchar.tropical import RayBudgetError, sorted_profile_linear
 
 ROOT = Path(__file__).resolve().parent.parent
 if str(ROOT / "bench") not in sys.path:
@@ -97,13 +97,12 @@ def _reference_clean_at_point(model, z):
              for s in model.summands]
 
     def profile(n):
-        return RadiusProfile([(TropicalFn(n, [f[:n] for f in fs]), s.rank)
-                              for fs, s in zip(forms, model.summands)])
+        return [([f[:n] for f in fs], s.rank) for fs, s in zip(forms, model.summands)]
 
-    ok, verdicts = sorted_profile_linear(profile(len(J)))
+    ok, verdicts = sorted_profile_linear(profile(len(J)), len(J))
     try:
         numerically = ok if not R and not K else \
-            sorted_profile_linear(profile(len(coords)))[0]
+            sorted_profile_linear(profile(len(coords)), len(coords))[0]
     except RayBudgetError:
         numerically = None
     thetas, theta_ok = [], True

@@ -464,6 +464,41 @@ def test_newton_refuses_to_factor_a_25_digit_residue(tmp_path, capsys):
     assert entry["slope"] == "1" and "trial divisions" in entry["error"]
 
 
+def test_newton_refuses_a_rational_root_search_past_the_pair_budget(tmp_path, capsys):
+    # t d/dt: the residue of slope 1 has end integers 963761198400 and 1 once
+    # its denominators are cleared, each with 6,720 divisors: 45,158,400
+    # candidate pairs, refused before any is tested
+    op = {"schema": 1, "gauge": "t*d/dt", "order": 2,
+          "coeffs": [[[-1, "1/963761198400"]], [[-2, "1"]]]}
+    f = write(tmp_path, "op.json", op)
+    start = perf_counter()
+    code, out, err = run(capsys, "newton", f, "--json")
+    assert perf_counter() - start < 1
+    assert code == 0 and err == ""
+    (entry,) = json.loads(out)["refined"]
+    assert entry == {"slope": "1", "error": "the rational-root search needs 45158400 "
+                     f"candidate pairs, more than {field.MAX_ROOT_CANDIDATES}"}
+
+
+def test_newton_refuses_an_order_past_the_bound(tmp_path, capsys):
+    # the d/dt operator d^n + t^-1, n one past the bound, is refused before
+    # its change to the log gauge builds the Stirling table
+    from logchar.cdvf import MAX_OPERATOR_ORDER
+    n = MAX_OPERATOR_ORDER + 1
+    op = {"schema": 1, "gauge": "d/dt", "order": n,
+          "coeffs": [[] for _ in range(n - 1)] + [[[-1, "1"]]]}
+    start = perf_counter()
+    code, out, err = run(capsys, "newton", write(tmp_path, "op.json", op))
+    assert perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == (f"refused: changing an operator of order {n} to the log gauge needs "
+                   f"Stirling numbers past order {MAX_OPERATOR_ORDER}\n")
+    # in the log gauge no table is built, and the same order is answered
+    code, out, _ = run(capsys, "newton", write(tmp_path, "op.json", dict(op, gauge="t*d/dt")),
+                       "--json")
+    assert code == 0 and json.loads(out)["irregularities"] == [[f"1/{n}", n]]
+
+
 def test_clean_refuses_past_the_ray_budget(tmp_path, capsys):
     # 1/x1 + ... + 1/x8 at the origin: 36 walls in 8 coordinates give C(36, 7)
     # choices of vertex-ray walls, past the budget, so clean refuses at once
@@ -811,6 +846,58 @@ def test_zero_denominator_is_invalid_input(tmp_path, capsys, case):
     assert code == 2
     assert out == ""
     assert "zero denominator" in err
+
+
+def _set(doc, path, value):
+    """A deep copy of the JSON document ``doc`` with ``value`` at ``path``, a
+    sequence of object keys and list indices."""
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+OPERATOR = {"schema": 1, "gauge": "t*d/dt", "order": 1, "coeffs": [[[-1, "1"]]]}
+CHERN_SURFACE = dict(KATO_SURFACE, chern={"c2": "0", "c1_dot_D": ["0", "0"]})
+NUMBER_FIELD_MODEL = dict(E_X3_CURVE, field={"base": "number_field", "modulus": ["-2", 0, 1]})
+
+# (field, document, path, JSON boolean, command): the parent of each path
+# otherwise holds an integer (a rational for coeff, c2, c1_dot_D and modulus)
+BOOLEAN_CASES = [
+    ("schema", E_X3_CURVE, ("schema",), True, "irr"),
+    ("rank", E_X3_CURVE, ("model", 0, "rank"), True, "irr"),
+    ("kummer", dict(E_X3_CURVE, kummer=[1]), ("kummer", 0), True, "irr"),
+    ("coeff", E_X3_CURVE, ("model", 0, "phi", 0, "coeff"), True, "irr"),
+    ("modulus", NUMBER_FIELD_MODEL, ("field", "modulus", 2), True, "irr"),
+    ("genus", E_X3_CURVE, ("geometry", "genus"), False, "chi"),
+    ("chi_U", KATO_SURFACE, ("geometry", "chi_U"), True, "chi"),
+    ("chi_open", KATO_SURFACE, ("geometry", "components", 0, "chi_open"), True, "chi"),
+    ("intersections", KATO_SURFACE, ("geometry", "intersections", 0, 1), True, "chi"),
+    ("c2", CHERN_SURFACE, ("chern", "c2"), False, "chi"),
+    ("c1_dot_D", CHERN_SURFACE, ("chern", "c1_dot_D", 0), False, "chi"),
+    ("degree", CAUTION_MODULE, ("monomial_module", "generators", 0, "degree"), False,
+     "zcar"),
+    ("gen", CAUTION_MODULE, ("monomial_module", "relations", 0, "gen"), False, "zcar"),
+    ("x_exp", CAUTION_MODULE, ("monomial_module", "relations", 0, "x_exp", 0), True,
+     "zcar"),
+    ("xi_exp", CAUTION_MODULE, ("monomial_module", "relations", 1, "xi_exp", 0), True,
+     "zcar"),
+    ("operator schema", OPERATOR, ("schema",), True, "newton"),
+    ("order", OPERATOR, ("order",), True, "newton"),
+    ("operator exponent", OPERATOR, ("coeffs", 0, 0, 0), True, "newton"),
+]
+
+
+@pytest.mark.parametrize("case", BOOLEAN_CASES, ids=lambda c: c[0])
+def test_json_booleans_are_not_numbers(tmp_path, capsys, case):
+    _, doc, path, value, command = case
+    code, _, err = run(capsys, command, write(tmp_path, "ok.json", doc))
+    assert (code, err) == (0, "")
+    code, out, err = run(capsys, command, write(tmp_path, "bool.json", _set(doc, path, value)))
+    assert (code, out) == (2, "")
+    assert err.startswith("invalid input: "), err
 
 
 @st.composite

@@ -6,9 +6,9 @@ from math import lcm
 import pytest
 
 from logchar import cdvf
-from logchar.field import (MAX_DIVISOR_STEPS, QQ, FactorizationError, FieldError, NumberField,
-                           Scalar, _divisors, _poly_divmod, _poly_mul, factor_over_Q,
-                           parse_rational, rational_roots)
+from logchar.field import (MAX_DIVISOR_STEPS, MAX_ROOT_CANDIDATES, QQ, FactorizationError,
+                           FieldError, NumberField, Scalar, _divisors, _poly_divmod, _poly_mul,
+                           factor_over_Q, parse_rational, rational_roots)
 
 
 def test_rational_basics():
@@ -207,6 +207,21 @@ def test_trial_division_is_bounded():
     with pytest.raises(FactorizationError):
         rational_roots([-(10**24 + 7), 0, 1])
     assert cdvf.FactorizationError is FactorizationError
+
+
+def test_rational_root_candidates_are_bounded():
+    # 2^4 3^4 5^3 7^3 has 400 divisors and 2^4 3^4 5^4 7^3 has 500: the pairs
+    # are allowed up to the bound, and a factor 11 of a_n doubles them
+    a0, an = 2 ** 4 * 3 ** 4 * 5 ** 3 * 7 ** 3, 2 ** 4 * 3 ** 4 * 5 ** 4 * 7 ** 3
+    assert len(_divisors(a0)) * len(_divisors(an)) == MAX_ROOT_CANDIDATES
+    assert rational_roots([a0, 0, an]) == []
+    with pytest.raises(FactorizationError, match=f"needs {2 * MAX_ROOT_CANDIDATES} candidate"):
+        rational_roots([a0, 0, 11 * an])
+    # the quartic resolvent goes through the same search: X^4 + 210 X + 1/720720
+    # needs 240 pairs, while its resolvent z^3 - z/180180 - 210^2, with ends
+    # 210^2 * 180180 and 180180 once cleared, needs 1600 * 144
+    with pytest.raises(FactorizationError, match="needs 230400 candidate pairs"):
+        factor_over_Q([Fraction(1, 720720), 210, 0, 0, 1])
 
 
 def _evaluate(cs, x):

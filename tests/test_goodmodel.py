@@ -27,10 +27,10 @@ from logchar.goodmodel import (
 )
 from logchar.laurent import LaurentPolynomial, twist
 from logchar.modeldoc import parse_model_document
-from logchar.tropical import RadiusProfile, TropicalFn, sorted_profile_linear
+from logchar.tropical import sorted_profile_linear
 
 from test_cycles import cycle_equal, gr_extract_structured, kummer_pullback, scale_exponents
-from test_tropical import g_of_phi
+from test_tropical import g_of_phi, integer_forms
 
 L = LaurentPolynomial
 F = Fraction
@@ -69,20 +69,16 @@ def kedlaya_criterion(model):
     to sorted linearity of both profiles.
     """
     kv = model.kummer_for_var()
-    own = RadiusProfile([
-        (g_of_phi(s.phi, kummer=kv), s.rank) if not s.phi.is_zero
-        else (TropicalFn(model.chart.n, []), s.rank)
-        for s in model.summands])
-    ok_m, _ = sorted_profile_linear(own)
+    n = model.chart.n
+    own = [(g_of_phi(s.phi, kummer=kv) if not s.phi.is_zero else [], s.rank)
+           for s in model.summands]
+    ok_m, _ = sorted_profile_linear(integer_forms(own), n)
     entries = []
     for a, b in itertools.product(model.summands, repeat=2):
         diff = a.phi - b.phi
-        mult = a.rank * b.rank
-        if diff.is_zero:
-            entries.append((TropicalFn(model.chart.n, []), mult))
-        else:
-            entries.append((g_of_phi(diff, kummer=kv), mult))
-    ok_end, _ = sorted_profile_linear(RadiusProfile(entries))
+        entries.append((g_of_phi(diff, kummer=kv) if not diff.is_zero else [],
+                        a.rank * b.rank))
+    ok_end, _ = sorted_profile_linear(integer_forms(entries), n)
     return ok_m and ok_end, (ok_m, ok_end)
 
 

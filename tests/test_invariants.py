@@ -101,7 +101,6 @@ LIBRARY_API = {
     "gen": "NumberField constructor of the generator a, the element the modulus defines",
     "irregularity_multiset": "NewtonPolygon slopes repeated by width",
     "theta_values": "RefinedClass: the rational roots of its residue polynomial",
-    "value_multiset": "RadiusProfile values at a point, as the paper sorts them",
     "variable": "LaurentPolynomial constructor of a coordinate function",
 }
 

@@ -120,7 +120,7 @@ def _fields(cls, rng):
 
 
 def test_every_result_type_is_a_record():
-    assert len(RECORDS) == 21
+    assert len(RECORDS) == 20
     assert set(VALIDATED) <= set(RECORDS)
 
 

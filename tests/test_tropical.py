@@ -11,9 +11,7 @@ from logchar import fme
 from logchar.laurent import LaurentPolynomial
 from logchar.tropical import (
     MAX_RAY_SUBSETS,
-    RadiusProfile,
     RayBudgetError,
-    TropicalFn,
     is_linear_on_octant,
     sorted_profile_linear,
 )
@@ -23,6 +21,12 @@ L = LaurentPolynomial
 
 def E(vars, d):
     return L(vars, d)
+
+
+def radius(n, forms):
+    """The forms of the radius function max(0, <b, r> for b in forms) on n
+    coordinates, the zero form included, each entry a Fraction."""
+    return tuple(sorted({(Fraction(0),) * n} | {tuple(map(Fraction, f)) for f in forms}))
 
 
 def g_of_phi(phi, kummer=None):
@@ -35,25 +39,38 @@ def g_of_phi(phi, kummer=None):
         raise ValueError("phi must be nonzero")
     n = len(phi.vars)
     h = tuple(kummer) if kummer is not None else (1,) * n
-    return TropicalFn(n, [tuple(Fraction(-a, hj) for a, hj in zip(e, h)) for e in phi.terms])
+    return radius(n, [tuple(Fraction(-a, hj) for a, hj in zip(e, h)) for e in phi.terms])
+
+
+def integer_forms(entries):
+    """(forms, multiplicity) pairs with rational forms, every form multiplied
+    by the lcm of all their denominators: the functions scale by one positive
+    number, which keeps every linearity verdict."""
+    den = math.lcm(*(Fraction(x).denominator for fs, _ in entries for f in fs for x in f))
+    return [([tuple(int(x * den) for x in f) for f in fs], mult) for fs, mult in entries]
+
+
+def values(entries, r):
+    """The sorted values at r of (forms, multiplicity) pairs, largest first."""
+    out = []
+    for forms, mult in entries:
+        out.extend([max(sum(b * x for b, x in zip(f, r)) for f in forms)] * mult)
+    return sorted(out, reverse=True)
 
 
 def test_g_of_phi_counterexample_shape():
     phi = E(("x", "y"), {(1, -2): 1})  # x / y^2
     f = g_of_phi(phi)
-    assert set(f.forms) == {(0, 0), (-1, 2)}
-    assert f((1, 0)) == 0
-    assert f((0, 1)) == 2
-    assert f((3, 2)) == 1
+    assert set(f) == {(0, 0), (-1, 2)}
+    assert is_linear_on_octant(integer_forms([(f, 1)])[0][0]) is None
+    assert [values([(f, 1)], r)[0] for r in ((1, 0), (0, 1), (3, 2))] == [0, 2, 1]
 
 
 def test_g_of_phi_monomial_and_regular():
-    f = g_of_phi(E(("x", "y"), {(-2, -3): 1}))
-    ok, wit = is_linear_on_octant(f)
-    assert ok and wit.dominating_form == (2, 3)
-    f = g_of_phi(E(("x", "y"), {(0, 0): 1, (1, 0): 1}))  # 1 + x
-    ok, wit = is_linear_on_octant(f)
-    assert ok and wit.dominating_form == (0, 0)
+    [(f, _)] = integer_forms([(g_of_phi(E(("x", "y"), {(-2, -3): 1})), 1)])
+    assert is_linear_on_octant(f) == (2, 3)
+    [(f, _)] = integer_forms([(g_of_phi(E(("x", "y"), {(0, 0): 1, (1, 0): 1})), 1)])  # 1 + x
+    assert is_linear_on_octant(f) == (0, 0)
     with pytest.raises(ValueError):
         g_of_phi(L.zero(("x",)))
 
@@ -62,64 +79,51 @@ def test_g_of_phi_sharp_projection():
     # x / y^2 in chart order (y, x), restricted to the divisor y = 0: the
     # support exponent (-2, 1) gives the form (2, -1), projected onto the
     # y coordinate to (2,).
-    f = g_of_phi(E(("y", "x"), {(-2, 1): 1}))
-    sharp = TropicalFn(1, [form[:1] for form in f.forms])
-    assert set(sharp.forms) == {(0,), (2,)}
-    ok, wit = is_linear_on_octant(sharp)
-    assert ok and wit.dominating_form == (2,)
+    [(f, _)] = integer_forms([(g_of_phi(E(("y", "x"), {(-2, 1): 1})), 1)])
+    sharp = {form[:1] for form in f}
+    assert sharp == {(0,), (2,)}
+    assert is_linear_on_octant(sharp) == (2,)
+    assert sorted_profile_linear([(sharp, 1)], 1) == (True, (True,))
 
 
 def test_g_of_phi_kummer_scaling():
     phi = E(("x",), {(-3,): 1})
     f = g_of_phi(phi, kummer=(2,))
-    assert set(f.forms) == {(0,), (Fraction(3, 2),)}
-
-
-def test_is_linear_witness_points():
-    f = TropicalFn(2, [(-1, 2)])
-    ok, wit = is_linear_on_octant(f)
-    assert not ok
-    a, b = wit.crossing_points
-    assert {a, b} == {(Fraction(0), Fraction(1)), (Fraction(1), Fraction(0))}
+    assert set(f) == {(0,), (Fraction(3, 2),)}
+    assert integer_forms([(f, 1)]) == [([(0,), (3,)], 1)]
 
 
 def test_is_linear_direct_sum_of_axes():
-    f = TropicalFn(2, [(1, 0), (0, 1)])
-    ok, wit = is_linear_on_octant(f)
-    assert not ok
-    assert wit.crossing_forms is not None
+    assert is_linear_on_octant([(0, 0), (1, 0), (0, 1)]) is None
+    assert is_linear_on_octant([(0, 0), (1, 0), (1, 1)]) == (1, 1)
 
 
 def test_sorted_profile_examples():
-    p1 = RadiusProfile([(g_of_phi(E(("x", "y"), {(-2, -3): 1})), 1)])
-    assert sorted_profile_linear(p1) == (True, (True,))
+    p1 = [(g_of_phi(E(("x", "y"), {(-2, -3): 1})), 1)]
+    assert sorted_profile_linear(integer_forms(p1), 2) == (True, (True,))
 
-    p2 = RadiusProfile([
+    p2 = [
         (g_of_phi(E(("x", "y"), {(-1, 0): 1})), 1),
         (g_of_phi(E(("x", "y"), {(0, -1): 1})), 1),
-    ])
-    ok, verdicts = sorted_profile_linear(p2)
+    ]
+    ok, verdicts = sorted_profile_linear(integer_forms(p2), 2)
     assert not ok
     assert verdicts == (False, False)
 
-    p3 = RadiusProfile([
+    p3 = [
         (g_of_phi(E(("x",), {(-2,): 1})), 1),
         (g_of_phi(E(("x",), {(-1,): 1})), 1),
-    ])
-    assert sorted_profile_linear(p3) == (True, (True, True))
+    ]
+    assert sorted_profile_linear(integer_forms(p3), 1) == (True, (True, True))
 
 
 def test_sorted_profile_order_statistic_fallback():
     # constituents linear but incomparable: r1 vs r2
-    f1 = TropicalFn(2, [(1, 0)])
-    f2 = TropicalFn(2, [(0, 1)])
-    ok, verdicts = sorted_profile_linear(RadiusProfile([(f1, 1), (f2, 1)]))
+    ok, verdicts = sorted_profile_linear([([(1, 0)], 1), ([(0, 1)], 1)], 2)
     assert not ok and verdicts == (False, False)
     # nonlinear constituent but another dominates everywhere:
     # g1 = 2r1+2r2 dominates max(r1, r2); sorted g1 linear, g2 = max nonlinear
-    g1 = TropicalFn(2, [(2, 2)])
-    g2 = TropicalFn(2, [(1, 0), (0, 1)])
-    ok, verdicts = sorted_profile_linear(RadiusProfile([(g1, 1), (g2, 1)]))
+    ok, verdicts = sorted_profile_linear([([(2, 2)], 1), ([(1, 0), (0, 1)], 1)], 2)
     assert not ok and verdicts == (True, False)
 
 
@@ -203,11 +207,13 @@ def _pick(lo, lo_strict, hi, hi_strict):
 # the engine sees only its projection onto those nlog coordinates.
 
 
-def _reference_verdicts(profile, nlog):
-    fns = [fn for fn, mult in profile.entries for _ in range(mult)]
-    n = fns[0].nvars
+def _reference_verdicts(entries, n, nlog):
+    """Per sorted index, whether it is linear; ``entries`` are (forms,
+    multiplicity) pairs of rational forms on n coordinates, the zero form
+    included (``radius``)."""
+    fns = [forms for forms, mult in entries for _ in range(mult)]
     pins = [(tuple(Fraction(-int(k == j)) for k in range(n)), False) for j in range(nlog, n)]
-    candidates = sorted({f for fn in fns for f in fn.forms})
+    candidates = sorted({f for forms in fns for f in forms})
     return tuple(any(not _some_above(fns, i, c, pins) and
                      not _some_below(fns, len(fns) - i + 1, c, pins)
                      for c in candidates)
@@ -217,7 +223,7 @@ def _reference_verdicts(profile, nlog):
 def _some_above(fns, k, cand, pins):
     for subset in itertools.combinations(fns, k):
         # a max of forms exceeds cand iff some form does
-        for choice in itertools.product(*[fn.forms for fn in subset]):
+        for choice in itertools.product(*subset):
             rows = [(tuple(a - b for a, b in zip(form, cand)), True) for form in choice]
             if _fme_point(rows + pins, len(cand)) is not None:
                 return True
@@ -227,19 +233,21 @@ def _some_above(fns, k, cand, pins):
 def _some_below(fns, k, cand, pins):
     for subset in itertools.combinations(fns, k):
         rows = [(tuple(b - a for a, b in zip(form, cand)), True)
-                for fn in subset for form in fn.forms]
+                for forms in subset for form in forms]
         if _fme_point(rows + pins, len(cand)) is not None:
             return True
     return False
 
 
-def _project(profile, nlog):
-    return RadiusProfile([(TropicalFn(nlog, [f[:nlog] for f in fn.forms]), mult)
-                          for fn, mult in profile.entries])
+def _engine_verdicts(entries, nlog):
+    """The engine's decision on the projection onto the first nlog
+    coordinates, its forms scaled to integers."""
+    return sorted_profile_linear([([f[:nlog] for f in fs], mult)
+                                  for fs, mult in integer_forms(entries)], nlog)
 
 
 def _random_profile(rng):
-    """An n-variable profile and the number of coordinates left free."""
+    """An n-variable profile, n and the number of coordinates left free."""
     n = rng.randint(1, 3)
     sharp = rng.choice((False, True))
     nlog = rng.randint(1, n) if sharp else n
@@ -247,17 +255,17 @@ def _random_profile(rng):
     for _ in range(rng.randint(1, 3)):
         forms = [tuple(Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3)))
                        for _ in range(n)) for _ in range(rng.randint(1, 2))]
-        entries.append((TropicalFn(n, forms), rng.choice((1, 1, 2))))
-    return RadiusProfile(entries), nlog
+        entries.append((radius(n, forms), rng.choice((1, 1, 2))))
+    return entries, n, nlog
 
 
 def test_sorted_profile_agrees_with_reference():
     rng = random.Random(41)
     off_fast_path = 0
     for _ in range(80):
-        prof, nlog = _random_profile(rng)
-        ok, verdicts = sorted_profile_linear(_project(prof, nlog))
-        assert verdicts == _reference_verdicts(prof, nlog), (prof.entries, nlog)
+        entries, n, nlog = _random_profile(rng)
+        ok, verdicts = _engine_verdicts(entries, nlog)
+        assert verdicts == _reference_verdicts(entries, n, nlog), (entries, nlog)
         assert ok == all(verdicts)
         off_fast_path += not ok
     assert off_fast_path >= 20
@@ -271,15 +279,15 @@ def _profiles(draw):
     form = st.tuples(*[coeff] * n)
     entries = draw(st.lists(st.tuples(st.lists(form, min_size=1, max_size=2),
                                       st.integers(1, 2)), min_size=1, max_size=3))
-    return RadiusProfile([(TropicalFn(n, forms), mult) for forms, mult in entries]), nlog
+    return [(radius(n, forms), mult) for forms, mult in entries], n, nlog
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
 @given(_profiles())
 def test_sorted_profile_agrees_with_reference_property(case):
-    prof, nlog = case
-    ok, verdicts = sorted_profile_linear(_project(prof, nlog))
-    assert verdicts == _reference_verdicts(prof, nlog)
+    entries, n, nlog = case
+    ok, verdicts = _engine_verdicts(entries, nlog)
+    assert verdicts == _reference_verdicts(entries, n, nlog)
     assert ok == all(verdicts)
 
 
@@ -296,68 +304,49 @@ def _wide_profiles(draw):
         entries.append([draw(st.tuples(*[st.integers(4, 6)] * 3))])
     if draw(st.booleans()):
         entries.append([draw(st.tuples(*[st.integers(-3, 0)] * 3))])
-    fns = [TropicalFn(3, forms) for forms in entries]
-    assume(len({f for fn in fns for f in fn.forms if any(f)}) >= 8)
-    return RadiusProfile([(fn, 1) for fn in fns])
+    fns = [radius(3, forms) for forms in entries]
+    assume(len({f for forms in fns for f in forms if any(f)}) >= 8)
+    return [(forms, 1) for forms in fns]
 
 
 @settings(derandomize=True, deadline=None, max_examples=25)
 @given(_wide_profiles())
-def test_wide_profiles_agree_with_reference(prof):
-    ok, verdicts = sorted_profile_linear(prof)
-    assert verdicts == _reference_verdicts(prof, 3)
+def test_wide_profiles_agree_with_reference(entries):
+    ok, verdicts = _engine_verdicts(entries, 3)
+    assert verdicts == _reference_verdicts(entries, 3, 3)
     assert ok == all(verdicts)
 
 
 def test_sorted_profile_refuses_past_the_ray_budget():
     # 1/x_1 + ... + 1/x_8: the unit forms are pairwise incomparable, so the
     # 8 coordinate walls and 28 walls e_i - e_j give C(36, 7) choices
-    fn = TropicalFn(8, [tuple(int(k == j) for k in range(8)) for j in range(8)])
+    units = [tuple(int(k == j) for k in range(8)) for j in range(8)]
     start = time.perf_counter()
     with pytest.raises(RayBudgetError, match=str(math.comb(36, 7))):
-        sorted_profile_linear(RadiusProfile([(fn, 1)]))
+        sorted_profile_linear([(units, 1)], 8)
     assert time.perf_counter() - start < 0.5
     # the same kind of profile on 4 coordinates has C(10, 3) = 120 choices
-    fn = TropicalFn(4, [tuple(int(k == j) for k in range(4)) for j in range(4)])
+    units = [tuple(int(k == j) for k in range(4)) for j in range(4)]
     assert math.comb(10, 3) <= MAX_RAY_SUBSETS
-    assert sorted_profile_linear(RadiusProfile([(fn, 1)])) == (False, (False,))
+    assert sorted_profile_linear([(units, 1)], 4) == (False, (False,))
 
 
 def test_sorted_profile_rank10_middle_block():
     # A = max(0, 3x - y) x3, B = max(0, 3y - x) x3, C = x + y x4: at most one of
     # A, B lies above C and at most one below, so g_4 .. g_7 are C everywhere
-    prof = RadiusProfile([(TropicalFn(2, [(3, -1)]), 3), (TropicalFn(2, [(-1, 3)]), 3),
-                          (TropicalFn(2, [(1, 1)]), 4)])
+    prof = [([(3, -1)], 3), ([(-1, 3)], 3), ([(1, 1)], 4)]
     start = time.perf_counter()
-    ok, verdicts = sorted_profile_linear(prof)
+    ok, verdicts = sorted_profile_linear(prof, 2)
     assert time.perf_counter() - start < 5.0
     assert not ok
     assert verdicts == (False,) * 3 + (True,) * 4 + (False,) * 3
 
 
 def test_profile_dimension_mismatch():
-    f1 = TropicalFn(2, [(1, 0)])
-    f2 = TropicalFn(1, [(1,)])
-    with pytest.raises(ValueError):
-        RadiusProfile([(f1, 1), (f2, 1)])
-
-
-def _random_tropical(rng, n):
-    forms = [tuple(Fraction(rng.randint(-3, 4)) for _ in range(n))
-             for _ in range(rng.randint(1, 4))]
-    return TropicalFn(n, forms)
-
-
-def test_homogeneity_and_convexity_random():
-    rng = random.Random(17)
-    for _ in range(50):
-        f = _random_tropical(rng, 3)
-        r = tuple(Fraction(rng.randint(0, 6), rng.randint(1, 4)) for _ in range(3))
-        s = tuple(Fraction(rng.randint(0, 6), rng.randint(1, 4)) for _ in range(3))
-        lam = Fraction(rng.randint(1, 9), rng.randint(1, 5))
-        assert f(tuple(lam * x for x in r)) == lam * f(r)
-        mid = tuple((a + b) / 2 for a, b in zip(r, s))
-        assert f(mid) <= (f(r) + f(s)) / 2
+    with pytest.raises(ValueError, match="forms of 2 entries"):
+        sorted_profile_linear([([(1, 0)], 1), ([(1,)], 1)], 2)
+    with pytest.raises(ValueError, match="positive multiplicity"):
+        sorted_profile_linear([([(1, 0)], 1), ([(0, 1)], 0)], 2)
 
 
 def test_linearity_agrees_with_grid_oracle():
@@ -365,21 +354,15 @@ def test_linearity_agrees_with_grid_oracle():
     grid = sorted({Fraction(a, b) for b in (1, 2, 3, 5, 8) for a in range(0, 9)})
     pts = [(x, y) for x in grid for y in grid]
     for _ in range(40):
-        f = _random_tropical(rng, 2)
-        ok, wit = is_linear_on_octant(f)
-        if ok:
-            form = wit.dominating_form
-            assert all(f(p) == form[0] * p[0] + form[1] * p[1] for p in pts)
-        else:
-            # grid oracle: no single form matches f on the whole grid
-            for form in f.forms:
-                assert any(f(p) != form[0] * p[0] + form[1] * p[1] for p in pts)
-            # and the witness is a genuine strict crossing
-            a, b = wit.crossing_points
-            fa, fb = wit.crossing_forms
-            da = sum(x * y for x, y in zip(fa, a)) - sum(x * y for x, y in zip(fb, a))
-            db = sum(x * y for x, y in zip(fa, b)) - sum(x * y for x, y in zip(fb, b))
-            assert da > 0 and db < 0
+        forms = radius(2, [tuple(rng.randint(-3, 4) for _ in range(2))
+                           for _ in range(rng.randint(1, 4))])
+        top = is_linear_on_octant(forms)
+        matches = [form for form in forms
+                   if all(values([(forms, 1)], p)[0] == form[0] * p[0] + form[1] * p[1]
+                          for p in pts)]
+        # grid oracle: the dominating form matches the function on the whole
+        # grid, and with none no single form does
+        assert matches == ([] if top is None else [top])
 
 
 def test_full_mode_monotone_in_nonlog_coordinates():
@@ -400,10 +383,10 @@ def test_full_mode_monotone_in_nonlog_coordinates():
                 phis.append(p)
         if not phis:
             continue
-        prof = RadiusProfile([(g_of_phi(p), 1) for p in phis])
+        prof = [(g_of_phi(p), 1) for p in phis]
         r = tuple(Fraction(rng.randint(0, 5)) for _ in range(3))
         r2 = (r[0], r[1] + rng.randint(0, 4), r[2] + rng.randint(0, 4))
-        v1, v2 = prof.value_multiset(r), prof.value_multiset(r2)
+        v1, v2 = values(prof, r), values(prof, r2)
         for i in range(1, len(v1) + 1):
             assert sum(v1[:i]) >= sum(v2[:i])
 
