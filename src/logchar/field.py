@@ -16,10 +16,11 @@ Rat = Union[int, Fraction]
 
 MAX_FIELD_DEGREE = 6
 MAX_DIVISOR_STEPS = 10 ** 6  # trial divisions allowed per integer in _divisors
-# candidate pairs (p, q), p | a_0 and q | a_n, that rational_roots may test.  A
-# coprime pair costs 1.3-5.7 us at degree 2-12 (CPython 3.11 on one core of a
-# shared 2-core Xeon) and a pair that shares a factor about 0.1 us, so the
-# bound is about 1 s at degree 12
+# candidate pairs (p, q), p | a_0 and q | a_n, that rational_roots may test at
+# degree n <= 12.  A coprime pair costs 1.3-5.7 us at degree 2-12 (CPython 3.11
+# on one core of a shared 2-core Xeon) and a pair that shares a factor about
+# 0.1 us, so the bound is about 1 s at degree 12; a Horner test grows with n,
+# so past degree 12 the bound is scaled by 12 / n
 MAX_ROOT_CANDIDATES = 200_000
 
 
@@ -87,7 +88,8 @@ def rational_roots(coeffs):
     sum_i a_i p^i q^(n-i) = 0, evaluated by Horner.  The divisors still come
     from trial division, O(sqrt|a_0| + sqrt|a_n|) steps; past
     MAX_DIVISOR_STEPS for either integer, or past MAX_ROOT_CANDIDATES pairs
-    (p, q), it raises FactorizationError before testing any candidate.
+    (p, q) at degree n <= 12 and MAX_ROOT_CANDIDATES * 12 / n pairs at a
+    higher degree, it raises FactorizationError before testing any candidate.
     """
     cs = _poly_trim([Fraction(c) for c in coeffs])
     if len(cs) <= 1:
@@ -105,9 +107,10 @@ def rational_roots(coeffs):
         lower = ints[-2::-1]
         nums, dens = _divisors(ints[0]), _divisors(ints[-1])
         pairs = len(nums) * len(dens)
-        if pairs > MAX_ROOT_CANDIDATES:
+        bound = MAX_ROOT_CANDIDATES * 12 // max(len(lower), 12)
+        if pairs > bound:
             raise FactorizationError(f"the rational-root search needs {pairs} candidate "
-                                     f"pairs, more than {MAX_ROOT_CANDIDATES}")
+                                     f"pairs, more than {bound}")
         for p in nums:
             for q in dens:
                 if gcd(p, q) != 1:

@@ -501,7 +501,7 @@ def zcar_prime(model: GoodModel) -> LogCycle:
     """
     chart = model.chart
     log = chart.log_indices
-    parts = [(ZeroSection(), Fraction(model.rank))]
+    parts = [(ZeroSection(), model.rank)]
     for s, pole, row, gradient in zip(model.summands, model.poles, model.base_poles,
                                       model.log_gradients()):
         if not any(pole):
@@ -510,6 +510,6 @@ def zcar_prime(model: GoodModel) -> LogCycle:
             if b == 0:
                 continue
             entries = twist(gradient, pole, log, on=j)
-            parts.append((DivisorLine(name, Direction(entries), 1, row),
+            parts.append((DivisorLine(name, Direction(entries), row),
                           line_multiplicity(s.rank, b, name)))
-    return LogCycle(chart.stamp(), parts).finalize()
+    return LogCycle(chart.stamp(), parts)

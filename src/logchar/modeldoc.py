@@ -42,6 +42,13 @@ def _expect(cond, msg):
         raise SchemaError(msg)
 
 
+def _list(obj, key, name):
+    """obj[key], [] when absent; anything but a JSON list is refused."""
+    value = obj.get(key, [])
+    _expect(isinstance(value, list), f"{name} must be a list")
+    return value
+
+
 def _is_int(x, low=None) -> bool:
     """Whether x is a JSON integer, at least ``low`` when given.  JSON true
     and false are Python bools, an int subclass, and are refused."""
@@ -64,10 +71,8 @@ def parse_model_document(doc: dict) -> ModelDocument:
             "document needs a 'model' or a 'monomial_module' block")
     geometry = _parse_geometry(doc.get("geometry"))
     chern = _parse_chern(doc.get("chern"), geometry)
-    points = doc.get("points", [])
-    _expect(isinstance(points, list), "points must be a list")
     return ModelDocument(chart, model, monomial, geometry, chern,
-                         tuple(parse_point(p, chart) for p in points))
+                         tuple(parse_point(p, chart) for p in _list(doc, "points", "points")))
 
 
 def _parse_field(spec) -> NumberField:
@@ -171,7 +176,7 @@ def _parse_monomial_module(spec, chart: Chart) -> MonomialLogModule:
                 "each generator carries an integer degree")
         degrees.append(g.get("degree", 0))
     rels = []
-    for r in spec.get("relations", []):
+    for r in _list(spec, "relations", "monomial_module.relations"):
         _expect(isinstance(r, dict), "relations must be objects")
         gen = r.get("gen", 0)
         x_exp = r.get("x_exp")
@@ -200,16 +205,17 @@ def _parse_geometry(spec):
         genus = spec.get("genus", 0)
         _expect(_is_int(genus, 0), "genus must be a natural number")
         punctures = []
-        for p in spec.get("punctures", []):
+        for p in _list(spec, "punctures", "geometry.punctures"):
             _expect(isinstance(p, dict) and "name" in p, "puncture needs a name")
-            irrs = tuple(parse_rational(str(v)) for v in p.get("irregularities", []))
+            irrs = tuple(parse_rational(str(v)) for v in
+                         _list(p, "irregularities", f"irregularities at {p['name']}"))
             punctures.append((str(p["name"]), irrs))
         return Curve(genus, tuple(punctures))
     if kind == "surface":
         chi_U = spec.get("chi_U")
         _expect(_is_int(chi_U), "surface needs integral chi_U")
         comps = []
-        for c in spec.get("components", []):
+        for c in _list(spec, "components", "geometry.components"):
             _expect(isinstance(c, dict) and "name" in c and _is_int(
                 c.get("chi_open")), "component needs name and integral chi_open")
             comps.append((str(c["name"]), c["chi_open"]))

@@ -12,14 +12,14 @@ from fractions import Fraction
 
 import pytest
 
-from logchar.cdvf import (DiffOperator, GAUGE_PARTIAL, newton_polygon,
-                          orbit_integrality_violations, refined_residue)
+from logchar.cdvf import DiffOperator, GAUGE_PARTIAL, newton_polygon, refined_residue
 from logchar.cli import main as cli_main
 from logchar.cycles import (ChartStamp, Direction, LogCycle,
                             MonomialLogModule, ZeroSection, hilbert_dim,
                             monomial_char_cycle)
 from logchar.euler import (Curve, IntegralityError, Surface, chi_EP, derham_oracle_curve,
                            integrality_check, kashiwara_dubson, reconcile_geometry)
+from logchar.field import descend
 from logchar.goodmodel import (Chart, GoodModel, ModelSummand, clean_at_point,
                                irregularity_divisor,
                                validate_good_decomposition, zcar_prime)
@@ -300,7 +300,8 @@ def test_criterion_10_integrality_battery():
                                            [S("t", c) for c in coeffs]))
         assert poly.total_irregularity.denominator == 1
 
-    # orbit integrality on pure-slope residue classes of the suite operators
+    # descent on pure-slope residue classes of the suite operators: q lies in
+    # Q[X^h] on the cover t = s^h
     suite = [
         (rank1_operator(S("t", {-2: 1})), F(2)),
         (rank1_operator(S("t", {-1: 3})), F(1)),
@@ -309,7 +310,7 @@ def test_criterion_10_integrality_battery():
     ]
     for op, slope in suite:
         ref = refined_residue(op, newton_polygon(op), slope)
-        assert not orbit_integrality_violations(ref)
+        assert descend(ref.residue_poly[::-1], ref.kummer) is not None
         assert ref.residue_poly[-1] != 0  # q(0) != 0
 
     # chi integrality: the guard trips on inconsistent rational input
@@ -318,7 +319,7 @@ def test_criterion_10_integrality_battery():
     with pytest.raises(IntegralityError):
         chi_EP([(1, (F(1, 2),))], Curve(0, (("0", (F(1, 2),)),)))
     assert integrality_check(F(8)) == 8
-    _report(10, "100 polygons integral; orbit and chi integrality enforced")
+    _report(10, "100 polygons integral; descent holds; chi integrality enforced")
 
 
 def test_criterion_10b_cli_exit_4_on_violation(tmp_path, capsys):

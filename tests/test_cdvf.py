@@ -15,16 +15,15 @@ from logchar.cdvf import (
     FactorizationError,
     NewtonPolygon,
     OperatorError,
-    OrbitClass,
     RefinedClass,
     cyclic_vector,
     newton_polygon,
-    orbit_integrality_violations,
     refined_residue,
 )
 from logchar.cdvf import (_apply_derivation, _face_polynomial, _maximal_minors,
                           _signed_stirling_first)
 from logchar.cycles import ChartStamp, CycleError, Direction, DivisorLine, LogCycle, ZeroSection
+from logchar.field import descend
 from logchar.laurent import LaurentPolynomial
 from logchar.modeldoc import load_json, parse_operator_document
 from logchar.series import LaurentSeries, PrecisionError
@@ -165,14 +164,13 @@ def local_zcar_rank1(phi, rank, chart_vars, cdvf_var_name=None):
         raise OperatorError("rank must be positive")
     m = phi.min_exponent(j0)
     b = -(m if m is not None else 0)
-    parts = [(ZeroSection(), Fraction(rank))]
+    parts = [(ZeroSection(), rank)]
     if b > 0:
         entries = reference_theta_on_divisor(phi, (j0,), j0)
         if entries[j0].is_zero:
             raise CycleError("leading refined coefficient vanished for a positive slope")
-        parts.append((DivisorLine(name, Direction(entries), 1, (Fraction(b),)),
-                      Fraction(rank * b)))
-    return LogCycle(chart, parts).finalize()
+        parts.append((DivisorLine(name, Direction(entries), (Fraction(b),)), rank * b))
+    return LogCycle(chart, parts)
 
 
 # -- brute-force radius oracle -----------------------------------------------
@@ -323,7 +321,6 @@ def test_refined_residue_rank1():
     assert ref.theta_values() == [-2]
     assert len(ref.orbits) == 1
     assert ref.orbits[0].residue_degree == 1
-    assert not orbit_integrality_violations(ref)
 
 
 def test_refined_residue_direct_sum():
@@ -337,7 +334,6 @@ def test_refined_residue_direct_sum():
     assert ref.residue_poly == (1, 0, -1)  # X^2 - 1
     assert sorted(ref.theta_values()) == [-1, 1]
     assert len(ref.orbits) == 2
-    assert not orbit_integrality_violations(ref)
 
 
 def test_refined_residue_kummer():
@@ -348,7 +344,7 @@ def test_refined_residue_kummer():
     # the two rational roots are swapped by the cover twist: one class
     assert len(ref.orbits) == 1
     assert ref.orbits[0].dimension == 2
-    assert not orbit_integrality_violations(ref)
+    assert descend(ref.residue_poly[::-1], 2) == [-4, 1]
 
 
 def test_refined_residue_polygon_count(monkeypatch):
@@ -452,8 +448,10 @@ def test_face_read_on_base_matches_pulled_back_operator():
             want = _face_or_error(face_on_cover, op, b)
             if want is not PrecisionError:
                 cover_poly, want = want
-                # the cover polygon is the base polygon stretched by h
+                # the cover polygon is the base polygon stretched by h, and
+                # its face polynomial descends: it lies in Q[X^h]
                 assert cover_poly.vertices == tuple((i, h * v) for i, v in poly.vertices)
+                assert descend(want[::-1], h) is not None, (op, b)
             assert _face_or_error(_face_polynomial, op, poly, b) == want, (op, b)
             seen[h, want is PrecisionError] += 1
     assert all(seen[h, False] >= 10 for h in range(1, 7)), seen
@@ -489,20 +487,6 @@ def test_refined_residue_irrational_orbit():
     assert len(ref.orbits) == 1
     assert ref.orbits[0].residue_degree == 2
     # Hasse-Arf: dim * slope / r = 2 * 1 / 2 = 1
-    assert not orbit_integrality_violations(ref)
-
-
-def test_integrality_violations_flag_descent():
-    half = F(1, 2)
-    pair = OrbitClass(((F(1), F(0), F(-80)),), 1, 2, 2, (F(1), F(-80)))
-    assert orbit_integrality_violations(RefinedClass(half, 2, (1, 0, -80), (pair,))) == []
-    # X^2 + X - 2 = (X - 1)(X + 2) has odd terms, and X - 1 odd degree: neither
-    # is a face polynomial of an operator over Q((t)) on the cover t = s^2
-    for q in ((1, 1, -2), (1, -1)):
-        assert orbit_integrality_violations(RefinedClass(half, 2, q, ())) \
-            == ["q is not in Q[X^2]"]
-    cube = OrbitClass(((F(1), F(0), F(0), F(-2)),), 1, 3, 3, (F(1), F(-2)))
-    assert orbit_integrality_violations(RefinedClass(F(2, 3), 3, (1, 0, 0, -2), (cube,))) == []
 
 
 def _face_operator(q, B, h):
@@ -640,7 +624,7 @@ def test_classes_by_descent_random():
         poly = newton_polygon(op)
         assert poly.slopes == ((F(-B, h), len(q) - 1),)
         ref = refined_residue(op, poly, F(B, h))
-        assert ref.residue_poly == tuple(q) and not orbit_integrality_violations(ref)
+        assert ref.residue_poly == tuple(q) and descend(q[::-1], h) is not None
         assert {orb.descent: orb.multiplicity for orb in ref.orbits} == Ps
         product = [F(1)]
         for orb in ref.orbits:

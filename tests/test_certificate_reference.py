@@ -149,7 +149,7 @@ def _reference_divisor_theta(phi, chart, j):
 
 def _reference_zcar_prime(model):
     chart = model.chart
-    parts = [(ZeroSection(), Fraction(model.rank))]
+    parts = [(ZeroSection(), model.rank)]
     log = chart.log_indices
     for s in model.summands:
         pole = _reference_pole(s.phi, log)
@@ -164,9 +164,9 @@ def _reference_zcar_prime(model):
             entries = [_restrict(t, j) for t in theta]
             if entries[j].is_zero:
                 raise CycleError(f"leading refined coefficient of D({name}) vanishes")
-            parts.append((DivisorLine(name, Direction(entries), 1, row),
+            parts.append((DivisorLine(name, Direction(entries), row),
                           line_multiplicity(s.rank, row[k], name)))
-    return LogCycle(chart.stamp(), parts).finalize()
+    return LogCycle(chart.stamp(), parts)
 
 
 def _outcome(fn, *args):

@@ -433,20 +433,6 @@ def test_newton_json_lists_the_factors_of_each_class_lift(tmp_path, capsys):
                                "orbit r=2 dim=2 factors=['X^2 + 4']"]
 
 
-def test_newton_exits_4_on_a_residue_outside_descent(tmp_path, capsys, monkeypatch):
-    # no operator over Q((t)) has a face polynomial outside Q[X^h]; a face
-    # read that broke descent gets no class, reports it and exits 4
-    from logchar import cdvf
-    monkeypatch.setattr(cdvf, "_face_polynomial",
-                        lambda op, poly, b: (Fraction(1), Fraction(1), Fraction(-2)))
-    op = {"schema": 1, "gauge": "d/dt", "order": 2, "coeffs": [[], [[-3, "-20"]]]}
-    f = write(tmp_path, "op.json", op)
-    code, out, err = run(capsys, "newton", f, "--json")
-    assert (code, err) == (4, "orbit integrality violated\n")
-    (entry,) = json.loads(out)["refined"]
-    assert (entry["orbits"], entry["violations"]) == ([], ["q is not in Q[X^2]"])
-
-
 def test_newton_refuses_to_factor_a_25_digit_residue(tmp_path, capsys):
     # d^2 - (10^24+7) t^-4: the residue X^2 - (10^24+7) needs the divisors of
     # a 25-digit integer, beyond the trial-division bound
@@ -478,6 +464,39 @@ def test_newton_refuses_a_rational_root_search_past_the_pair_budget(tmp_path, ca
     (entry,) = json.loads(out)["refined"]
     assert entry == {"slope": "1", "error": "the rational-root search needs 45158400 "
                      f"candidate pairs, more than {field.MAX_ROOT_CANDIDATES}"}
+
+
+def test_newton_charges_the_rational_root_search_by_degree(tmp_path, capsys):
+    # D^200 + c t^-200, c = 349272000/19187821783: the residue X^200 + c has
+    # 840 * 144 = 120,960 candidate pairs, under the bound at degree <= 12
+    # but past it at degree 200, where each Horner test is 200 steps long
+    op = {"schema": 1, "gauge": "t*d/dt", "order": 200,
+          "coeffs": [[] for _ in range(199)] + [[[-200, "349272000/19187821783"]]]}
+    f = write(tmp_path, "op.json", op)
+    start = perf_counter()
+    code, out, err = run(capsys, "newton", f, "--json")
+    assert perf_counter() - start < 1
+    assert code == 0 and err == ""
+    bound = field.MAX_ROOT_CANDIDATES * 12 // 200
+    (entry,) = json.loads(out)["refined"]
+    assert entry == {"slope": "1", "error": "the rational-root search needs 120960 "
+                     f"candidate pairs, more than {bound}"}
+
+
+def test_newton_refuses_a_gauge_change_past_the_product_bound(tmp_path, capsys):
+    # a d/dt operator of order 600, the highest allowed, with 20 terms in each
+    # coefficient: its change to the log gauge needs 20 * (600 + ... + 1) + 601
+    # products, refused before the Stirling table is built
+    from logchar.cdvf import MAX_GAUGE_PRODUCTS
+    n = 600
+    op = {"schema": 1, "gauge": "d/dt", "order": n,
+          "coeffs": [[[e, "1"] for e in range(-i, 20 - i)] for i in range(1, n + 1)]}
+    start = perf_counter()
+    code, out, err = run(capsys, "newton", write(tmp_path, "op.json", op))
+    assert perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == (f"refused: changing an operator of order {n} to the log gauge needs "
+                   f"3606601 products, more than {MAX_GAUGE_PRODUCTS}\n")
 
 
 def test_newton_refuses_an_order_past_the_bound(tmp_path, capsys):
@@ -863,8 +882,9 @@ OPERATOR = {"schema": 1, "gauge": "t*d/dt", "order": 1, "coeffs": [[[-1, "1"]]]}
 CHERN_SURFACE = dict(KATO_SURFACE, chern={"c2": "0", "c1_dot_D": ["0", "0"]})
 NUMBER_FIELD_MODEL = dict(E_X3_CURVE, field={"base": "number_field", "modulus": ["-2", 0, 1]})
 
-# (field, document, path, JSON boolean, command): the parent of each path
-# otherwise holds an integer (a rational for coeff, c2, c1_dot_D and modulus)
+# (field, document, path, JSON value, command): a JSON boolean where the
+# parent of each path otherwise holds an integer (a rational for coeff, c2,
+# c1_dot_D and modulus), then a number or a string where it holds a list
 BOOLEAN_CASES = [
     ("schema", E_X3_CURVE, ("schema",), True, "irr"),
     ("rank", E_X3_CURVE, ("model", 0, "rank"), True, "irr"),
@@ -887,6 +907,14 @@ BOOLEAN_CASES = [
     ("operator schema", OPERATOR, ("schema",), True, "newton"),
     ("order", OPERATOR, ("order",), True, "newton"),
     ("operator exponent", OPERATOR, ("coeffs", 0, 0, 0), True, "newton"),
+    ("punctures", E_X3_CURVE, ("geometry", "punctures"), 2, "chi"),
+    ("irregularities", E_X3_CURVE, ("geometry", "punctures", 1, "irregularities"), 3,
+     "chi"),
+    # a string would be read character by character, "12" as [1, 2]
+    ("irregularities string", E_X3_CURVE, ("geometry", "punctures", 1, "irregularities"),
+     "3", "chi"),
+    ("components", KATO_SURFACE, ("geometry", "components"), 2, "chi"),
+    ("relations", CAUTION_MODULE, ("monomial_module", "relations"), 1, "zcar"),
 ]
 
 

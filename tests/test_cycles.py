@@ -10,7 +10,6 @@ from logchar.cycles import (
     CycleError,
     Direction,
     DivisorLine,
-    IntegralityError,
     LogCycle,
     LowerDim,
     MonomialLogModule,
@@ -28,9 +27,9 @@ A1 = ChartStamp(("x",), ("x",))
 A2 = ChartStamp(("x", "y"), ("x", "y"))
 
 
-def line(chart, div, theta, mult, row=None, cover=1):
+def line(chart, div, theta, mult, row=None):
     entries = [L.constant(chart.vars, t) for t in theta]
-    return (DivisorLine(div, Direction(entries), cover, row), Fraction(mult))
+    return (DivisorLine(div, Direction(entries), row), mult)
 
 
 # -- reference operations on cycles ------------------------------------------
@@ -73,8 +72,7 @@ def _lines_match(a, b):
         for comp, m in c.lines():
             for g in groups:
                 rep = g[0]
-                if rep.divisor == comp.divisor and rep.cover_degree == comp.cover_degree \
-                        and rep.direction.proportional_to(comp.direction):
+                if rep.divisor == comp.divisor and rep.direction.proportional_to(comp.direction):
                     g[1] += m
                     break
             else:
@@ -88,8 +86,8 @@ def _lines_match(a, b):
         for i, (comp2, m2) in enumerate(gb):
             if used[i]:
                 continue
-            if comp2.divisor == comp.divisor and comp2.cover_degree == comp.cover_degree \
-                    and m == m2 and comp.direction.proportional_to(comp2.direction):
+            if comp2.divisor == comp.divisor and m == m2 \
+                    and comp.direction.proportional_to(comp2.direction):
                 used[i] = True
                 break
         else:
@@ -126,34 +124,10 @@ def kummer_pullback(c, h):
             if row is not None:
                 row = tuple(r * h.get(name, 1)
                             for r, name in zip(row, chart.log_vars))
-            parts.append((DivisorLine(comp.divisor, direction, comp.cover_degree, row),
-                          m * hj))
+            parts.append((DivisorLine(comp.divisor, direction, row), m * hj))
         else:
             parts.append((comp, m))
     return LogCycle(chart, parts)
-
-
-def pushforward_from_cover(c, orbits, residue_degrees=None):
-    """Merge Galois-conjugate divisor lines of a cover cycle.
-
-    ``orbits`` partitions the line components (by index into c.lines()); each
-    orbit becomes one line carrying the summed multiplicity and the orbit's
-    residue degree as cover degree.  Non-line components pass through, and
-    the result must be integral.
-    """
-    lines = c.lines()
-    seen = sorted(i for orbit in orbits for i in orbit)
-    if seen != list(range(len(lines))):
-        raise CycleError("orbits must partition the line components")
-    parts = [(comp, m) for comp, m in c.parts if not isinstance(comp, DivisorLine)]
-    for k, orbit in enumerate(orbits):
-        total = sum(lines[i][1] for i in orbit)
-        rep, _ = lines[orbit[0]]
-        if any(lines[i][0].divisor != rep.divisor for i in orbit):
-            raise CycleError("an orbit must stay over one divisor")
-        deg = residue_degrees[k] if residue_degrees is not None else 1
-        parts.append((DivisorLine(rep.divisor, rep.direction, deg, rep.row), total))
-    return LogCycle(c.chart, parts).finalize()
 
 
 def gr_extract_structured(chart, b_vector, theta, rank, row=None):
@@ -171,7 +145,7 @@ def gr_extract_structured(chart, b_vector, theta, rank, row=None):
         raise CycleError("one pole order per log divisor required")
     if any(b < 0 for b in bs):
         raise CycleError("pole orders must be nonnegative")
-    parts = [(ZeroSection(), Fraction(rank))]
+    parts = [(ZeroSection(), rank)]
     if any(bs):
         entries = [e if isinstance(e, L) else L.constant(chart.vars, e) for e in theta]
         if len(entries) != chart.n:
@@ -185,8 +159,8 @@ def gr_extract_structured(chart, b_vector, theta, rank, row=None):
             if red.is_zero:
                 raise CycleError(f"direction coordinate of {name} vanishes along its divisor")
             restricted = Direction([restrict_to_zero(p, j) for p in entries])
-            parts.append((DivisorLine(name, restricted, 1, row_t), Fraction(rank * b)))
-    return LogCycle(chart, parts).finalize()
+            parts.append((DivisorLine(name, restricted, row_t), rank * b))
+    return LogCycle(chart, parts)
 
 
 def test_cycle_equal_basics():
@@ -238,7 +212,7 @@ def reference_direction_key(direction):
 
 def reference_key(comp):
     if isinstance(comp, DivisorLine):
-        return (1, comp.divisor, reference_direction_key(comp.direction), comp.cover_degree)
+        return (1, comp.divisor, reference_direction_key(comp.direction))
     return comp.sort_key()
 
 
@@ -248,8 +222,8 @@ def reference_same_component(a, b):
     if isinstance(a, ZeroSection):
         return True
     if isinstance(a, DivisorLine):
-        return (a.divisor == b.divisor and a.cover_degree == b.cover_degree
-                and a.row == b.row and a.direction.proportional_to(b.direction))
+        return (a.divisor == b.divisor and a.row == b.row
+                and a.direction.proportional_to(b.direction))
     return a == b
 
 
@@ -258,7 +232,6 @@ def reference_report_lines(parts):
     one, then the parts sorted by the reference key."""
     merged = []
     for comp, mult in parts:
-        mult = Fraction(mult)
         if mult == 0:
             continue
         for i, (c, m) in enumerate(merged):
@@ -268,7 +241,7 @@ def reference_report_lines(parts):
         else:
             merged.append((comp, mult))
     merged.sort(key=lambda cm: reference_key(cm[0]))
-    return [c.describe(m if m.denominator != 1 else m.numerator) for c, m in merged]
+    return [c.describe(m) for c, m in merged]
 
 
 def _random_entry(rng, chart, field):
@@ -306,13 +279,12 @@ def _seeded_parts(seed):
             entries[0] = L.constant(chart.vars, c, field)
         row = (Fraction(rng.randint(1, 3)),) * chart.m
         divisor = chart.log_vars[0] if k < len(leads) else rng.choice(chart.log_vars)
-        parts.append((DivisorLine(divisor, Direction(entries), rng.choice((1, 1, 2)), row),
-                      rng.randint(1, 4)))
+        parts.append((DivisorLine(divisor, Direction(entries), row), rng.randint(1, 4)))
         if rng.random() < 0.3:
             comp = parts[-1][0]
             scale = field(Fraction(rng.choice((-2, 3)), rng.choice((1, 5))))
             again = Direction([p * scale for p in comp.direction.entries])
-            parts.append((DivisorLine(comp.divisor, again, comp.cover_degree, comp.row), 1))
+            parts.append((DivisorLine(comp.divisor, again, comp.row), 1))
     return chart, parts
 
 
@@ -338,10 +310,10 @@ def test_seeded_parts_cover_every_kind_of_line():
     assert kinds >= {QQ, Q2, "merged", "unmerged"}
 
 
-def test_finalize_rejects_fractions():
-    c = LogCycle(A1, [line(A1, "x", (1,), Fraction(1, 2))])
-    with pytest.raises(IntegralityError):
-        c.finalize()
+def test_cycle_refuses_a_multiplicity_that_is_not_a_positive_int():
+    for mult in (Fraction(1, 2), Fraction(2), -1):
+        with pytest.raises(CycleError):
+            LogCycle(A1, [line(A1, "x", (1,), mult)])
 
 
 def test_kummer_pullback_rules():
@@ -365,29 +337,6 @@ def test_kummer_pullback_direction_scaling():
     assert mult == 4
     want = Direction([L.constant(A2.vars, -4), L.constant(A2.vars, -3)])
     assert comp.direction.proportional_to(want)
-
-
-def test_pushforward_merges_conjugates():
-    cover = LogCycle(A1, [(ZeroSection(), 2),
-                          line(A1, "x", (1,), Fraction(1, 2)),
-                          line(A1, "x", (-1,), Fraction(1, 2))])
-    # the two direction classes [1] and [-1] coincide projectively, so they
-    # already merged; regroup explicitly as one orbit
-    lines = cover.lines()
-    assert len(lines) == 1 and lines[0][1] == 1
-    pushed = pushforward_from_cover(cover, [[0]], [1])
-    assert pushed.finalize().lines()[0][1] == 1
-
-    # distinct conjugate directions on a surface chart
-    cov2 = LogCycle(A2, [line(A2, "x", (1, 1), Fraction(1, 2)),
-                         line(A2, "x", (1, -1), Fraction(1, 2))])
-    pushed2 = pushforward_from_cover(cov2, [[0, 1]], [2])
-    (comp, mult), = pushed2.lines()
-    assert mult == 1 and comp.cover_degree == 2
-
-    with pytest.raises(IntegralityError):
-        pushforward_from_cover(
-            LogCycle(A2, [line(A2, "x", (1, 1), Fraction(1, 2))]), [[0]], [1])
 
 
 def test_gr_extract_examples():

@@ -130,7 +130,7 @@ def test_kashiwara_dubson_curve():
     chart = ChartStamp(("x",), ("x",))
     one = L.constant(("x",), 1)
     cyc = LogCycle(chart, [(ZeroSection(), 1),
-                           (DivisorLine("x", Direction([one * -3]), 1, (F(3),)), 3)])
+                           (DivisorLine("x", Direction([one * -3]), (F(3),)), 3)])
     geom = Curve(0, (("x", (F(3),)), ("inf", (F(0),))))
     assert kashiwara_dubson(cyc, geom) == -3
     # a line over a divisor the geometry does not name is refused
@@ -156,13 +156,13 @@ def test_kashiwara_dubson_surface_matches_kato():
     row = (F(2), F(3))
     cyc = LogCycle(chart, [
         (ZeroSection(), 1),
-        (DivisorLine("x", Direction([one * -2, one * -3]), 1, row), 2),
-        (DivisorLine("y", Direction([one * -2, one * -3]), 1, row), 3),
+        (DivisorLine("x", Direction([one * -2, one * -3]), row), 2),
+        (DivisorLine("y", Direction([one * -2, one * -3]), row), 3),
     ])
     geom = Surface(1, (("x", 1), ("y", 1)), ((0, 1), (1, 0)))
     assert kashiwara_dubson(cyc, geom) == 8
     with pytest.raises(GeometryError):
-        bad = LogCycle(chart, [(DivisorLine("x", Direction([one]), 1, None), 1)])
+        bad = LogCycle(chart, [(DivisorLine("x", Direction([one]), None), 1)])
         kashiwara_dubson(bad, geom)
 
 
