@@ -4,18 +4,23 @@ Conventions.  Operators and connection matrices have their coefficients in
 Q((t)), as LaurentSeries in t; a constant given in their place becomes the
 constant series.  A DiffOperator is monic of order d with coefficients
 c_1..c_d, either in the derivation d/dt ("d/dt" gauge) or in the logarithmic
-derivation t d/dt ("t*d/dt" gauge).  Gauge changes use the exact identities
-t^k (d/dt)^k = D(D-1)..(D-k+1) for D = t d/dt, so only constant-coefficient
-Stirling data enters.  Connection matrices are exact; the only coefficients
-known to a precision bound are those of the annihilator ``cyclic_vector``
-returns, each a quotient of minors known to 32 terms past its valuation, and
-the Newton polygon certifies what it reads against that bound.
+derivation t d/dt ("t*d/dt" gauge), and is read in the gauge it is given.
+Connection matrices are exact; the only coefficients known to a precision
+bound are those of the annihilator ``cyclic_vector`` returns, each a quotient
+of minors known to 32 terms past its valuation, and the Newton polygon
+certifies what it reads against that bound.
 
-The Newton polygon lives on the points (i, v(c_i)) of the log gauge, lower
-convex hull from (0, 0).  A face of slope sigma and width w contributes the
-irregularity max(0, -sigma) with multiplicity w; faces beyond the last finite
-point contribute zeros.  This normalization is pinned by the rank-1 twist
-attached to t^{-b} (irregularity b) and by Euler operators (irregularity 0).
+The Newton polygon is Malgrange's: the lower convex hull from (0, 0) of the
+points (i, v(c_i)) of the log gauge, or (i, v(c_i) + i) of the d/dt gauge, up
+to its last face of negative slope, then the horizontal ray to (d, last
+height).  It is the same in both gauges: with D = t d/dt,
+t^k (d/dt)^k = D(D-1)..(D-k+1), so a d/dt coefficient c_i gives the log-gauge
+point (i, v(c_i) + i) plus points to its right at the same height, which lie
+above every face of negative slope (Malgrange, Enseign. Math. 20, 1974).  A
+face of slope sigma and width w contributes the irregularity -sigma with
+multiplicity w, the ray zeros.  This normalization is pinned by the rank-1
+twist attached to t^{-b} (irregularity b) and by Euler operators
+(irregularity 0).
 
 Refined residues along a face of positive slope b are face polynomials of the
 monic annihilator: their roots are the leading twisted eigenvalues theta, the
@@ -27,7 +32,6 @@ back.
 
 from __future__ import annotations
 
-from functools import cache
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
@@ -37,26 +41,10 @@ from .series import LaurentSeries, PrecisionError
 
 GAUGE_PARTIAL = "d/dt"
 GAUGE_LOG = "t*d/dt"
-# the highest order a d/dt operator may have: its change to the log gauge
-# builds a table of order^2 Stirling numbers of about order digits each.  On
-# one-term coefficients, ``newton`` takes 0.7 s and 110 MB peak RSS at order
-# 600, 1.1 s and 164 MB at order 700 (CPython 3.11 on one core of a shared
-# 2-core Xeon); memory grows about as order^3
-MAX_OPERATOR_ORDER = 600
-# the products of a Stirling number and a coefficient term that the change
-# to the log gauge may make, sum_i terms(c_i) * (d - i + 1) with c_0 = 1.  One
-# costs about 3 us at order 200-400 and 5 us at order 600 (same machine), so
-# the bound is 1-1.5 s; one-term coefficients stay under it to order 600
-MAX_GAUGE_PRODUCTS = 300_000
 
 
 class OperatorError(ValueError):
     pass
-
-
-class OrderBudgetError(ValueError):
-    """A d/dt operator of order above MAX_OPERATOR_ORDER, or one whose change
-    to the log gauge needs more than MAX_GAUGE_PRODUCTS products."""
 
 
 class DiffOperator:
@@ -90,62 +78,13 @@ class DiffOperator:
             return LaurentSeries.constant(1)
         return self.coeffs[self.order - 1 - k]
 
-    def to_log_gauge(self) -> "DiffOperator":
-        """The same operator in the log gauge; accepts either gauge and
-        returns a log-gauge operator as it is, so callers convert once and
-        pass the result on."""
-        if self.gauge == GAUGE_LOG:
-            return self
-        d = self.order
-        if d > MAX_OPERATOR_ORDER:
-            raise OrderBudgetError(f"changing an operator of order {d} to the log gauge "
-                                   f"needs Stirling numbers past order {MAX_OPERATOR_ORDER}")
-        cs = (LaurentSeries.constant(1),) + self.coeffs
-        # c_i enters the coefficients of D^0 .. D^(d-i)
-        products = sum(len(c.terms) * (d - i + 1) for i, c in enumerate(cs))
-        if products > MAX_GAUGE_PRODUCTS:
-            raise OrderBudgetError(f"changing an operator of order {d} to the log gauge "
-                                   f"needs {products} products, more than {MAX_GAUGE_PRODUCTS}")
-        stir1 = _signed_stirling_first(d)
-        # times t^d, the coefficient of D^j is sum_i s(d-i, j) t^i c_i, built
-        # as one exponent map and one precision per j
-        coeffs = []
-        for j in reversed(range(d)):
-            terms, prec = {}, None
-            for i in range(d - j + 1):
-                s = stir1[d - i][j]
-                if not s:
-                    continue
-                c = cs[i]
-                if c.prec is not None and (prec is None or c.prec + i < prec):
-                    prec = c.prec + i
-                for e, x in c.terms.items():
-                    if s != 1:
-                        x *= s
-                    old = terms.get(e + i)
-                    terms[e + i] = x if old is None else old + x
-            coeffs.append(LaurentSeries("t", terms, prec))
-        return DiffOperator(GAUGE_LOG, coeffs)
-
-
-@cache
-def _signed_stirling_first(n):
-    """table[k][j]: coefficient of D^j in D(D-1)...(D-k+1), as ints; one
-    immutable table per order n."""
-    rows = [(1,) + (0,) * n]
-    for k in range(1, n + 1):
-        prev = rows[-1]
-        rows.append(tuple((prev[j - 1] if j else 0) - (k - 1) * prev[j]
-                          for j in range(n + 1)))
-    return tuple(rows)
-
 
 # -- Newton polygon ----------------------------------------------------------
 
 
 class NewtonPolygon(Record):
     vertices: Tuple[Tuple[int, int], ...]
-    slopes: Tuple[Tuple[Fraction, int], ...]          # (slope, width), +inf tail omitted
+    slopes: Tuple[Tuple[Fraction, int], ...]          # (slope, width), ray last
     irregularities: Tuple[Tuple[Fraction, int], ...]  # (value, multiplicity), sorted desc
     order: int
 
@@ -165,36 +104,38 @@ def newton_polygon(op: DiffOperator) -> NewtonPolygon:
 
     Every coefficient must either be exactly zero or carry a certified
     valuation; an all-zero coefficient at finite precision is accepted only
-    when its precision bound already lies above the hull.
+    when its precision bound, shifted as its point is, already lies on or
+    above the polygon.
     """
-    logop = op.to_log_gauge()
-    d = logop.order
+    d = op.order
+    shift = op.gauge == GAUGE_PARTIAL
     points = [(0, 0)]
     uncertain = []
-    for i, c in enumerate(logop.coeffs, start=1):
+    for i, c in enumerate(op.coeffs, start=1):
         try:
             v = c.valuation()
         except PrecisionError:
             uncertain.append((i, c.prec))
             continue
         if v is not None:  # an exact zero gives no point
-            points.append((i, v))
+            points.append((i, v + shift * i))
     hull = _lower_hull(points)
-    for i, bound in uncertain:
-        if _hull_height(hull, i) > bound:
+    # up to the last face of negative slope, then the horizontal ray
+    last = next((k for k in range(1, len(hull)) if hull[k][1] >= hull[k - 1][1]), len(hull))
+    del hull[last:]
+    if hull[-1][0] < d:
+        hull.append((d, hull[-1][1]))
+    for i, prec in uncertain:
+        if _hull_height(hull, i) > prec + shift * i:
             raise PrecisionError(
-                f"coefficient {i} is zero to O(t^{bound}) but the polygon needs it")
+                f"coefficient {i} is zero to O(t^{prec}) but the polygon needs it")
     slopes = []
     irregularities = {}
     for (i0, v0), (i1, v1) in zip(hull, hull[1:]):
         width = i1 - i0
         sigma = Fraction(v1 - v0, width)
         slopes.append((sigma, width))
-        irr = max(Fraction(0), -sigma)
-        irregularities[irr] = irregularities.get(irr, 0) + width
-    tail = d - hull[-1][0]
-    if tail:
-        irregularities[Fraction(0)] = irregularities.get(Fraction(0), 0) + tail
+        irregularities[-sigma] = irregularities.get(-sigma, 0) + width
     irr_sorted = tuple(sorted(irregularities.items(), reverse=True))
     return NewtonPolygon(tuple(hull), tuple(slopes), irr_sorted, d)
 
@@ -216,18 +157,9 @@ def _lower_hull(points):
 
 
 def _hull_height(hull, i):
-    """Height below which a point at abscissa i would change the irregularities.
-
-    Between vertices this is the hull itself; past the last vertex any point
-    at or above the last height only adds nonnegative-slope tail faces, which
-    carry zero irregularity.
-    """
-    if i <= hull[-1][0]:
-        for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-            if x1 <= i <= x2:
-                return y1 + (y2 - y1) * Fraction(i - x1, x2 - x1)
-        return hull[0][1]
-    return hull[-1][1]
+    """Height of the polygon at abscissa i, 0 < i <= its order."""
+    (x1, y1), (x2, y2) = next(seg for seg in zip(hull, hull[1:]) if seg[1][0] >= i)
+    return y1 + (y2 - y1) * Fraction(i - x1, x2 - x1)
 
 
 # -- refined residues --------------------------------------------------------
@@ -335,25 +267,28 @@ def _face_polynomial(op, poly, b):
 
     The cover's log-gauge coefficients are h^i c_i(s^h), so its polygon is
     ``poly`` stretched vertically by h, and the face is read on the base
-    operator: the s^(h v0 - B l) coefficient is h^(i0+l) times the
-    t^(v0 - B l/h) coefficient of c_(i0+l) when h | l, and 0 otherwise.  It
-    is known below s^(h prec), as on the pulled-back series.
+    operator: the s^(h v0 - B l) coefficient is h^i times the t^(v0 - B l/h)
+    coefficient of the log-gauge c_i, i = i0 + l, when h | l, and 0
+    otherwise.  In the d/dt gauge that is the t^(v0 - B l/h - i) coefficient
+    of c_i, since the other terms of the change of gauge lie above the face.
+    It is known below s^(h prec), h (prec + i) in the d/dt gauge, as on the
+    pulled-back series.
     """
     if b <= 0:
         raise OperatorError("refined residues require a positive slope")
     face = next((k for k, (sigma, _) in enumerate(poly.slopes) if sigma == -b), None)
     if face is None:
         raise OperatorError(f"{b} is not an irregularity slope of the operator")
-    op = op.to_log_gauge()
+    shift = op.gauge == GAUGE_PARTIAL
     h, B = b.denominator, b.numerator
     (i0, v0), (i1, _) = poly.vertices[face:face + 2]
     qs = []
-    for l in range(i1 - i0 + 1):
-        c = op.coefficient_of_power(op.order - i0 - l)
-        e = h * v0 - B * l
+    for i in range(i0, i1 + 1):
+        c = op.coefficient_of_power(op.order - i)
+        e = h * (v0 - shift * i) - B * (i - i0)
         if c.prec is not None and e >= h * c.prec:
             raise PrecisionError(f"face coefficient at t^{e} beyond known precision")
-        qs.append(h ** (i0 + l) * c.terms.get(e // h, 0) if e % h == 0 else 0)
+        qs.append(h ** i * c.terms.get(e // h, 0) if e % h == 0 else 0)
     return tuple(x / qs[0] for x in qs)
 
 
@@ -431,4 +366,4 @@ def cyclic_vector(A) -> DiffOperator:
         cs = [(minors[j] if (d - j) % 2 == 0 else -minors[j]) / det
               for j in reversed(range(d))]
         return DiffOperator(GAUGE_PARTIAL, cs)
-    raise OperatorError("no deterministic candidate is cyclic at the working precision")
+    raise OperatorError(f"each of the {d} deterministic candidates has det W exactly 0")

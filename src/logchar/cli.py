@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 
-from .cdvf import FactorizationError, OrderBudgetError, newton_polygon, refined_residue
+from .cdvf import FactorizationError, newton_polygon, refined_residue
 from .cycles import IntegralityError, hilbert_dim, monomial_char_cycle
 from .euler import GeometryError, OracleBudgetError, WindowError, chi_EP, \
     derham_oracle_curve, kashiwara_dubson, reconcile_geometry
@@ -33,8 +33,8 @@ EXIT_ASSERTION = 4
 # (error classes, exit code, message prefix); any other exception propagates
 ERRORS = (
     ((IntegralityError,), EXIT_ASSERTION, "internal assertion failure"),
-    ((FactorizationError, RayBudgetError, OracleBudgetError, ExpansionBudgetError,
-      OrderBudgetError), EXIT_INVALID, "refused"),
+    ((FactorizationError, RayBudgetError, OracleBudgetError, ExpansionBudgetError),
+     EXIT_INVALID, "refused"),
     ((SchemaError, GeometryError, PrecisionError, WindowError, ValueError),
      EXIT_INVALID, "invalid input"),
 )
@@ -246,7 +246,7 @@ def cmd_chi(args) -> int:
 
 
 def cmd_newton(args) -> int:
-    op = parse_operator_document(load_json(args.file)).to_log_gauge()
+    op = parse_operator_document(load_json(args.file))
     poly = newton_polygon(op)
     lines = [f"order: {poly.order}",
              "vertices: " + " ".join(f"({i},{v})" for i, v in poly.vertices),

@@ -1,5 +1,6 @@
 import glob
 import itertools
+import math
 import os
 import random
 from collections import Counter
@@ -20,8 +21,7 @@ from logchar.cdvf import (
     newton_polygon,
     refined_residue,
 )
-from logchar.cdvf import (_apply_derivation, _face_polynomial, _maximal_minors,
-                          _signed_stirling_first)
+from logchar.cdvf import _apply_derivation, _face_polynomial, _maximal_minors
 from logchar.cycles import ChartStamp, CycleError, Direction, DivisorLine, LogCycle, ZeroSection
 from logchar.field import descend
 from logchar.laurent import LaurentPolynomial
@@ -51,7 +51,40 @@ def residue(op, b):
     return refined_residue(op, newton_polygon(op), b)
 
 
-# -- the d/dt gauge: reference inverse of DiffOperator.to_log_gauge ----------
+# -- the two gauges: reference expansions both ways ---------------------------
+
+
+def _signed_stirling_first(n):
+    """table[k][j]: coefficient of D^j in D(D-1)...(D-k+1), for k, j <= n."""
+    rows = [[1] + [0] * n]
+    for k in range(1, n + 1):
+        prev = rows[-1]
+        rows.append([(prev[j - 1] if j else 0) - (k - 1) * prev[j] for j in range(n + 1)])
+    return rows
+
+
+def to_log_gauge(op):
+    """The operator in the log gauge, from t^k (d/dt)^k = D(D-1)..(D-k+1):
+    times t^d, the coefficient of D^j is sum_i s(d-i, j) t^i c_i, known below
+    the least c_i.prec + i that enters it.  A log-gauge operator is returned
+    as it is."""
+    if op.gauge == GAUGE_LOG:
+        return op
+    d = op.order
+    stir1 = _signed_stirling_first(d)
+    coeffs = []
+    for j in reversed(range(d)):
+        terms, prec = {}, None
+        for i in range(d - j + 1):
+            s, c = stir1[d - i][j], op.coefficient_of_power(d - i)
+            if not s:
+                continue
+            if c.prec is not None and (prec is None or c.prec + i < prec):
+                prec = c.prec + i
+            for e, x in c.terms.items():
+                terms[e + i] = terms.get(e + i, 0) + s * x
+        coeffs.append(S("t", terms, prec))
+    return DiffOperator(GAUGE_LOG, coeffs)
 
 
 def _stirling_second(n):
@@ -232,21 +265,17 @@ def test_polygon_half_slope():
 
 def test_polygon_gauge_conversion_round_trip():
     p = op_partial({-3: 2, 0: 1}, {-1: 5})
-    q = to_partial_gauge(p.to_log_gauge())
+    q = to_partial_gauge(to_log_gauge(p))
     assert p.coeffs == q.coeffs
-    assert irr(p) == irr(p.to_log_gauge())
+    assert irr(p) == irr(to_log_gauge(p))
 
 
 def test_signed_stirling_rows_are_falling_factorials():
     for n in range(11):
         table = _signed_stirling_first(n)
-        assert table is _signed_stirling_first(n)
-        with pytest.raises(TypeError):
-            table[n][0] = 0
         falling = [1]  # ascending coefficients of D(D-1)...(D-k+1)
         for k in range(n + 1):
-            assert table[k] == tuple(falling) + (0,) * (n + 1 - len(falling))
-            assert all(type(x) is int for x in table[k])
+            assert table[k] == falling + [0] * (n + 1 - len(falling))
             falling = [a - k * b for a, b in zip([0] + falling, falling + [0])]
 
 
@@ -270,8 +299,8 @@ GOLDEN_OPS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "golden", 
 @pytest.mark.parametrize("path", GOLDEN_OPS, ids=os.path.basename)
 def test_polygon_and_refined_residue_same_in_either_gauge_golden(path):
     op = parse_operator_document(load_json(path))
-    logop = op.to_log_gauge()
-    assert logop.gauge == GAUGE_LOG and logop.to_log_gauge() is logop
+    logop = to_log_gauge(op)
+    assert logop.gauge == GAUGE_LOG and to_log_gauge(logop) is logop
     assert _polygon_and_refined(op) == _polygon_and_refined(logop)
 
 
@@ -284,9 +313,61 @@ def test_polygon_and_refined_residue_same_in_either_gauge_random():
                   for _ in range(rng.randint(1, 4))]
         op = op_partial(*coeffs)
         want = _polygon_and_refined(op)
-        assert _polygon_and_refined(op.to_log_gauge()) == want
+        assert _polygon_and_refined(to_log_gauge(op)) == want
         refined += sum(isinstance(r, RefinedClass) for r in want)
     assert refined >= 20
+
+
+def malgrange_reference(logop):
+    """Vertices and irregularity multiset of Malgrange's polygon of an exact
+    log-gauge operator, by brute force: its height at x is the least height
+    of the lower hull of the points (i, v(c_i)) at an abscissa <= x, and the
+    hull's height at an integer is the least height there of a point or of a
+    chord between two points."""
+    d = logop.order
+    pts = [(0, 0)] + [(i, c.valuation()) for i, c in enumerate(logop.coeffs, start=1)
+                      if not c.is_exactly_zero]
+
+    def hull_at(x):
+        return min([F(y) for px, y in pts if px == x]
+                   + [y0 + F((y1 - y0) * (x - x0), x1 - x0)
+                      for x0, y0 in pts for x1, y1 in pts if x0 < x < x1], default=math.inf)
+
+    heights = list(itertools.accumulate(map(hull_at, range(d + 1)), min))
+    steps = [b - a for a, b in zip(heights, heights[1:])]
+    vertices = tuple((x, heights[x]) for x in range(d + 1)
+                     if x in (0, d) or steps[x - 1] != steps[x])
+    return vertices, tuple(sorted((-s for s in steps), reverse=True))
+
+
+def test_malgrange_polygon_and_faces_in_either_gauge_random():
+    # 4,000 exact operators of order 1-7, each drawn in the d/dt or the log
+    # gauge and read in both: the polygon is the brute-force Malgrange
+    # polygon of the log-gauge expansion, the polygon and every refined
+    # residue or error are those of that expansion, and every face polynomial
+    # of positive irregularity is the one read on the pulled-back operator
+    rng = random.Random(26)
+    seen = Counter()
+    for _ in range(4000):
+        gauge = rng.choice((GAUGE_PARTIAL, GAUGE_LOG))
+        op = DiffOperator(gauge, [
+            S("t", {e: F(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 2))
+                    for e in range(-9, 2) if rng.random() < 0.25})
+            for _ in range(rng.randint(1, 7))])
+        logop, partial = to_log_gauge(op), to_partial_gauge(op)
+        assert to_log_gauge(partial).coeffs == logop.coeffs
+        want = _polygon_and_refined(logop)
+        assert _polygon_and_refined(partial) == want
+        poly = want[0]
+        assert (poly.vertices, poly.irregularity_multiset()) == malgrange_reference(logop)
+        for b, _ in poly.irregularities:
+            if b > 0:
+                q = face_on_cover(logop, b)[1]
+                assert _face_polynomial(partial, poly, b) == _face_polynomial(logop, poly, b) == q
+                seen["face", b.denominator > 1] += 1
+        seen["ray"] += poly.slopes[-1][0] == 0
+    assert seen["face", False] >= 2000 and seen["face", True] >= 500, seen
+    assert seen["ray"] >= 1000, seen
 
 
 def test_polygon_total_integrality_random():
@@ -363,7 +444,7 @@ def test_refined_residue_polygon_count(monkeypatch):
         poly = newton_polygon(op)
         ref = refined_residue(op, poly, b)
         assert calls == []
-        assert ref == refined_residue(op.to_log_gauge(), poly, b)
+        assert ref == refined_residue(to_log_gauge(op), poly, b)
 
 
 # -- the Kummer pullback: reference for the face read on the base ------------
@@ -379,7 +460,7 @@ def substitute_power(f, h, scale=1):
 def kummer(op, h):
     """Substitute t -> t^h in log gauge: coefficients pull back and the
     log derivation rescales by 1/h, so c_i picks up h^i."""
-    op = op.to_log_gauge()
+    op = to_log_gauge(op)
     return DiffOperator(GAUGE_LOG, [substitute_power(c, h, h ** i)
                                     for i, c in enumerate(op.coeffs, start=1)])
 
@@ -424,7 +505,7 @@ def test_face_read_on_base_matches_pulled_back_operator():
     # read on the cover t = s^h, or both reads raise PrecisionError
     rng = random.Random(14)
     seen = Counter()
-    for _ in range(400):
+    for _ in range(1000):
         coeffs = _random_log_coeffs(rng)
         try:
             poly = newton_polygon(DiffOperator(GAUGE_LOG, coeffs))
@@ -476,6 +557,77 @@ def _random_log_coeffs(rng):
                       if rng.random() < 0.4})
               for i in range(1, w)]
     return coeffs + [S("t", {-B * w // h: value(), 1 - B * w // h: value()})]
+
+
+def _polygon_and_faces(op):
+    """The polygon and each face polynomial of positive irregularity, with
+    PrecisionError standing for a read that raised it."""
+    poly = _face_or_error(newton_polygon, op)
+    if poly is PrecisionError:
+        return [poly]
+    return [poly] + [_face_or_error(_face_polynomial, op, poly, b)
+                     for b, _ in poly.irregularities if b > 0]
+
+
+def _completed(op, rng):
+    """The operator with each bounded coefficient made exact by random terms
+    from its bound on."""
+    return DiffOperator(op.gauge, [
+        c if c.prec is None else
+        S("t", {**c.terms, **{e: rng.randint(-2, 2) for e in range(c.prec, c.prec + 3)}})
+        for c in op.coeffs])
+
+
+def _random_bounded_partial(rng):
+    """A d/dt operator of order 1-6 with some coefficients known only to a
+    bound; when its polygon has a lattice point inside a face of negative
+    slope, one such point is replaced by a bound at or one above the face."""
+    coeffs = [S("t", {e: F(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3))
+                      for e in range(-9, 2) if rng.random() < 0.3},
+                rng.randint(-8, 2) if rng.random() < 0.3 else None)
+              for _ in range(rng.randint(1, 6))]
+    try:
+        poly = newton_polygon(DiffOperator(GAUGE_PARTIAL, coeffs))
+    except PrecisionError:
+        return DiffOperator(GAUGE_PARTIAL, coeffs)
+    inside = [(i, v0 + sigma * (i - i0))
+              for (i0, v0), (sigma, w) in zip(poly.vertices, poly.slopes) if sigma < 0
+              for i in range(i0 + 1, i0 + w)]
+    inside = [(i, int(y)) for i, y in inside if y.denominator == 1]
+    if inside:
+        i, y = rng.choice(inside)
+        coeffs[i - 1] = S("t", {}, y - i + rng.randint(0, 1))
+    return DiffOperator(GAUGE_PARTIAL, coeffs)
+
+
+def test_polygon_and_faces_read_in_the_d_dt_gauge_within_its_bounds():
+    # d/dt operators with coefficients known to O(t^p), and the annihilators
+    # cyclic_vector returns for conjugated companions.  In the log-gauge
+    # expansion c_j is known only below the least c_i.prec + i, i <= j; in the
+    # d/dt gauge c_i is read against prec + i.  The polygon and every face
+    # read raise PrecisionError or answer exactly as on the expansion, and a
+    # read that answers is the one of two exact completions of the operator
+    rng = random.Random(27)
+    ops = [(False, _random_bounded_partial(rng)) for _ in range(1500)]
+    for _ in range(30):
+        source = op_partial(*[{e: rng.randint(-3, 3) for e in range(-5, 2) if rng.random() < 0.3}
+                              for _ in range(rng.randint(2, 4))])
+        A = _unitriangular_conjugate(companion_matrix(source), rng)
+        ops.append((True, cyclic_vector(A)))
+    seen = Counter()
+    for cyclic, op in ops:
+        got = _polygon_and_faces(op)
+        assert got == _polygon_and_faces(to_log_gauge(op)), op
+        for _ in range(2):
+            exact = _polygon_and_faces(to_log_gauge(_completed(op, rng)))
+            if got[0] is not PrecisionError:
+                assert got[0] == exact[0], op
+                assert all(g is PrecisionError or g == x for g, x in zip(got, exact)), op
+        for k, g in enumerate(got):
+            seen[cyclic, k > 0, g is PrecisionError] += 1
+    for face in (False, True):
+        assert seen[False, face, False] >= 100 and seen[False, face, True] >= 20, seen
+    assert seen[True, True, False] >= 10, seen
 
 
 def test_refined_residue_irrational_orbit():
@@ -909,7 +1061,7 @@ def _reference_cyclic_vector(A):
             Wj = [[W[i][k] if k != j else rhs[i] for k in range(d)] for i in range(d)]
             coeffs.append(reference_quotient(_reference_det(Wj), det))
         return DiffOperator(GAUGE_PARTIAL, [-coeffs[d - 1 - i] for i in range(d)])
-    raise OperatorError("no deterministic candidate is cyclic at the working precision")
+    raise OperatorError(f"each of the {d} deterministic candidates has det W exactly 0")
 
 
 def _random_matrix(rng, d, exact):

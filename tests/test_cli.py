@@ -483,39 +483,44 @@ def test_newton_charges_the_rational_root_search_by_degree(tmp_path, capsys):
                      f"candidate pairs, more than {bound}"}
 
 
-def test_newton_refuses_a_gauge_change_past_the_product_bound(tmp_path, capsys):
-    # a d/dt operator of order 600, the highest allowed, with 20 terms in each
-    # coefficient: its change to the log gauge needs 20 * (600 + ... + 1) + 601
-    # products, refused before the Stirling table is built
-    from logchar.cdvf import MAX_GAUGE_PRODUCTS
+def test_newton_answers_a_dense_order_600_operator(tmp_path, capsys):
+    # a d/dt operator of order 600 with 20 terms in each coefficient, c_i from
+    # t^-i: every point (i, v(c_i) + i) is at height 0, so the polygon is the
+    # horizontal ray and no coefficient is read past its leading term
     n = 600
     op = {"schema": 1, "gauge": "d/dt", "order": n,
           "coeffs": [[[e, "1"] for e in range(-i, 20 - i)] for i in range(1, n + 1)]}
+    f = write(tmp_path, "op.json", op)
     start = perf_counter()
-    code, out, err = run(capsys, "newton", write(tmp_path, "op.json", op))
+    code, out, err = run(capsys, "newton", f, "--json")
     assert perf_counter() - start < 1
-    assert (code, out) == (2, "")
-    assert err == (f"refused: changing an operator of order {n} to the log gauge needs "
-                   f"3606601 products, more than {MAX_GAUGE_PRODUCTS}\n")
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["irregularities"] == [["0", n]]
+    assert payload["vertices"] == [[0, "0"], [n, "0"]]
 
 
-def test_newton_refuses_an_order_past_the_bound(tmp_path, capsys):
-    # the d/dt operator d^n + t^-1, n one past the bound, is refused before
-    # its change to the log gauge builds the Stirling table
-    from logchar.cdvf import MAX_OPERATOR_ORDER
-    n = MAX_OPERATOR_ORDER + 1
-    op = {"schema": 1, "gauge": "d/dt", "order": n,
-          "coeffs": [[] for _ in range(n - 1)] + [[[-1, "1"]]]}
-    start = perf_counter()
-    code, out, err = run(capsys, "newton", write(tmp_path, "op.json", op))
-    assert perf_counter() - start < 1
-    assert (code, out) == (2, "")
-    assert err == (f"refused: changing an operator of order {n} to the log gauge needs "
-                   f"Stirling numbers past order {MAX_OPERATOR_ORDER}\n")
-    # in the log gauge no table is built, and the same order is answered
-    code, out, _ = run(capsys, "newton", write(tmp_path, "op.json", dict(op, gauge="t*d/dt")),
-                       "--json")
-    assert code == 0 and json.loads(out)["irregularities"] == [[f"1/{n}", n]]
+def test_newton_order_601_same_in_either_gauge(tmp_path, capsys):
+    # d^n + t^-1 with n = 601, and the same operator in the log gauge:
+    # t^n d^n = D(D-1)..(D-n+1), so t^n (d^n + t^-1) has the signed Stirling
+    # numbers s(n, n-i) as the constant coefficients c_i and c_n = t^(n-1)
+    n = 601
+    falling = [1]  # ascending coefficients of D(D-1)...(D-k+1)
+    for k in range(n):
+        falling = [a - k * b for a, b in zip([0] + falling, falling + [0])]
+    partial = {"schema": 1, "gauge": "d/dt", "order": n,
+               "coeffs": [[] for _ in range(n - 1)] + [[[-1, "1"]]]}
+    log = {"schema": 1, "gauge": "t*d/dt", "order": n,
+           "coeffs": [[[0, str(falling[n - i])]] for i in range(1, n)] + [[[n - 1, "1"]]]}
+    outs = []
+    for doc in (partial, log):
+        start = perf_counter()
+        code, out, err = run(capsys, "newton", write(tmp_path, "op.json", doc), "--json")
+        assert perf_counter() - start < 1
+        assert code == 0 and err == ""
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["irregularities"] == [["0", n]]
 
 
 def test_clean_refuses_past_the_ray_budget(tmp_path, capsys):
