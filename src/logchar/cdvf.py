@@ -36,6 +36,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
 from .field import FactorizationError, factor_over_Q
+from .fme import maximal_minors
 from .record import Record
 from .series import LaurentSeries, PrecisionError
 
@@ -295,57 +296,32 @@ def _face_polynomial(op, poly, b):
 # -- cyclic vectors ----------------------------------------------------------
 
 
-def _mat_vec(A, v):
-    n = len(v)
-    return [sum((A[i][j] * v[j] for j in range(n)), LaurentSeries.zero()) for i in range(n)]
-
-
 def _apply_derivation(A, v):
     """d/dt on coordinates: v' + A v."""
-    return [vi.derivative() + wi for vi, wi in zip(v, _mat_vec(A, v))]
-
-
-def _maximal_minors(M):
-    """Maximal minors of a d x (d+1) matrix of series, by Laplace expansion
-    along the rows: the minors on the first k rows are built once, keyed by
-    their column set, from those on the first k - 1 rows.  Division-free,
-    fewer than (d+1) * 2^d products.  Entry m of the result is the minor
-    without column m.
-    """
-    d = len(M)
-    minors = {0: LaurentSeries.constant(1)}
-    for k, row in enumerate(M):
-        nxt = {}
-        for cols, minor in minors.items():
-            for j, entry in enumerate(row):
-                if cols >> j & 1 or entry.is_exactly_zero:
-                    continue
-                # row k is the last row of the new minor; column j sits at
-                # position popcount(cols below j) among its columns
-                term = entry * minor
-                if (k + bin(cols & ((1 << j) - 1)).count("1")) % 2:
-                    term = -term
-                key = cols | 1 << j
-                nxt[key] = term if key not in nxt else nxt[key] + term
-        minors = nxt
-    full = (1 << (d + 1)) - 1
-    zero = LaurentSeries.zero()
-    return [minors.get(full ^ 1 << m, zero) for m in range(d + 1)]
+    return [vi.derivative() + sum((a * x for a, x in zip(row, v)), LaurentSeries.zero())
+            for vi, row in zip(v, A)]
 
 
 def cyclic_vector(A) -> DiffOperator:
     """Monic annihilator of a cyclic vector of the connection matrix A.
 
-    A is the matrix of the derivation d/dt on a chosen basis, of any rank d,
-    with exact entries: an entry with a precision bound raises
+    A is the matrix of the derivation d/dt on a chosen basis, square of any
+    rank d >= 1, with exact entries: an entry with a precision bound raises
     PrecisionError.  The deterministic candidates are e_1, e_1 + t e_2,
     e_1 + t e_2 + t^2 e_3, ..., accepted when the derivative matrix
-    W = [v, v', .., v^(d-1)] has a nonzero determinant.  The determinant and
-    the Cramer numerators for W u = v^(d) are the maximal minors of
-    [W | v^(d)], all exact; each coefficient is one quotient of them, known
-    to 32 terms past its valuation.
+    W = [v, v', .., v^(d-1)] has a nonzero determinant.  The signed maximal
+    minors m_0, .., m_d of [W | v^(d)] (``fme.maximal_minors``) span its
+    kernel, so they are m_d (-u_0, .., -u_(d-1), 1) with W u = v^(d) and
+    m_d = +-det W: the annihilator d^d - sum_j u_j d^j has the coefficient
+    m_j / m_d at d^j, one quotient known to 32 terms past its valuation.
     """
     d = len(A)
+    if not d:
+        raise OperatorError("the connection matrix is empty")
+    for i, row in enumerate(A):
+        if len(row) != d:
+            raise OperatorError(f"row {i} of the connection matrix has length {len(row)}, "
+                                f"not {d}")
     A = [[c if isinstance(c, LaurentSeries) else LaurentSeries.constant(c) for c in row]
          for row in A]
     zero = LaurentSeries.zero()
@@ -354,16 +330,7 @@ def cyclic_vector(A) -> DiffOperator:
         iterates = [v]
         for _ in range(d):
             iterates.append(_apply_derivation(A, iterates[-1]))
-        minors = _maximal_minors([[iterates[j][i] for j in range(d + 1)]
-                                  for i in range(d)])
-        det = minors[d]
-        if det.is_exactly_zero:
-            continue
-        # Cramer: u_j = det(W with column j replaced by v^(d)) / det, and
-        # moving v^(d) there from the last column takes d - 1 - j
-        # transpositions; the annihilator partial^d - sum_j u_j partial^j
-        # has coefficient -u_j at partial^j
-        cs = [(minors[j] if (d - j) % 2 == 0 else -minors[j]) / det
-              for j in reversed(range(d))]
-        return DiffOperator(GAUGE_PARTIAL, cs)
+        m = maximal_minors([[w[i] for w in iterates] for i in range(d)])
+        if m[d]:
+            return DiffOperator(GAUGE_PARTIAL, [m[j] / m[d] for j in reversed(range(d))])
     raise OperatorError(f"each of the {d} deterministic candidates has det W exactly 0")

@@ -1,55 +1,66 @@
-"""The vertex ray cut out of the octant by n - 1 integer walls.
+"""The engine's one exact elimination, and the vertex ray of n - 1 walls.
 
-``tropical.sorted_profile_linear`` asks, for each choice of n - 1 walls
-(the rows of an integer matrix W with n columns), for the ray of the octant
-on which every wall vanishes.  When W has rank n - 1 its kernel is the line
-spanned by the signed maximal minors v_j = (-1)^j det W_j, where W_j drops
-column j: <w_i, v> is the determinant of W with the row w_i repeated, so 0.
-The minors come from one fraction-free Gauss-Jordan elimination (Bareiss,
-Math. Comp. 22, 1968): after each step every entry is a minor of W, so each
-division by the previous pivot is exact and no rational number appears.  At
-the end every pivot row holds d = det W_c at its pivot column, where c is
-the one column left without a pivot, and at column c the minor with that
-pivot column replaced by column c (Cramer's rule); up to one common sign
-these are the signed maximal minors.  The line meets the octant away from
-the apex iff the nonzero minors share a sign; otherwise, or when W is rank
-deficient (every minor is zero, so no single ray is cut out), there is none.
+``maximal_minors`` is fraction-free Gauss-Jordan elimination (Bareiss, Math.
+Comp. 22, 1968) of a d x (d+1) matrix M over a ring with exact division:
+the integers here, exact Laurent polynomials in ``cdvf.cyclic_vector``.
+After each step every entry is a minor of M, so each division by the
+previous pivot is exact.  Only the columns without a pivot are updated: a
+pivot column is zero off its pivot row.  At the end each pivot row holds the
+last pivot p = det M_f at its pivot column, where f is the column left free,
+and at f the minor with that pivot column replaced by column f (Cramer's
+rule); with -p at f, these are the signed maximal minors (-1)^m det M_m,
+M_m without column m, up to one common sign.  They span the kernel of M:
+<w_i, v> is the determinant of M with its row w_i repeated, so 0.
+
+``tropical.sorted_profile_linear`` asks, for n - 1 integer walls, for the
+ray of the octant on which every wall vanishes: the kernel line, when it
+meets the octant away from the apex, that is when the nonzero minors share
+a sign.  Dependent walls (every minor zero) cut out no single ray.  The
+module keeps the name of the Fourier-Motzkin elimination it replaced.
 """
 
 from __future__ import annotations
 
 from math import gcd
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 Row = Tuple[int, ...]
+
+
+def maximal_minors(rows: Sequence[Sequence]) -> list:
+    """(v_0, .., v_d) = s ((-1)^m det M_m)_m for one sign s, where M is the
+    d x (d+1) matrix with these rows over a ring with exact ``//`` and M_m
+    drops its column m; all zero when M has rank below d."""
+    rows = [list(r) for r in rows]
+    free = list(range(len(rows) + 1))
+    pivots = []
+    prev = 1
+    for top in rows:
+        c = next((j for j in free if top[j]), None)
+        if c is None:  # the row is zero: rank deficient
+            return [top[free[0]]] * len(top)
+        free.remove(c)
+        pivots.append(c)
+        p = top[c]
+        for r in rows:
+            if r is not top:
+                rc = r[c]
+                for j in free:
+                    r[j] = (p * r[j] - rc * top[j]) // prev
+        prev = p
+    f = free[0]
+    ray = [-prev] * (len(rows) + 1)
+    for r, c in zip(rows, pivots):
+        ray[c] = r[f]
+    return ray
 
 
 def feasible_point(walls: Sequence[Row], n: int) -> Optional[Row]:
     """The primitive nonnegative integer vector spanning the ray of the octant
     on which the n - 1 ``walls`` (integer rows of n entries) vanish, or None
     if they cut out no ray."""
-    rows: List[Sequence[int]] = list(walls)
-    free = list(range(n))
-    pivots = []
-    prev = 1
-    for k in range(n - 1):
-        top = rows[k]
-        c = next((j for j in free if top[j]), None)
-        if c is None:
-            return None  # rank deficient
-        free.remove(c)
-        pivots.append(c)
-        p = top[c]
-        rows = [r if i == k else [(p * x - r[c] * y) // prev for x, y in zip(r, top)]
-                for i, r in enumerate(rows)]
-        prev = p
-    ray = [0] * n
-    ray[free[0]] = -prev
-    for r, c in zip(rows, pivots):
-        ray[c] = r[free[0]]
-    if any(x < 0 for x in ray):
-        if any(x > 0 for x in ray):
-            return None
-        ray = [-x for x in ray]
+    ray = maximal_minors(walls)
+    if not any(ray) or (any(x < 0 for x in ray) and any(x > 0 for x in ray)):
+        return None
     g = gcd(*ray)
-    return tuple(x // g for x in ray)
+    return tuple(abs(x) // g for x in ray)

@@ -2,11 +2,11 @@
 
 A LaurentSeries stores finitely many exact coefficients below a precision
 bound ``prec``: terms of exponent >= prec are unknown.  ``prec = None`` marks
-a series that is exactly its stored finite sum.  Sums, products and
-derivatives take exact operands only, and raise PrecisionError on a series
-with a bound; negation keeps the bound.  The quotient is the one source of a
-finite bound: its long division runs to a fixed window of 32 terms past its
-valuation.
+a series that is exactly its stored finite sum.  Sums, products, derivatives
+and exact quotients ``//`` take exact operands only, and raise PrecisionError
+on a series with a bound; negation keeps the bound.  The quotient ``/`` is
+the one source of a finite bound: its long division runs to a window of 32
+terms past its valuation.
 
 The series are over Q: coefficients are stored as Fractions, and any other
 value given (an int or a "p/q" string) is converted once, on construction.
@@ -62,9 +62,9 @@ class LaurentSeries:
 
     # -- structure ---------------------------------------------------------
 
-    @property
-    def is_exactly_zero(self):
-        return self.prec is None and not self.terms
+    def __bool__(self):
+        """False only for the exact zero."""
+        return bool(self.terms) or self.prec is not None
 
     def valuation(self) -> Optional[int]:
         """Certified valuation: stored nonzero term, exact zero -> None.
@@ -163,6 +163,27 @@ class LaurentSeries:
             q.append(acc * inv_lead)
         return LaurentSeries(self.var, {a - v + n: c for n, c in enumerate(q)},
                              a - v + _WINDOW)
+
+    def __floordiv__(self, other):
+        """The exact quotient of exact series, by long division from the lowest
+        term: for self from t^a to t^A and other from t^v to t^V it runs from
+        t^(a-v) to t^(A-V), and a remainder left then is refused."""
+        o = self._operand(other)
+        if not o:
+            raise ZeroDivisionError("division by the zero series")
+        (v, lead), *tail = o.terms.items()
+        rem = dict(self.terms)
+        q = {}
+        if rem:
+            for n in range(next(iter(rem)) - v, next(reversed(rem)) - max(o.terms) + 1):
+                c = rem.pop(n + v, 0)
+                if c:
+                    q[n] = c = c / lead
+                    for e, ce in tail:
+                        rem[n + e] = rem.get(n + e, 0) - c * ce
+        if any(rem.values()):
+            raise ArithmeticError(f"{o} does not divide {self}")
+        return LaurentSeries(self.var, q)
 
     def __eq__(self, other):
         if not isinstance(other, LaurentSeries):

@@ -21,7 +21,8 @@ from logchar.cdvf import (
     newton_polygon,
     refined_residue,
 )
-from logchar.cdvf import _apply_derivation, _face_polynomial, _maximal_minors
+from logchar.cdvf import _apply_derivation, _face_polynomial
+from logchar.fme import maximal_minors
 from logchar.cycles import ChartStamp, CycleError, Direction, DivisorLine, LogCycle, ZeroSection
 from logchar.field import descend
 from logchar.laurent import LaurentPolynomial
@@ -232,7 +233,7 @@ def radius_oracle(A, s_max=40):
         M = [[M[i][j].derivative() + sum((A[i][k] * M[k][j] for k in range(d)),
                                          LaurentSeries.zero())
               for j in range(d)] for i in range(d)]
-        vals = [c.valuation() for row in M for c in row if not c.is_exactly_zero]
+        vals = [c.valuation() for row in M for c in row if c]
         # the derivation on the base field alone already grows like t^{-s}
         pole = max(-min(vals), s) if vals else s
         if s >= s_max - 8:
@@ -326,7 +327,7 @@ def malgrange_reference(logop):
     chord between two points."""
     d = logop.order
     pts = [(0, 0)] + [(i, c.valuation()) for i, c in enumerate(logop.coeffs, start=1)
-                      if not c.is_exactly_zero]
+                      if c]
 
     def hull_at(x):
         return min([F(y) for px, y in pts if px == x]
@@ -1053,7 +1054,7 @@ def _reference_cyclic_vector(A):
             iterates.append(_apply_derivation(A, iterates[-1]))
         W = [[iterates[j][i] for j in range(d)] for i in range(d)]
         det = _reference_det(W)
-        if det.is_exactly_zero:
+        if not det:
             continue
         rhs = iterates[d]
         coeffs = []
@@ -1075,16 +1076,47 @@ def _random_matrix(rng, d, exact):
     return [[entry() for _ in range(d)] for _ in range(d)]
 
 
+def _rank_deficient_ints(rng, d):
+    rows = [[rng.randint(-4, 4) for _ in range(d + 1)] for _ in range(d)]
+    k = rng.randrange(d)
+    others = [r for i, r in enumerate(rows) if i != k] or [[0] * (d + 1)]
+    a, b = rng.choice(others), rng.choice(others)
+    x, y = rng.randint(-2, 2), rng.randint(-2, 2)
+    rows[k] = [x * u + y * w for u, w in zip(a, b)]
+    return rows
+
+
 def test_maximal_minors_agree_with_reference_det():
+    # the shared elimination of fme, over exact Laurent polynomials and over
+    # Z: M v = 0, and v_m = s (-1)^m det(M without column m) for one sign s,
+    # against the permutation expansion
     rng = random.Random(8)
-    for _ in range(40):
-        d = rng.randint(1, 4)
-        M = [row + [_random_matrix(rng, 1, exact=True)[0][0]]
-             for row in _random_matrix(rng, d, exact=True)]
-        minors = _maximal_minors(M)
-        for m in range(d + 1):
-            sub = [[x for j, x in enumerate(row) if j != m] for row in M]
-            assert minors[m] == _reference_det(sub)
+    deficient = 0
+    for d in range(1, 7):
+        for _ in range(14 if d < 5 else 3):
+            series = [row + [_random_matrix(rng, 1, exact=True)[0][0]]
+                      for row in _random_matrix(rng, d, exact=True)]
+            ints = [[rng.randint(-4, 4) for _ in range(d + 1)] for _ in range(d)]
+            for M in (series, ints, _rank_deficient_ints(rng, d)):
+                v = maximal_minors(M)
+                dets = [_reference_det([[x for j, x in enumerate(row) if j != m] for row in M])
+                        for m in range(d + 1)]
+                assert any(all(v[m] == s * (-1) ** m * dets[m] for m in range(d + 1))
+                           for s in (1, -1)), (M, v)
+                for row in M:
+                    assert sum((x * y for x, y in zip(row, v)), 0) == 0, (M, v)
+                deficient += not any(v)
+    assert deficient >= 30, deficient
+
+
+def test_cyclic_vector_refuses_a_matrix_that_is_not_square():
+    a, b = S("t", {-1: 1}), S.constant(1)
+    for A, message in (([[a, b]], "row 0 of the connection matrix has length 2, not 1"),
+                       ([[a], [b]], "row 0 of the connection matrix has length 1, not 2"),
+                       ([[a, b], [b, a], [a, b, a]], "row 0 .* has length 2, not 3"),
+                       ([], "the connection matrix is empty")):
+        with pytest.raises(OperatorError, match=message):
+            cyclic_vector(A)
 
 
 def _cyclic_or_error(A, solve):

@@ -14,7 +14,9 @@ def test_exact_arithmetic():
     assert (f + g).terms == {-2: 1, 0: 3, 1: 2}
     assert (f * g).terms == {-1: 2, 1: 6}
     assert (f * g).prec is None
-    assert (f - f).is_exactly_zero
+    assert not f - f
+    # zero up to a bound is not the exact zero
+    assert S("t", {}, prec=3) and not S.zero()
 
 
 def test_inexact_arithmetic_raises():
@@ -67,6 +69,47 @@ def test_division_round_trip():
         f / S.zero()
 
 
+def _random_polynomial(rng):
+    terms = {rng.randint(-6, 6): Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+             for _ in range(rng.randint(1, 6))}
+    return S("t", terms)
+
+
+def test_exact_division_round_trip():
+    rng = random.Random(41)
+    for _ in range(300):
+        a, b = _random_polynomial(rng), _random_polynomial(rng)
+        if not b:
+            continue
+        q = (a * b) // b
+        assert (q.terms, q.prec) == (a.terms, None), (a, b)
+        assert (a * b) // (b * -3) == a * Fraction(-1, 3)
+    assert S.zero() // S("t", {2: 3}) == S.zero()
+    assert S("t", {-1: 2, 1: 6}) // 2 == S("t", {-1: 1, 1: 3})
+
+
+def test_exact_division_refuses_a_remainder():
+    f = S("t", {0: 1})
+    g = S("t", {0: 1, 1: 1})  # 1 + t
+    for num, den in ((f, g), (S("t", {0: 1, 3: 1}), g * g), (g * g + S("t", {5: 1}), g),
+                     (S("t", {-2: 1, 2: 1}), S("t", {-3: 1, 3: 1})), (f, S("t", {0: 2, 1: 3}))):
+        with pytest.raises(ArithmeticError, match="does not divide"):
+            num // den
+    with pytest.raises(ZeroDivisionError):
+        f // S.zero()
+    with pytest.raises(ZeroDivisionError):
+        f // 0
+
+
+def test_exact_division_refuses_a_precision_bound():
+    f = S("t", {0: 1, 1: 1})
+    bounded = S("t", {0: 1, 1: 1}, prec=5)
+    for op in (lambda: bounded // f, lambda: f // bounded, lambda: bounded // bounded,
+               lambda: S("t", {}, prec=3) // f, lambda: bounded // 2):
+        with pytest.raises(PrecisionError, match="exact operands"):
+            op()
+
+
 # -- the quotient as the engine formed it before: the inverse by a triangular
 # recurrence to 32 terms, times the exact numerator, truncated where the
 # inverse's unknown tail reaches the product; kept as a reference
@@ -79,7 +122,7 @@ def reference_quotient(m, det):
     b = [inv_lead]
     for n in range(1, 32):
         b.append(-inv_lead * sum((c * b[n - k] for k, c in tail if k <= n), Fraction(0)))
-    if m.is_exactly_zero:
+    if not m:
         return S.zero()
     prec = 32 - v + min(m.terms)
     out = {}
@@ -139,5 +182,5 @@ def test_scalar_product_agrees_with_constant_series_product():
             assert (_coeff_data(got), got.prec) == (_coeff_data(want), want.prec), (s, c)
         if c == 0:
             zeros += 1
-            assert (s * c).is_exactly_zero
+            assert not s * c
     assert zeros >= 10 and refused >= 50, (zeros, refused)
